@@ -1,11 +1,13 @@
 //! Micro-benchmarks for the HTTP substrate: `Range` grammar parsing,
 //! multipart/byteranges assembly, and wire-format round-trips. These are
 //! the hot paths of every experiment (each SBR run serializes multi-MB
-//! responses; each OBR run parses 30 KB `Range` headers).
+//! responses; each OBR run parses 30 KB `Range` headers). `cache_hit_4096`
+//! measures the edge cache's hit path in isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use rangeamp_cdn::Cache;
 use rangeamp_http::multipart::MultipartBuilder;
 use rangeamp_http::range::{coalesce, RangeHeader, ResolvedRange};
 use rangeamp_http::{wire, Body, Request, Response, StatusCode};
@@ -91,11 +93,39 @@ fn bench_wire_round_trip(c: &mut Criterion) {
     group.finish();
 }
 
+/// `get_at` on the least-recently-used key of a full 4096-entry cache.
+/// Keys are looked up in insertion order, so each hit refreshes the
+/// current LRU key and leaves the next one at the LRU end.
+fn bench_cache_hit(c: &mut Criterion) {
+    let capacity = Cache::DEFAULT_MAX_ENTRIES;
+    let cache = Cache::with_capacity(capacity);
+    let keys: Vec<String> = (0..capacity)
+        .map(|i| Cache::key("victim.example", &format!("/obj/{i}.bin")))
+        .collect();
+    for key in &keys {
+        let resp = Response::builder(StatusCode::OK)
+            .header("Content-Type", "application/octet-stream")
+            .header("ETag", "\"bench\"")
+            .sized_body(vec![0u8; 1024])
+            .build();
+        cache.put(key, resp);
+    }
+    let mut next = 0;
+    c.bench_function("cache_hit_4096", |b| {
+        b.iter(|| {
+            let key = &keys[next];
+            next = (next + 1) % capacity;
+            cache.get_at(black_box(key), 0).expect("cached")
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_range_parsing,
     bench_coalesce,
     bench_multipart_build,
-    bench_wire_round_trip
+    bench_wire_round_trip,
+    bench_cache_hit
 );
 criterion_main!(benches);

@@ -5,6 +5,19 @@
 //! query parameter (paper §II-A), which both RangeAmp attacks rely on.
 //! Only complete 200 representations are stored (partial-response caching
 //! is exactly what vendors told the authors they don't want to do, §VII-A).
+//!
+//! # Data structure
+//!
+//! Lookups, stores, recency refreshes and evictions are all O(1). Entries
+//! live in a slab (`Vec`) of slots threaded into a doubly linked recency
+//! list by slot index, and a `HashMap` maps each key to its slot. Each key
+//! is allocated once, as an `Arc<str>` shared by the map and its slot.
+//! Once the cache is full, a store of a new key reuses the least recently
+//! used slot in place, so the slab never grows past the capacity.
+//!
+//! Entries are stored as `Arc<CachedEntry>`: a hit hands out a shared
+//! pointer instead of cloning the response and its headers, and the
+//! pointer stays valid after the entry is evicted or replaced.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -21,11 +34,29 @@ pub struct CachedEntry {
     pub stored_at_ms: u64,
 }
 
+/// End-of-list marker for the recency links.
+const NIL: usize = usize::MAX;
+
+/// One stored entry plus its links in the recency list.
+#[derive(Debug)]
+struct Slot {
+    key: Arc<str>,
+    entry: Arc<CachedEntry>,
+    /// Next less recently used slot, or [`NIL`].
+    older: usize,
+    /// Next more recently used slot, or [`NIL`].
+    newer: usize,
+}
+
 #[derive(Debug)]
 struct CacheInner {
-    entries: HashMap<String, CachedEntry>,
-    /// Keys in least-recently-used-first order.
-    lru: Vec<String>,
+    /// Key → index into `slots`.
+    index: HashMap<Arc<str>, usize>,
+    slots: Vec<Slot>,
+    /// Least recently used slot, or [`NIL`] when empty.
+    oldest: usize,
+    /// Most recently used slot, or [`NIL`] when empty.
+    newest: usize,
     max_entries: usize,
     /// Freshness lifetime in virtual ms; `None` = entries never expire.
     ttl_ms: Option<u64>,
@@ -39,8 +70,10 @@ struct CacheInner {
 impl Default for CacheInner {
     fn default() -> CacheInner {
         CacheInner {
-            entries: HashMap::new(),
-            lru: Vec::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             max_entries: Cache::DEFAULT_MAX_ENTRIES,
             ttl_ms: None,
             evictions: 0,
@@ -52,19 +85,69 @@ impl Default for CacheInner {
 }
 
 impl CacheInner {
-    fn touch(&mut self, key: &str) {
-        if let Some(pos) = self.lru.iter().position(|k| k == key) {
-            let key = self.lru.remove(pos);
-            self.lru.push(key);
+    /// Removes slot `i` from the recency list (it stays in the slab).
+    fn unlink(&mut self, i: usize) {
+        let Slot { older, newer, .. } = self.slots[i];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
         }
     }
 
-    fn evict_to_capacity(&mut self) {
-        while self.entries.len() > self.max_entries && !self.lru.is_empty() {
-            let victim = self.lru.remove(0);
-            self.entries.remove(&victim);
-            self.evictions += 1;
+    /// Appends the unlinked slot `i` as the most recently used.
+    fn push_newest(&mut self, i: usize) {
+        self.slots[i].older = self.newest;
+        self.slots[i].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n].newer = i,
         }
+        self.newest = i;
+    }
+
+    /// Marks slot `i` as the most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.newest != i {
+            self.unlink(i);
+            self.push_newest(i);
+        }
+    }
+
+    /// Stores `entry` under `key` as the most recently used entry. A new
+    /// key arriving at a full cache takes over the least recently used
+    /// entry's slot.
+    fn insert(&mut self, key: &str, entry: Arc<CachedEntry>) {
+        if let Some(&i) = self.index.get(key) {
+            self.slots[i].entry = entry;
+            self.touch(i);
+            return;
+        }
+        let key: Arc<str> = Arc::from(key);
+        let i = if self.slots.len() < self.max_entries {
+            self.slots.push(Slot {
+                key: key.clone(),
+                entry,
+                older: NIL,
+                newer: NIL,
+            });
+            self.slots.len() - 1
+        } else {
+            // Full: evict the least recently used entry and reuse its slot.
+            let i = self.oldest;
+            self.unlink(i);
+            let slot = &mut self.slots[i];
+            let victim = std::mem::replace(&mut slot.key, key.clone());
+            slot.entry = entry;
+            self.index.remove(&victim);
+            self.evictions += 1;
+            i
+        };
+        self.index.insert(key, i);
+        self.push_newest(i);
     }
 }
 
@@ -73,6 +156,12 @@ impl CacheInner {
 /// limit given to [`Cache::with_capacity`]) the least recently used
 /// entry is evicted — which is how an SBR attacker's cache-busted
 /// requests also *pollute* the edge cache as a side effect.
+///
+/// Every operation is O(1): lookups ([`Cache::get_at`],
+/// [`Cache::get_stale`]) hash the key once and hand out a shared
+/// `Arc<CachedEntry>` without copying the response; a fresh hit and a
+/// store move the entry to the most-recently-used end of an intrusive
+/// recency list; an eviction unlinks its least-recently-used end.
 ///
 /// # Example
 ///
@@ -121,25 +210,25 @@ impl Cache {
     /// Looks up a full representation at virtual instant zero (for
     /// callers that don't track time; equivalent to [`Cache::get_at`]
     /// with `now_ms = 0`).
-    pub fn get(&self, key: &str) -> Option<CachedEntry> {
+    pub fn get(&self, key: &str) -> Option<Arc<CachedEntry>> {
         self.get_at(key, 0)
     }
 
     /// Looks up a *fresh* representation at `now_ms`, counting hit/miss
     /// statistics and refreshing recency. An expired entry counts as a
-    /// miss but is retained for [`Cache::get_stale`].
-    pub fn get_at(&self, key: &str, now_ms: u64) -> Option<CachedEntry> {
+    /// miss, keeps its recency, and is retained for
+    /// [`Cache::get_stale`]. The returned entry is shared with the cache.
+    pub fn get_at(&self, key: &str, now_ms: u64) -> Option<Arc<CachedEntry>> {
         let mut inner = self.inner.lock();
-        let fresh = inner.entries.get(key).cloned().filter(|entry| {
-            inner
-                .ttl_ms
-                .is_none_or(|ttl| now_ms < entry.stored_at_ms.saturating_add(ttl))
+        let ttl_ms = inner.ttl_ms;
+        let fresh = inner.index.get(key).copied().filter(|&i| {
+            ttl_ms.is_none_or(|ttl| now_ms < inner.slots[i].entry.stored_at_ms.saturating_add(ttl))
         });
         match fresh {
-            Some(entry) => {
+            Some(i) => {
                 inner.hits += 1;
-                inner.touch(key);
-                Some(entry)
+                inner.touch(i);
+                Some(Arc::clone(&inner.slots[i].entry))
             }
             None => {
                 inner.misses += 1;
@@ -150,9 +239,12 @@ impl Cache {
 
     /// Looks up a representation regardless of freshness — the
     /// serve-stale fallback when the upstream is failing. Does not touch
-    /// hit/miss statistics or recency.
-    pub fn get_stale(&self, key: &str) -> Option<CachedEntry> {
-        self.inner.lock().entries.get(key).cloned()
+    /// hit/miss statistics or recency. The returned entry is shared with
+    /// the cache.
+    pub fn get_stale(&self, key: &str) -> Option<Arc<CachedEntry>> {
+        let inner = self.inner.lock();
+        let i = *inner.index.get(key)?;
+        Some(Arc::clone(&inner.slots[i].entry))
     }
 
     /// Stores a full representation at virtual instant zero (see
@@ -161,20 +253,16 @@ impl Cache {
         self.put_at(key, response, 0);
     }
 
-    /// Stores a full representation stamped at `now_ms`, evicting the
-    /// least recently used entries beyond capacity.
+    /// Stores a full representation stamped at `now_ms` and marks it most
+    /// recently used. Storing over an existing key replaces the entry in
+    /// place; storing a new key into a full cache first evicts the least
+    /// recently used entry.
     pub fn put_at(&self, key: &str, response: Response, now_ms: u64) {
-        let mut inner = self.inner.lock();
-        let entry = CachedEntry {
+        let entry = Arc::new(CachedEntry {
             response,
             stored_at_ms: now_ms,
-        };
-        if inner.entries.insert(key.to_string(), entry).is_none() {
-            inner.lru.push(key.to_string());
-        } else {
-            inner.touch(key);
-        }
-        inner.evict_to_capacity();
+        });
+        self.inner.lock().insert(key, entry);
     }
 
     /// Number of entries evicted so far (the cache-pollution signal).
@@ -201,23 +289,149 @@ impl Cache {
 
     /// Number of stored representations.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().index.len()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
+        self.inner.lock().index.is_empty()
     }
 
-    /// Drops all entries and statistics.
+    /// Drops all entries and statistics. Like a freshly built
+    /// [`Cache::new`], the cleared cache has the default capacity and no
+    /// TTL.
     pub fn clear(&self) {
         *self.inner.lock() = CacheInner::default();
+    }
+
+    /// Stored keys, least recently used first.
+    #[cfg(test)]
+    fn keys_by_recency(&self) -> Vec<String> {
+        let inner = self.inner.lock();
+        let mut keys = Vec::with_capacity(inner.index.len());
+        let mut i = inner.oldest;
+        while i != NIL {
+            keys.push(inner.slots[i].key.to_string());
+            i = inner.slots[i].newer;
+        }
+        keys
+    }
+}
+
+/// The linear-scan LRU the cache used before its O(1) recency list,
+/// kept as the reference model for the equivalence property test: a
+/// `Vec` of keys in least-recently-used-first order, searched and
+/// shifted on every touch and eviction.
+#[cfg(test)]
+mod model {
+    use std::collections::HashMap;
+
+    use rangeamp_http::Response;
+
+    use super::{Cache, CachedEntry};
+
+    #[derive(Debug)]
+    pub(super) struct ModelCache {
+        entries: HashMap<String, CachedEntry>,
+        /// Keys in least-recently-used-first order.
+        lru: Vec<String>,
+        max_entries: usize,
+        ttl_ms: Option<u64>,
+        evictions: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ModelCache {
+        pub(super) fn new(max_entries: usize, ttl_ms: Option<u64>) -> ModelCache {
+            ModelCache {
+                entries: HashMap::new(),
+                lru: Vec::new(),
+                max_entries: max_entries.max(1),
+                ttl_ms,
+                evictions: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn touch(&mut self, key: &str) {
+            if let Some(pos) = self.lru.iter().position(|k| k == key) {
+                let key = self.lru.remove(pos);
+                self.lru.push(key);
+            }
+        }
+
+        pub(super) fn get_at(&mut self, key: &str, now_ms: u64) -> Option<CachedEntry> {
+            let fresh = self.entries.get(key).cloned().filter(|entry| {
+                self.ttl_ms
+                    .is_none_or(|ttl| now_ms < entry.stored_at_ms.saturating_add(ttl))
+            });
+            match fresh {
+                Some(entry) => {
+                    self.hits += 1;
+                    self.touch(key);
+                    Some(entry)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        pub(super) fn get_stale(&self, key: &str) -> Option<CachedEntry> {
+            self.entries.get(key).cloned()
+        }
+
+        /// Stores an entry, returning the keys evicted to make room.
+        pub(super) fn put_at(&mut self, key: &str, response: Response, now_ms: u64) -> Vec<String> {
+            let entry = CachedEntry {
+                response,
+                stored_at_ms: now_ms,
+            };
+            if self.entries.insert(key.to_string(), entry).is_none() {
+                self.lru.push(key.to_string());
+            } else {
+                self.touch(key);
+            }
+            let mut evicted = Vec::new();
+            while self.entries.len() > self.max_entries && !self.lru.is_empty() {
+                let victim = self.lru.remove(0);
+                self.entries.remove(&victim);
+                self.evictions += 1;
+                evicted.push(victim);
+            }
+            evicted
+        }
+
+        pub(super) fn clear(&mut self) {
+            *self = ModelCache::new(Cache::DEFAULT_MAX_ENTRIES, None);
+        }
+
+        pub(super) fn stats(&self) -> (u64, u64) {
+            (self.hits, self.misses)
+        }
+
+        pub(super) fn evictions(&self) -> u64 {
+            self.evictions
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        pub(super) fn keys_by_recency(&self) -> &[String] {
+            &self.lru
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::model::ModelCache;
     use super::*;
+    use proptest::prelude::*;
     use rangeamp_http::StatusCode;
 
     fn response_of(len: usize) -> Response {
@@ -329,5 +543,135 @@ mod tests {
         assert!(cache.is_empty());
         assert!(!cache.was_seen("k"));
         assert_eq!(cache.stats(), (0, 0));
+    }
+
+    #[test]
+    fn expired_get_is_a_miss_and_keeps_recency() {
+        let cache = Cache::with_capacity(2).with_ttl(10);
+        cache.put_at("a", response_of(1), 0);
+        cache.put_at("b", response_of(2), 5);
+        assert!(cache.get_at("a", 12).is_none(), "a expired at 10");
+        assert_eq!(cache.stats(), (0, 1));
+        assert_eq!(cache.keys_by_recency(), ["a", "b"]);
+        cache.put_at("c", response_of(3), 12);
+        assert!(
+            cache.get_stale("a").is_none(),
+            "a stayed LRU and was evicted"
+        );
+        assert!(cache.get_stale("b").is_some());
+    }
+
+    #[test]
+    fn get_stale_keeps_recency_and_counters() {
+        let cache = Cache::with_capacity(2).with_ttl(10);
+        cache.put_at("a", response_of(1), 0);
+        cache.put_at("b", response_of(2), 0);
+        assert_eq!(cache.get_stale("a").unwrap().response.body().len(), 1);
+        assert!(cache.get_stale("missing").is_none());
+        assert_eq!(cache.stats(), (0, 0));
+        assert_eq!(cache.keys_by_recency(), ["a", "b"]);
+        cache.put("c", response_of(3));
+        assert!(cache.get_stale("a").is_none(), "a was still the LRU victim");
+    }
+
+    #[test]
+    fn put_over_existing_key_restamps_and_refreshes() {
+        let cache = Cache::with_capacity(2).with_ttl(10);
+        cache.put_at("a", response_of(1), 0);
+        cache.put_at("b", response_of(2), 0);
+        cache.put_at("a", response_of(7), 8);
+        assert_eq!(cache.keys_by_recency(), ["b", "a"]);
+        cache.put_at("c", response_of(3), 15);
+        assert_eq!(cache.keys_by_recency(), ["a", "c"], "b was the LRU victim");
+        assert_eq!(cache.evictions(), 1);
+        let entry = cache.get_at("a", 15).expect("fresh until 18");
+        assert_eq!(entry.stored_at_ms, 8);
+        assert_eq!(entry.response.body().len(), 7);
+    }
+
+    #[test]
+    fn returned_entry_outlives_its_eviction() {
+        let cache = Cache::with_capacity(1);
+        cache.put("a", response_of(5));
+        let held = cache.get("a").unwrap();
+        cache.put("b", response_of(6));
+        assert!(cache.get_stale("a").is_none());
+        assert_eq!(held.response.body().len(), 5);
+        assert_eq!(held.stored_at_ms, 0);
+    }
+
+    #[test]
+    fn hits_share_the_stored_entry() {
+        let cache = Cache::new();
+        cache.put("a", response_of(5));
+        let first = cache.get("a").unwrap();
+        let second = cache.get_stale("a").unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+    }
+
+    fn same_entry(real: Option<Arc<CachedEntry>>, model: Option<CachedEntry>) -> bool {
+        match (real, model) {
+            (None, None) => true,
+            (Some(real), Some(model)) => {
+                real.stored_at_ms == model.stored_at_ms && real.response == model.response
+            }
+            _ => false,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn matches_the_linear_scan_reference_model(
+            capacity in 1usize..9,
+            ttl_ms in proptest::option::of(1u64..12),
+            steps in proptest::collection::vec((0u8..16, 0u8..12, 0u64..4), 1..120),
+        ) {
+            let cache = Cache::with_capacity(capacity);
+            let cache = match ttl_ms {
+                Some(ttl) => cache.with_ttl(ttl),
+                None => cache,
+            };
+            let mut model = ModelCache::new(capacity, ttl_ms);
+            let mut now_ms = 0u64;
+            for (index, &step) in steps.iter().enumerate() {
+                let (op, key, advance) = step;
+                now_ms += advance;
+                let key = format!("k{key}");
+                match op {
+                    // put_at: the body length tags which store wrote it.
+                    0..=6 => {
+                        let before = cache.keys_by_recency();
+                        let expected = model.put_at(&key, response_of(index), now_ms);
+                        cache.put_at(&key, response_of(index), now_ms);
+                        let after = cache.keys_by_recency();
+                        let evicted: Vec<String> =
+                            before.into_iter().filter(|k| !after.contains(k)).collect();
+                        prop_assert_eq!(evicted, expected, "evicted keys at {:?}", step);
+                    }
+                    7..=12 => prop_assert!(
+                        same_entry(cache.get_at(&key, now_ms), model.get_at(&key, now_ms)),
+                        "get_at differs at {:?}", step
+                    ),
+                    13..=14 => prop_assert!(
+                        same_entry(cache.get_stale(&key), model.get_stale(&key)),
+                        "get_stale differs at {:?}", step
+                    ),
+                    _ => {
+                        cache.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(cache.stats(), model.stats(), "stats at {:?}", step);
+                prop_assert_eq!(cache.evictions(), model.evictions(), "evictions at {:?}", step);
+                prop_assert_eq!(cache.len(), model.len(), "len at {:?}", step);
+                prop_assert_eq!(
+                    cache.keys_by_recency(),
+                    model.keys_by_recency(),
+                    "recency order at {:?}", step
+                );
+            }
+        }
     }
 }

@@ -29,6 +29,32 @@ pub struct EdgeNode {
     resilience: Resilience,
     telemetry: Option<Telemetry>,
     defense: Option<Arc<dyn DefenseHook>>,
+    /// The profile's [`VendorProfile::via_token`], computed once.
+    via_token: String,
+    /// `X-Cache` values for each cache status, computed once.
+    x_cache: XCache,
+}
+
+/// The `X-Cache: <status> from <vendor>` value of each cache status one
+/// node reports.
+#[derive(Debug)]
+struct XCache {
+    hit: String,
+    miss: String,
+    deny: String,
+    stale: String,
+}
+
+impl XCache {
+    fn new(profile: &VendorProfile) -> XCache {
+        let value = |status: &str| format!("{status} from {}", profile.vendor);
+        XCache {
+            hit: value("HIT"),
+            miss: value("MISS"),
+            deny: value("DENY"),
+            stale: value("STALE"),
+        }
+    }
 }
 
 impl EdgeNode {
@@ -46,6 +72,8 @@ impl EdgeNode {
         let resilience =
             Resilience::new(profile.retry, BreakerConfig::default(), SharedClock::new());
         EdgeNode {
+            via_token: profile.via_token(),
+            x_cache: XCache::new(&profile),
             profile,
             cache: Cache::new(),
             upstream,
@@ -179,12 +207,11 @@ impl EdgeNode {
     fn handle_core(&self, req: &Request, backend_truncate: Option<u64>) -> Response {
         // 0. Forwarding-loop detection (RFC 7230 §5.7.1 Via; cf. the
         //    forwarding-loop attacks discussed in the paper's §VIII).
-        let via_token = self.profile.via_token();
         let looped = req
             .headers()
             .get_all("via")
             .iter()
-            .any(|v| v.contains(via_token.as_str()));
+            .any(|v| v.contains(self.via_token.as_str()));
         if looped {
             return self.finish(
                 Response::builder(StatusCode::BAD_GATEWAY)
@@ -192,7 +219,7 @@ impl EdgeNode {
                     .sized_body("forwarding loop detected")
                     .build(),
                 &[],
-                "DENY",
+                &self.x_cache.deny,
             );
         }
 
@@ -204,7 +231,7 @@ impl EdgeNode {
                     .sized_body("request header fields too large")
                     .build(),
                 &[],
-                "DENY",
+                &self.x_cache.deny,
             );
         }
 
@@ -226,7 +253,7 @@ impl EdgeNode {
                     .sized_body("request blocked by range-abuse defense")
                     .build(),
                 &[],
-                "DENY",
+                &self.x_cache.deny,
             )
         } else {
             let mitigation = action.effective_mitigation(self.profile.mitigation);
@@ -267,7 +294,6 @@ impl EdgeNode {
         backend_truncate: Option<u64>,
         mitigation: MitigationConfig,
     ) -> Response {
-        let via_token = self.profile.via_token();
         let mut range = req
             .headers()
             .get("range")
@@ -282,7 +308,7 @@ impl EdgeNode {
                     return self.finish(
                         assemble::not_satisfiable(size_hint.unwrap_or(0)),
                         &[],
-                        "DENY",
+                        &self.x_cache.deny,
                     );
                 }
             }
@@ -322,7 +348,7 @@ impl EdgeNode {
                     &entry.response,
                     self.effective_multi_reply(mitigation),
                 );
-                return self.finish(resp, &[], "HIT");
+                return self.finish(resp, &[], &self.x_cache.hit);
             }
         }
 
@@ -336,7 +362,7 @@ impl EdgeNode {
             cache: &self.cache,
             cache_key: cache_key.clone(),
             backend_truncate,
-            via_token: &via_token,
+            via_token: &self.via_token,
             resilience: &self.resilience,
             telemetry: self.telemetry.as_ref(),
         };
@@ -416,10 +442,10 @@ impl EdgeNode {
                 stale
                     .headers_mut()
                     .append("Warning", "110 - \"Response is Stale\"");
-                return self.finish(stale, &[], "STALE");
+                return self.finish(stale, &[], &self.x_cache.stale);
             }
         }
-        self.finish(resp, &extra, "MISS")
+        self.finish(resp, &extra, &self.x_cache.miss)
     }
 
     fn handle_miss_with_mitigation(
@@ -508,23 +534,16 @@ impl EdgeNode {
     }
 
     /// Appends the vendor's standing headers, per-request extras, and the
-    /// cache-status header every CDN exposes.
-    fn finish(
-        &self,
-        mut resp: Response,
-        extra: &[(String, String)],
-        cache_status: &str,
-    ) -> Response {
+    /// cache-status header every CDN exposes (`x_cache` is one of the
+    /// node's precomputed [`XCache`] values).
+    fn finish(&self, mut resp: Response, extra: &[(String, String)], x_cache: &str) -> Response {
         for (name, value) in &self.profile.extra_headers {
             resp.headers_mut().append(name, value.clone());
         }
         for (name, value) in extra {
             resp.headers_mut().append(name, value.clone());
         }
-        resp.headers_mut().append(
-            "X-Cache",
-            format!("{cache_status} from {}", self.profile.vendor),
-        );
+        resp.headers_mut().append("X-Cache", x_cache);
         resp
     }
 }
