@@ -47,22 +47,31 @@ fn bench_coalesce(c: &mut Criterion) {
 fn bench_multipart_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("multipart_build");
     let body = Body::from(vec![0u8; 1024]);
-    for n in [4usize, 64, 1024] {
+    let builder_of = |n: usize| {
+        let mut builder = MultipartBuilder::new("application/octet-stream", 1024);
+        for _ in 0..n {
+            builder = builder.part(
+                ResolvedRange {
+                    first: 0,
+                    last: 1023,
+                },
+                black_box(body.clone()),
+            );
+        }
+        builder
+    };
+    // 10,000 parts of `0-1023` is the shape of an OBR reply at max n.
+    for n in [4usize, 64, 1024, 10_000] {
         group.throughput(Throughput::Bytes((n * 1024) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let mut builder = MultipartBuilder::new("application/octet-stream", 1024);
-                for _ in 0..n {
-                    builder = builder.part(
-                        ResolvedRange {
-                            first: 0,
-                            last: 1023,
-                        },
-                        black_box(body.clone()),
-                    );
-                }
-                builder.build()
-            });
+            b.iter(|| builder_of(n).build());
+        });
+    }
+    // The flattening fallback: build, then read the payload contiguously.
+    for n in [64usize, 10_000] {
+        group.throughput(Throughput::Bytes((n * 1024) as u64));
+        group.bench_with_input(BenchmarkId::new("as_bytes", n), &n, |b, &n| {
+            b.iter(|| builder_of(n).build().as_bytes().len());
         });
     }
     group.finish();

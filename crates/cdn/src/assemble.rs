@@ -2,7 +2,7 @@
 //! miss handlers.
 
 use rangeamp_http::multipart::MultipartBuilder;
-use rangeamp_http::range::{coalesce, ContentRange, RangeHeader, ResolvedRange};
+use rangeamp_http::range::{coalesce, has_overlap, ContentRange, RangeHeader, ResolvedRange};
 use rangeamp_http::{Body, Response, StatusCode};
 
 use crate::MultiReplyPolicy;
@@ -150,11 +150,7 @@ pub(crate) fn serve_from_full(
             }
         }
         MultiReplyPolicy::RejectOverlapping => {
-            let overlapping = resolved
-                .iter()
-                .enumerate()
-                .any(|(i, a)| resolved[i + 1..].iter().any(|b| a.overlaps(b)));
-            if overlapping {
+            if has_overlap(&resolved) {
                 not_satisfiable(complete)
             } else {
                 multipart_206(body, &resolved, complete, &meta)
@@ -238,11 +234,7 @@ pub(crate) fn serve_from_partial(
             }
         }
         MultiReplyPolicy::RejectOverlapping => {
-            let overlapping = resolved
-                .iter()
-                .enumerate()
-                .any(|(i, a)| resolved[i + 1..].iter().any(|b| a.overlaps(b)));
-            if overlapping {
+            if has_overlap(&resolved) {
                 not_satisfiable(complete_length)
             } else {
                 build_multipart(&resolved)

@@ -303,8 +303,7 @@ impl EdgeNode {
         // 2. Mitigation pre-checks (§VI-C).
         if mitigation.reject_overlapping {
             if let Some(header) = &range {
-                if header.is_multi() && header.overlapping_pairs(size_hint.unwrap_or(u64::MAX)) > 0
-                {
+                if header.is_multi() && header.has_overlap(size_hint.unwrap_or(u64::MAX)) {
                     return self.finish(
                         assemble::not_satisfiable(size_hint.unwrap_or(0)),
                         &[],

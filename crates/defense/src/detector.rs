@@ -1,7 +1,7 @@
 //! Deterministic detectors: threshold rules + EWMA/CUSUM change-points.
 //!
 //! Two rule families run side by side on the feature stream of
-//! [`ClientFeatures`](crate::features::ClientFeatures):
+//! [`ClientFeatures`]:
 //!
 //! * **Shape rules** (thresholds) fire on what a single request or the
 //!   current window *looks like*, independent of byte counts: repeated

@@ -12,13 +12,11 @@
 //!   seen from this client before (`?rnd=…` per request, §II-A),
 //! * **per-request amplification ratio** — origin-side bytes fetched
 //!   for the request versus the client-facing response size, from the
-//!   edge's [`Segment`] byte meters via
+//!   edge's `rangeamp_net::Segment` byte meters via
 //!   [`RequestOutcome`](rangeamp_cdn::RequestOutcome).
 //!
 //! Everything is windowed on the *virtual* clock the testbed drives, so
 //! feature streams are deterministic functions of the request schedule.
-//!
-//! [`Segment`]: rangeamp_net — the metered link type in `rangeamp-net`.
 
 use std::collections::BTreeSet;
 

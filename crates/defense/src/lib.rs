@@ -17,7 +17,7 @@
 //!   [`rangeamp_cdn::DefenseHook`]: a graduated enforcement ladder
 //!   (allow → deflate → throttle → block) that reuses the §VI-C
 //!   mitigation transforms as actuators;
-//! * [`replay`] — offline replay of golden verdict fixtures
+//! * [`replay`](mod@replay) — offline replay of golden verdict fixtures
 //!   (`tests/corpus/defense-*.txt`).
 //!
 //! # Example

@@ -39,6 +39,7 @@
 
 mod body;
 mod conditional;
+mod decimal;
 mod error;
 mod headers;
 mod method;
@@ -53,7 +54,7 @@ pub mod multipart;
 pub mod range;
 pub mod wire;
 
-pub use body::Body;
+pub use body::{Body, Chunks};
 pub use conditional::IfRange;
 pub use error::{Error, Result};
 pub use headers::{HeaderMap, HeaderName, HeaderValue};

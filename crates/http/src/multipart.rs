@@ -8,8 +8,10 @@
 //! the parts it is given; whether overlapping parts are allowed is decided
 //! by the server/CDN layer above.
 
+use bytes::Bytes;
+
 use crate::range::{ContentRange, ResolvedRange};
-use crate::{Body, Error, Result};
+use crate::{decimal, Body, Error, Result};
 
 /// The boundary string used in examples by RFC 7233 and the paper's Fig 2.
 pub const DEFAULT_BOUNDARY: &str = "THIS_STRING_SEPARATES";
@@ -70,49 +72,88 @@ impl MultipartBuilder {
         format!("multipart/byteranges; boundary={}", self.boundary)
     }
 
-    /// Serializes the multipart payload.
+    /// Serializes the multipart payload without copying any part bytes.
+    ///
+    /// The framing of every part (delimiter, `Content-Type` and
+    /// `Content-Range` lines) is written into one buffer sized up front;
+    /// the result is a rope that interleaves slices of that buffer with
+    /// the part bodies.
     pub fn build(&self) -> Body {
-        let mut out = Vec::with_capacity(self.encoded_len() as usize);
-        for (range, body) in &self.parts {
-            out.extend_from_slice(b"--");
-            out.extend_from_slice(self.boundary.as_bytes());
-            out.extend_from_slice(b"\r\n");
-            out.extend_from_slice(b"Content-Type: ");
-            out.extend_from_slice(self.content_type.as_bytes());
-            out.extend_from_slice(b"\r\n");
-            let content_range = ContentRange::Satisfied {
-                range: *range,
-                complete_length: self.complete_length,
-            };
-            out.extend_from_slice(b"Content-Range: ");
-            out.extend_from_slice(content_range.to_string().as_bytes());
-            out.extend_from_slice(b"\r\n\r\n");
-            out.extend_from_slice(body.as_bytes());
-            out.extend_from_slice(b"\r\n");
+        let mut framing = Vec::with_capacity(self.framing_len());
+        let mut prefix = 0..0;
+        for (index, (range, _)) in self.parts.iter().enumerate() {
+            if index == 0 {
+                let start = framing.len();
+                framing.extend_from_slice(b"--");
+                framing.extend_from_slice(self.boundary.as_bytes());
+                framing.extend_from_slice(b"\r\nContent-Type: ");
+                framing.extend_from_slice(self.content_type.as_bytes());
+                framing.extend_from_slice(b"\r\nContent-Range: bytes ");
+                prefix = start..framing.len();
+            } else {
+                // Every part repeats the first part's prefix.
+                framing.extend_from_slice(b"\r\n");
+                framing.extend_from_within(prefix.clone());
+            }
+            decimal::push(&mut framing, range.first);
+            framing.push(b'-');
+            decimal::push(&mut framing, range.last);
+            framing.push(b'/');
+            decimal::push(&mut framing, self.complete_length);
+            framing.extend_from_slice(b"\r\n\r\n");
         }
-        out.extend_from_slice(b"--");
-        out.extend_from_slice(self.boundary.as_bytes());
-        out.extend_from_slice(b"--\r\n");
-        Body::from(out)
+        if !self.parts.is_empty() {
+            framing.extend_from_slice(b"\r\n");
+        }
+        framing.extend_from_slice(b"--");
+        framing.extend_from_slice(self.boundary.as_bytes());
+        framing.extend_from_slice(b"--\r\n");
+        debug_assert_eq!(framing.len(), self.framing_len());
+
+        let framing = Bytes::from(framing);
+        let fixed = self.fixed_head_len();
+        let mut chunks = Vec::with_capacity(2 * self.parts.len() + 1);
+        let mut at = 0;
+        for (index, (range, body)) in self.parts.iter().enumerate() {
+            let head = fixed + part_digits(range) + if index == 0 { 0 } else { 2 };
+            chunks.push(framing.slice(at..at + head));
+            chunks.extend(body.chunks().cloned());
+            at += head;
+        }
+        chunks.push(framing.slice(at..));
+        Body::from_chunks(chunks)
     }
 
     /// Exact length of [`MultipartBuilder::build`]'s output without
     /// materializing it (used for traffic projections in the max-n solver).
     pub fn encoded_len(&self) -> u64 {
-        let mut total = 0u64;
-        for (range, body) in &self.parts {
-            let content_range = ContentRange::Satisfied {
-                range: *range,
-                complete_length: self.complete_length,
-            };
-            total += 2 + self.boundary.len() as u64 + 2; // --boundary CRLF
-            total += 14 + self.content_type.len() as u64 + 2; // Content-Type
-            total += 15 + content_range.to_string().len() as u64 + 2; // Content-Range
-            total += 2; // blank line
-            total += body.len() + 2; // body CRLF
-        }
-        total + 2 + self.boundary.len() as u64 + 4 // --boundary--CRLF
+        let bodies: u64 = self.parts.iter().map(|(_, body)| body.len()).sum();
+        self.framing_len() as u64 + bodies
     }
+
+    /// Length of one part's framing up to its body, less the digits of
+    /// the part's own range: `--boundary CRLF`, the `Content-Type` line,
+    /// the `Content-Range` line and the blank line.
+    fn fixed_head_len(&self) -> usize {
+        let boundary = 2 + self.boundary.len() + 2;
+        let content_type = 14 + self.content_type.len() + 2;
+        // "Content-Range: bytes " first "-" last "/" complete CRLF
+        let content_range = 21 + 1 + 1 + decimal::digits(self.complete_length) + 2;
+        boundary + content_type + content_range + 2
+    }
+
+    /// Length of all framing: every part's head, the CRLF closing each
+    /// part body, and the closing delimiter `--boundary--CRLF`.
+    fn framing_len(&self) -> usize {
+        let per_part = self.fixed_head_len() + 2;
+        let digits: usize = self.parts.iter().map(|(range, _)| part_digits(range)).sum();
+        self.parts.len() * per_part + digits + 2 + self.boundary.len() + 4
+    }
+}
+
+/// Digits of a part's `first` and `last` positions.
+fn part_digits(range: &ResolvedRange) -> usize {
+    decimal::digits(range.first) + decimal::digits(range.last)
 }
 
 /// Parses a multipart/byteranges payload produced with `boundary`.
@@ -175,7 +216,7 @@ pub fn parse(body: &[u8], boundary: &str) -> Result<Vec<Part>> {
         if ((body.len() - offset) as u64) < part_len + 2 {
             return Err(text_err("part body truncated"));
         }
-        let data = Body::from_bytes(bytes::Bytes::copy_from_slice(
+        let data = Body::from_bytes(Bytes::copy_from_slice(
             &body[offset..offset + part_len as usize],
         ));
         offset += part_len as usize;
@@ -191,9 +232,42 @@ pub fn parse(body: &[u8], boundary: &str) -> Result<Vec<Part>> {
     }
 }
 
+/// The straightforward copying serializer, kept as the reference the
+/// rope-building [`MultipartBuilder::build`] is checked against.
+#[cfg(test)]
+mod model {
+    use super::*;
+
+    pub(super) fn build(builder: &MultipartBuilder) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (range, body) in &builder.parts {
+            out.extend_from_slice(b"--");
+            out.extend_from_slice(builder.boundary.as_bytes());
+            out.extend_from_slice(b"\r\n");
+            out.extend_from_slice(b"Content-Type: ");
+            out.extend_from_slice(builder.content_type.as_bytes());
+            out.extend_from_slice(b"\r\n");
+            let content_range = ContentRange::Satisfied {
+                range: *range,
+                complete_length: builder.complete_length,
+            };
+            out.extend_from_slice(b"Content-Range: ");
+            out.extend_from_slice(content_range.to_string().as_bytes());
+            out.extend_from_slice(b"\r\n\r\n");
+            out.extend_from_slice(body.as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"--");
+        out.extend_from_slice(builder.boundary.as_bytes());
+        out.extend_from_slice(b"--\r\n");
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn r(first: u64, last: u64) -> ResolvedRange {
         ResolvedRange { first, last }
@@ -289,5 +363,91 @@ mod tests {
         assert!(parse(payload.as_bytes(), DEFAULT_BOUNDARY)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn build_shares_part_storage() {
+        let full = Body::from((0..=255u8).collect::<Vec<_>>());
+        let builder = MultipartBuilder::new("a/b", 256)
+            .part(r(0, 99), full.slice(0, 100))
+            .part(r(0, 99), full.slice(0, 100));
+        let payload = builder.build();
+        // Framing, body, framing, body, closing delimiter.
+        let chunks: Vec<&Bytes> = payload.chunks().collect();
+        assert_eq!(chunks.len(), 5);
+        assert_eq!(chunks[1].as_ptr(), full.as_bytes().as_ptr());
+        assert_eq!(chunks[3].as_ptr(), full.as_bytes().as_ptr());
+        assert_eq!(payload.as_bytes(), model::build(&builder));
+    }
+
+    /// Positions at every digit-count edge (`10^k - 1`, `10^k`) up to
+    /// `u64::MAX`, mixed with arbitrary values.
+    fn position(select: u64, raw: u64) -> u64 {
+        const EDGES: usize = 2 * 19 + 2;
+        match (select % (EDGES as u64 + 8)) as usize {
+            0 => 0,
+            1 => u64::MAX,
+            i if i < EDGES => {
+                let power = 10u64.pow((i / 2) as u32);
+                if i % 2 == 0 {
+                    power - 1
+                } else {
+                    power
+                }
+            }
+            _ => raw,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn build_matches_the_copying_model(
+            parts in proptest::collection::vec(
+                (any::<u64>(), any::<u64>(), any::<u64>(), 0usize..40),
+                0..65,
+            ),
+            complete in (any::<u64>(), any::<u64>()),
+            boundary in "[A-Za-z0-9'()+_,./:=?-]{0,24}",
+            content_type in "[a-z]{1,8}/[a-z0-9.+-]{1,12}",
+            split in 0usize..40,
+        ) {
+            let data: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37)).collect();
+            let complete = position(complete.0, complete.1);
+            let parts: Vec<(ResolvedRange, Body)> = parts
+                .iter()
+                .enumerate()
+                .map(|(i, (a, b, select, len))| {
+                    let (a, b) = (position(*select, *a), position(select.rotate_left(7), *b));
+                    let range = ResolvedRange { first: a.min(b), last: a.max(b) };
+                    // Flat bodies, empty bodies and two-chunk rope bodies.
+                    let body = if i % 3 == 2 {
+                        let cut = split.min(*len);
+                        Body::from_chunks([
+                            Bytes::copy_from_slice(&data[..cut]),
+                            Bytes::copy_from_slice(&data[cut..*len]),
+                        ])
+                    } else {
+                        Body::from(data[..*len].to_vec())
+                    };
+                    (range, body)
+                })
+                .collect();
+            // Every case also checks its 0-, 1- and 2-part prefixes.
+            for take in [0, 1, 2, parts.len()] {
+                let mut builder = MultipartBuilder::new(&content_type, complete);
+                if !boundary.is_empty() {
+                    builder = builder.boundary(&boundary);
+                }
+                for (range, body) in parts.iter().take(take) {
+                    builder = builder.part(*range, body.clone());
+                }
+                let expected = model::build(&builder);
+                let built = builder.build();
+                prop_assert_eq!(built.as_bytes(), expected.as_slice());
+                prop_assert_eq!(built.len(), expected.len() as u64);
+                prop_assert_eq!(builder.encoded_len(), built.len());
+                prop_assert!(built == Body::from(expected));
+            }
+        }
     }
 }

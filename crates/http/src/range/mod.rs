@@ -15,11 +15,11 @@ pub use gen::{
     ParseExpectation, RangeCaseKind, RangeRequestCase, RangeRequestGenerator, RawRangeCase,
     RawRangeFamily,
 };
-pub use satisfy::{coalesce, total_span, RangeSet};
+pub use satisfy::{coalesce, has_overlap, total_span, RangeSet};
 
 use std::fmt;
 
-use crate::{Error, Result};
+use crate::{decimal, Error, Result};
 
 /// One element of a `Range: bytes=...` header, before resolution against a
 /// concrete representation length.
@@ -91,15 +91,41 @@ impl ByteRangeSpec {
             _ => true,
         }
     }
+
+    /// Length of the spec's text (`first-last`, `first-` or `-len`).
+    fn text_len(&self) -> usize {
+        match *self {
+            ByteRangeSpec::FromTo { first, last } => {
+                decimal::digits(first) + 1 + decimal::digits(last)
+            }
+            ByteRangeSpec::From { first } => decimal::digits(first) + 1,
+            ByteRangeSpec::Suffix { len } => 1 + decimal::digits(len),
+        }
+    }
+
+    /// Writes the spec's text to `out`.
+    fn write_text(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match *self {
+            ByteRangeSpec::FromTo { first, last } => {
+                decimal::write(out, first)?;
+                out.write_str("-")?;
+                decimal::write(out, last)
+            }
+            ByteRangeSpec::From { first } => {
+                decimal::write(out, first)?;
+                out.write_str("-")
+            }
+            ByteRangeSpec::Suffix { len } => {
+                out.write_str("-")?;
+                decimal::write(out, len)
+            }
+        }
+    }
 }
 
 impl fmt::Display for ByteRangeSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            ByteRangeSpec::FromTo { first, last } => write!(f, "{first}-{last}"),
-            ByteRangeSpec::From { first } => write!(f, "{first}-"),
-            ByteRangeSpec::Suffix { len } => write!(f, "-{len}"),
-        }
+        self.write_text(f)
     }
 }
 
@@ -238,18 +264,15 @@ impl RangeHeader {
     }
 
     /// Number of pairs of specs that would overlap for a representation of
-    /// `complete_length` bytes.
+    /// `complete_length` bytes. O(n log n) in the number of specs.
     pub fn overlapping_pairs(&self, complete_length: u64) -> usize {
-        let resolved = self.resolve(complete_length);
-        let mut pairs = 0;
-        for i in 0..resolved.len() {
-            for j in (i + 1)..resolved.len() {
-                if resolved[i].overlaps(&resolved[j]) {
-                    pairs += 1;
-                }
-            }
-        }
-        pairs
+        satisfy::overlapping_pairs(&self.resolve(complete_length), usize::MAX)
+    }
+
+    /// Whether any two specs would overlap for a representation of
+    /// `complete_length` bytes. O(n log n) in the number of specs.
+    pub fn has_overlap(&self, complete_length: u64) -> bool {
+        has_overlap(&self.resolve(complete_length))
     }
 
     /// RFC 7233 §6.1 heuristic: a server "ought to ignore, coalesce, or
@@ -261,11 +284,11 @@ impl RangeHeader {
     pub fn is_egregious(&self, complete_length: u64) -> bool {
         const MANY_SMALL_RANGES: usize = 32;
         const SMALL_RANGE_BYTES: u64 = 64;
-        if self.overlapping_pairs(complete_length) > 2 {
+        let resolved = self.resolve(complete_length);
+        if satisfy::overlapping_pairs(&resolved, 3) > 2 {
             return true;
         }
-        let small = self
-            .resolve(complete_length)
+        let small = resolved
             .iter()
             .filter(|r| r.len() <= SMALL_RANGE_BYTES)
             .count();
@@ -275,20 +298,36 @@ impl RangeHeader {
     /// Serialized length in bytes of the header *value* (`bytes=...`),
     /// which is what single-header size limits meter (paper §V-C).
     pub fn value_len(&self) -> u64 {
-        self.to_string().len() as u64
+        let specs: usize = self.specs.iter().map(ByteRangeSpec::text_len).sum();
+        (6 + specs + self.specs.len().saturating_sub(1)) as u64
+    }
+
+    /// The header value (`bytes=...`), written into one pre-sized
+    /// `String`. Same text as the `Display` form.
+    pub fn header_value(&self) -> String {
+        let mut out = String::with_capacity(self.value_len() as usize);
+        self.write_value(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Writes the header value to `out`, which is either a pre-sized
+    /// `String` or the `Display` formatter.
+    fn write_value(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str("bytes=")?;
+        for (i, spec) in self.specs.iter().enumerate() {
+            if i > 0 {
+                out.write_str(",")?;
+            }
+            spec.write_text(out)?;
+        }
+        Ok(())
     }
 }
 
 impl fmt::Display for RangeHeader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("bytes=")?;
-        for (i, spec) in self.specs.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{spec}")?;
-        }
-        Ok(())
+        self.write_value(f)
     }
 }
 

@@ -36,6 +36,53 @@ pub fn coalesce(ranges: &[ResolvedRange]) -> Vec<ResolvedRange> {
     merged
 }
 
+/// Whether any two of the ranges share a byte. Sorts a copy by `first`
+/// and sweeps once, so it is O(n log n) where a pairwise check is O(n²).
+///
+/// # Example
+///
+/// ```
+/// use rangeamp_http::range::{has_overlap, ResolvedRange};
+///
+/// let a = ResolvedRange { first: 0, last: 9 };
+/// let b = ResolvedRange { first: 10, last: 19 };
+/// assert!(!has_overlap(&[b, a]));
+/// assert!(has_overlap(&[b, a, ResolvedRange { first: 9, last: 9 }]));
+/// ```
+pub fn has_overlap(ranges: &[ResolvedRange]) -> bool {
+    overlapping_pairs(ranges, 1) > 0
+}
+
+/// Number of pairs of `ranges` that share a byte, counted up to `cap`:
+/// the sweep stops as soon as the count reaches `cap`.
+///
+/// In `first` order, a range overlaps exactly those earlier ranges whose
+/// `last` is not before its `first`. The sweep keeps the `last` of every
+/// earlier range in a min-heap and pops the ones that end before the
+/// current `first` (they end before every later `first` too); what stays
+/// is the number of earlier ranges the current one overlaps. Sorting and
+/// the heap make it O(n log n) whatever the number of pairs.
+pub(crate) fn overlapping_pairs(ranges: &[ResolvedRange], cap: usize) -> usize {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let mut sorted = ranges.to_vec();
+    sorted.sort_unstable();
+    let mut open: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(sorted.len());
+    let mut pairs = 0usize;
+    for range in sorted {
+        while open.peek().is_some_and(|&Reverse(last)| last < range.first) {
+            open.pop();
+        }
+        pairs = pairs.saturating_add(open.len());
+        if pairs >= cap {
+            return cap;
+        }
+        open.push(Reverse(range.last));
+    }
+    pairs
+}
+
 /// Total number of bytes the ranges cover, counting overlapping bytes once
 /// per range (i.e. what a server that does *not* check overlaps transmits).
 pub fn total_span(ranges: &[ResolvedRange]) -> u64 {
@@ -103,6 +150,51 @@ impl RangeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pairwise count the sweep replaces, kept as its reference.
+    fn quadratic_pairs(ranges: &[ResolvedRange]) -> usize {
+        let mut pairs = 0;
+        for i in 0..ranges.len() {
+            for j in (i + 1)..ranges.len() {
+                if ranges[i].overlaps(&ranges[j]) {
+                    pairs += 1;
+                }
+            }
+        }
+        pairs
+    }
+
+    proptest! {
+        #[test]
+        fn sweep_counts_the_same_pairs_as_the_pairwise_check(
+            raw in proptest::collection::vec((0u64..64, 0u64..16), 0..40),
+            cap in 0usize..12,
+        ) {
+            let ranges: Vec<ResolvedRange> = raw
+                .iter()
+                .map(|&(first, len)| ResolvedRange { first, last: first + len })
+                .collect();
+            let exact = quadratic_pairs(&ranges);
+            prop_assert_eq!(overlapping_pairs(&ranges, usize::MAX), exact);
+            prop_assert_eq!(overlapping_pairs(&ranges, cap), exact.min(cap));
+            prop_assert_eq!(has_overlap(&ranges), exact > 0);
+        }
+    }
+
+    #[test]
+    fn sweep_handles_extreme_positions() {
+        let top = ResolvedRange {
+            first: u64::MAX,
+            last: u64::MAX,
+        };
+        let all = ResolvedRange {
+            first: 0,
+            last: u64::MAX,
+        };
+        assert_eq!(overlapping_pairs(&[top, all, top], usize::MAX), 3);
+        assert!(!has_overlap(&[top, r(0, 0)]));
+    }
 
     fn r(first: u64, last: u64) -> ResolvedRange {
         ResolvedRange { first, last }

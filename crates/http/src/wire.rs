@@ -20,7 +20,9 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     out.extend_from_slice(b"\r\n");
     encode_headers(req.headers(), &mut out);
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(req.body().as_bytes());
+    for chunk in req.body().chunks() {
+        out.extend_from_slice(chunk);
+    }
     out
 }
 
@@ -35,7 +37,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     out.extend_from_slice(b"\r\n");
     encode_headers(resp.headers(), &mut out);
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(resp.body().as_bytes());
+    for chunk in resp.body().chunks() {
+        out.extend_from_slice(chunk);
+    }
     out
 }
 

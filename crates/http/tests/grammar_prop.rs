@@ -20,6 +20,29 @@ proptest! {
     }
 
     #[test]
+    fn header_value_matches_display(
+        raw in proptest::collection::vec((0u8..3, any::<u64>(), any::<u64>(), 0u32..64), 1..12),
+    ) {
+        // Shifting spreads positions over every digit count up to u64::MAX.
+        let specs: Vec<ByteRangeSpec> = raw
+            .iter()
+            .map(|&(kind, a, b, shift)| {
+                let (a, b) = (a >> shift, b >> shift);
+                match kind {
+                    0 => ByteRangeSpec::FromTo { first: a.min(b), last: a.max(b) },
+                    1 => ByteRangeSpec::From { first: a },
+                    _ => ByteRangeSpec::Suffix { len: a },
+                }
+            })
+            .collect();
+        let header = RangeHeader::new(specs).expect("valid specs");
+        let value = header.header_value();
+        prop_assert_eq!(&value, &header.to_string());
+        prop_assert_eq!(header.value_len(), value.len() as u64);
+        prop_assert_eq!(RangeHeader::parse(&value).expect("reparses"), header);
+    }
+
+    #[test]
     fn range_parser_is_total_on_byteish_input(input in "bytes=[-,0-9 ]{0,64}") {
         let _ = RangeHeader::parse(&input);
     }

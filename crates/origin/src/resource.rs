@@ -34,11 +34,15 @@ impl Resource {
     /// content.
     pub fn synthetic(path: &str, size: u64, content_type: &str) -> Resource {
         let seed = fnv1a(path.as_bytes());
-        let mut content = Vec::with_capacity(size as usize);
-        // A 256-byte pattern keyed on the path: cheap to generate, and any
-        // mis-sliced range is overwhelmingly likely to be detected.
-        for i in 0..size {
-            content.push((seed ^ i) as u8);
+        // A 256-byte pattern keyed on the path: byte i is `(seed ^ i) as
+        // u8`, which repeats every 256 bytes. Any mis-sliced range is
+        // overwhelmingly likely to be detected.
+        let period: [u8; 256] = std::array::from_fn(|i| (seed ^ i as u64) as u8);
+        let size = size as usize;
+        let mut content = Vec::with_capacity(size);
+        while content.len() < size {
+            let take = (size - content.len()).min(period.len());
+            content.extend_from_slice(&period[..take]);
         }
         Resource::new(path, content_type, content)
     }
@@ -161,6 +165,16 @@ mod tests {
         assert_eq!(a.full_body().as_bytes(), b.full_body().as_bytes());
         let c = Resource::synthetic("/g.bin", 1024, "application/octet-stream");
         assert_ne!(a.full_body().as_bytes(), c.full_body().as_bytes());
+    }
+
+    #[test]
+    fn synthetic_content_follows_the_per_byte_formula() {
+        let seed = fnv1a(b"/f.bin");
+        for size in [0u64, 1, 255, 256, 257, 1000, 4096] {
+            let r = Resource::synthetic("/f.bin", size, "x/y");
+            let expected: Vec<u8> = (0..size).map(|i| (seed ^ i) as u8).collect();
+            assert_eq!(r.full_body().as_bytes(), expected.as_slice(), "size {size}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use rangeamp::attack::{obr_combos, ObrAttack};
 use rangeamp::{CascadeTestbed, TARGET_HOST, TARGET_PATH};
 use rangeamp_cdn::Vendor;
-use rangeamp_http::{Request, StatusCode};
+use rangeamp_http::{Request, Response, StatusCode};
 
 /// Paper Table V (FCDN, BCDN, max n).
 const TABLE5_N: [(&str, &str, usize); 11] = [
@@ -187,5 +187,41 @@ fn obr_parts_carry_correct_content() {
         .full_body();
     for part in parts {
         assert_eq!(part.body.as_bytes(), full.as_bytes());
+    }
+}
+
+#[test]
+fn obr_rope_body_equals_its_flattened_copy() {
+    // The BCDN's n-part body is a rope over the cached representation;
+    // flattening it must change neither the body nor the wire bytes.
+    for (fcdn, bcdn) in obr_combos() {
+        let attack = ObrAttack::new(fcdn, bcdn);
+        let bed = CascadeTestbed::new(fcdn, bcdn);
+        let req = Request::get(TARGET_PATH)
+            .header("Host", TARGET_HOST)
+            .header("Range", attack.range_case().header(64).to_string())
+            .build();
+        let resp = bed.request(&req);
+        assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT, "{fcdn}→{bcdn}");
+        assert!(resp.body().chunks().len() > 1, "{fcdn}→{bcdn}: not a rope");
+
+        let flat = rangeamp_http::Body::from(resp.body().as_bytes().to_vec());
+        assert_eq!(flat.chunks().len(), 1);
+        assert_eq!(resp.body(), &flat, "{fcdn}→{bcdn}");
+        let flattened = resp
+            .headers()
+            .iter()
+            .fold(Response::builder(resp.status()), |b, (name, value)| {
+                b.header(name.as_str(), value.as_str())
+            })
+            .body(flat)
+            .build();
+        assert_eq!(resp, flattened, "{fcdn}→{bcdn}");
+        assert_eq!(resp.wire_len(), flattened.wire_len());
+        assert_eq!(
+            resp.to_wire_bytes(),
+            flattened.to_wire_bytes(),
+            "{fcdn}→{bcdn}"
+        );
     }
 }
