@@ -2,12 +2,14 @@
 //! multipart/byteranges assembly, and wire-format round-trips. These are
 //! the hot paths of every experiment (each SBR run serializes multi-MB
 //! responses; each OBR run parses 30 KB `Range` headers). `cache_hit_4096`
-//! measures the edge cache's hit path in isolation.
+//! measures the edge cache's hit path in isolation, `edge_hit` a whole
+//! warm Akamai edge answering a small range from cache.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use rangeamp_cdn::Cache;
+use rangeamp::{Testbed, TARGET_HOST, TARGET_PATH};
+use rangeamp_cdn::{Cache, CacheKey, Vendor};
 use rangeamp_http::multipart::MultipartBuilder;
 use rangeamp_http::range::{coalesce, RangeHeader, ResolvedRange};
 use rangeamp_http::{wire, Body, Request, Response, StatusCode};
@@ -108,10 +110,12 @@ fn bench_wire_round_trip(c: &mut Criterion) {
 fn bench_cache_hit(c: &mut Criterion) {
     let capacity = Cache::DEFAULT_MAX_ENTRIES;
     let cache = Cache::with_capacity(capacity);
-    let keys: Vec<String> = (0..capacity)
-        .map(|i| Cache::key("victim.example", &format!("/obj/{i}.bin")))
+    let paths: Vec<String> = (0..capacity).map(|i| format!("/obj/{i}.bin")).collect();
+    let keys: Vec<CacheKey<'_>> = paths
+        .iter()
+        .map(|path| CacheKey::new("victim.example", path, None))
         .collect();
-    for key in &keys {
+    for &key in &keys {
         let resp = Response::builder(StatusCode::OK)
             .header("Content-Type", "application/octet-stream")
             .header("ETag", "\"bench\"")
@@ -122,10 +126,33 @@ fn bench_cache_hit(c: &mut Criterion) {
     let mut next = 0;
     c.bench_function("cache_hit_4096", |b| {
         b.iter(|| {
-            let key = &keys[next];
+            let key = keys[next];
             next = (next + 1) % capacity;
             cache.get_at(black_box(key), 0).expect("cached")
         });
+    });
+}
+
+/// `EdgeNode::handle` for a 64-byte range of a cached 1 MB object on an
+/// Akamai edge: cache lookup, `serve_from_full`, and the vendor's
+/// standing headers, as on every `edge_hot` request.
+fn bench_edge_hit(c: &mut Criterion) {
+    let bed = Testbed::builder()
+        .vendor(Vendor::Akamai)
+        .resource(TARGET_PATH, 1024 * 1024)
+        .build();
+    bed.request(
+        &Request::get(TARGET_PATH)
+            .header("Host", TARGET_HOST)
+            .build(),
+    );
+    let req = Request::get(TARGET_PATH)
+        .header("Host", TARGET_HOST)
+        .header("Range", "bytes=0-63")
+        .build();
+    let edge = bed.edge();
+    c.bench_function("edge_hit", |b| {
+        b.iter(|| edge.handle(black_box(&req)));
     });
 }
 
@@ -135,6 +162,7 @@ criterion_group!(
     bench_coalesce,
     bench_multipart_build,
     bench_wire_round_trip,
-    bench_cache_hit
+    bench_cache_hit,
+    bench_edge_hit
 );
 criterion_main!(benches);

@@ -3,59 +3,62 @@
 
 use rangeamp_http::multipart::MultipartBuilder;
 use rangeamp_http::range::{coalesce, has_overlap, ContentRange, RangeHeader, ResolvedRange};
-use rangeamp_http::{Body, Response, StatusCode};
+use rangeamp_http::{Body, HeaderName, HeaderValue, Response, ResponseBuilder, StatusCode};
 
 use crate::MultiReplyPolicy;
 
 /// Fixed edge-side `Date` header (virtual time ⇒ deterministic runs).
-pub(crate) const CDN_DATE: &str = "Thu, 02 Jan 2020 00:00:01 GMT";
+pub(crate) const CDN_DATE: HeaderValue = HeaderValue::from_static("Thu, 02 Jan 2020 00:00:01 GMT");
 
-/// Representation metadata carried over from an upstream response.
-#[derive(Debug, Clone)]
-pub(crate) struct ReprMeta {
-    pub content_type: String,
-    pub etag: Option<String>,
-    pub last_modified: Option<String>,
+const BYTES: HeaderValue = HeaderValue::from_static("bytes");
+
+/// The media type assumed when the upstream response names none.
+static OCTET_STREAM: HeaderValue = HeaderValue::from_static("application/octet-stream");
+
+/// Representation metadata carried over from an upstream response,
+/// borrowed from it: the reply shares the values instead of copying them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReprMeta<'a> {
+    pub content_type: &'a HeaderValue,
+    pub etag: Option<&'a HeaderValue>,
+    pub last_modified: Option<&'a HeaderValue>,
 }
 
-impl ReprMeta {
-    pub(crate) fn of(resp: &Response) -> ReprMeta {
+impl<'a> ReprMeta<'a> {
+    pub(crate) fn of(resp: &'a Response) -> ReprMeta<'a> {
         ReprMeta {
             content_type: resp
                 .headers()
-                .get("content-type")
-                .unwrap_or("application/octet-stream")
-                .to_string(),
-            etag: resp.headers().get("etag").map(str::to_string),
-            last_modified: resp.headers().get("last-modified").map(str::to_string),
+                .get_value("content-type")
+                .unwrap_or(&OCTET_STREAM),
+            etag: resp.headers().get_value("etag"),
+            last_modified: resp.headers().get_value("last-modified"),
         }
     }
 
-    fn apply(&self, mut builder: rangeamp_http::ResponseBuilder) -> rangeamp_http::ResponseBuilder {
-        if let Some(etag) = &self.etag {
-            builder = builder.header("ETag", etag.clone());
+    fn apply(&self, mut builder: ResponseBuilder) -> ResponseBuilder {
+        if let Some(etag) = self.etag {
+            builder = builder.header(HeaderName::ETAG, etag);
         }
-        if let Some(lm) = &self.last_modified {
-            builder = builder.header("Last-Modified", lm.clone());
+        if let Some(lm) = self.last_modified {
+            builder = builder.header(HeaderName::LAST_MODIFIED, lm);
         }
         builder
     }
+}
 
-    fn apply_owned(
-        self,
-        builder: rangeamp_http::ResponseBuilder,
-    ) -> rangeamp_http::ResponseBuilder {
-        self.apply(builder)
-    }
+/// The `Content-Range` value of `content_range`.
+fn content_range_value(content_range: &ContentRange) -> HeaderValue {
+    HeaderValue::from_display(content_range).expect("a Content-Range is valid header text")
 }
 
 /// A plain 200 carrying the complete representation.
-pub(crate) fn full_200(full_body: Body, meta: &ReprMeta) -> Response {
+pub(crate) fn full_200(full_body: Body, meta: &ReprMeta<'_>) -> Response {
     meta.apply(
         Response::builder(StatusCode::OK)
-            .header("Date", CDN_DATE)
-            .header("Accept-Ranges", "bytes")
-            .header("Content-Type", meta.content_type.clone()),
+            .header(HeaderName::DATE, CDN_DATE)
+            .header(HeaderName::ACCEPT_RANGES, BYTES)
+            .header(HeaderName::CONTENT_TYPE, meta.content_type),
     )
     .sized_body(full_body)
     .build()
@@ -66,7 +69,7 @@ pub(crate) fn single_206(
     slice: Body,
     range: ResolvedRange,
     complete_length: u64,
-    meta: &ReprMeta,
+    meta: &ReprMeta<'_>,
 ) -> Response {
     let content_range = ContentRange::Satisfied {
         range,
@@ -74,10 +77,13 @@ pub(crate) fn single_206(
     };
     meta.apply(
         Response::builder(StatusCode::PARTIAL_CONTENT)
-            .header("Date", CDN_DATE)
-            .header("Accept-Ranges", "bytes")
-            .header("Content-Range", content_range.to_string())
-            .header("Content-Type", meta.content_type.clone()),
+            .header(HeaderName::DATE, CDN_DATE)
+            .header(HeaderName::ACCEPT_RANGES, BYTES)
+            .header(
+                HeaderName::CONTENT_RANGE,
+                content_range_value(&content_range),
+            )
+            .header(HeaderName::CONTENT_TYPE, meta.content_type),
     )
     .sized_body(slice)
     .build()
@@ -88,18 +94,18 @@ pub(crate) fn multipart_206(
     full_body: &Body,
     ranges: &[ResolvedRange],
     complete_length: u64,
-    meta: &ReprMeta,
+    meta: &ReprMeta<'_>,
 ) -> Response {
-    let mut builder = MultipartBuilder::new(&meta.content_type, complete_length);
+    let mut builder = MultipartBuilder::new(meta.content_type.as_str(), complete_length);
     for range in ranges {
         builder = builder.part(*range, full_body.slice(range.first, range.last + 1));
     }
     let content_type = builder.content_type_header();
     meta.apply(
         Response::builder(StatusCode::PARTIAL_CONTENT)
-            .header("Date", CDN_DATE)
-            .header("Accept-Ranges", "bytes")
-            .header("Content-Type", content_type),
+            .header(HeaderName::DATE, CDN_DATE)
+            .header(HeaderName::ACCEPT_RANGES, BYTES)
+            .header(HeaderName::CONTENT_TYPE, content_type),
     )
     .sized_body(builder.build())
     .build()
@@ -109,8 +115,11 @@ pub(crate) fn multipart_206(
 pub(crate) fn not_satisfiable(complete_length: u64) -> Response {
     let content_range = ContentRange::Unsatisfied { complete_length };
     Response::builder(StatusCode::RANGE_NOT_SATISFIABLE)
-        .header("Date", CDN_DATE)
-        .header("Content-Range", content_range.to_string())
+        .header(HeaderName::DATE, CDN_DATE)
+        .header(
+            HeaderName::CONTENT_RANGE,
+            content_range_value(&content_range),
+        )
         .sized_body("range not satisfiable")
         .build()
 }
@@ -208,20 +217,19 @@ pub(crate) fn serve_from_partial(
         ));
     }
     let build_multipart = |ranges: &[ResolvedRange]| -> Response {
-        let mut builder = MultipartBuilder::new(&meta.content_type, complete_length);
+        let mut builder = MultipartBuilder::new(meta.content_type.as_str(), complete_length);
         for r in ranges {
             builder = builder.part(*r, slice_of(r));
         }
         let content_type = builder.content_type_header();
-        meta.clone()
-            .apply_owned(
-                Response::builder(StatusCode::PARTIAL_CONTENT)
-                    .header("Date", CDN_DATE)
-                    .header("Accept-Ranges", "bytes")
-                    .header("Content-Type", content_type),
-            )
-            .sized_body(builder.build())
-            .build()
+        meta.apply(
+            Response::builder(StatusCode::PARTIAL_CONTENT)
+                .header(HeaderName::DATE, CDN_DATE)
+                .header(HeaderName::ACCEPT_RANGES, BYTES)
+                .header(HeaderName::CONTENT_TYPE, content_type),
+        )
+        .sized_body(builder.build())
+        .build()
     };
     Some(match multi_reply {
         MultiReplyPolicy::NPartNoOverlapCheck => build_multipart(&resolved),
@@ -382,7 +390,7 @@ mod tests {
             window,
             10_000,
             &ReprMeta {
-                content_type: "x/y".to_string(),
+                content_type: &HeaderValue::from_static("x/y"),
                 etag: None,
                 last_modified: None,
             },
@@ -411,7 +419,7 @@ mod tests {
             window,
             10_000,
             &ReprMeta {
-                content_type: "x/y".to_string(),
+                content_type: &HeaderValue::from_static("x/y"),
                 etag: None,
                 last_modified: None,
             },

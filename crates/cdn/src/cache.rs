@@ -18,12 +18,139 @@
 //! Entries are stored as `Arc<CachedEntry>`: a hit hands out a shared
 //! pointer instead of cloning the response and its headers, and the
 //! pointer stays valid after the entry is evicted or replaced.
+//!
+//! # Keys
+//!
+//! A key is the borrowed `(host, path, query)` triple of a request
+//! ([`CacheKey`]). Lookups hash and compare those parts in place, so a hit
+//! builds no key string; only a store copies the parts, once, into the
+//! owned key the map and its slot share. Comparing parts (not a joined
+//! string) also keeps keys whose joined text would coincide apart, such
+//! as host `a` with path `/x|/y` and host `a|/x` with path `/y`.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rangeamp_http::Response;
+use rangeamp_http::{Response, Uri};
+
+/// The parts a cached representation is keyed on: the request's `Host`
+/// and its target's path and query.
+///
+/// # Example
+///
+/// ```
+/// use rangeamp_cdn::CacheKey;
+///
+/// // Every cache-busted URL is a distinct key:
+/// let a = CacheKey::new("victim", "/f.bin", Some("rnd=1"));
+/// let b = CacheKey::new("victim", "/f.bin", Some("rnd=2"));
+/// assert_ne!(a, b);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CacheKey<'a> {
+    /// The `Host` value.
+    pub host: &'a str,
+    /// The target's path.
+    pub path: &'a str,
+    /// The target's query, without the `?`.
+    pub query: Option<&'a str>,
+}
+
+impl<'a> CacheKey<'a> {
+    /// A key from its parts.
+    pub fn new(host: &'a str, path: &'a str, query: Option<&'a str>) -> CacheKey<'a> {
+        CacheKey { host, path, query }
+    }
+
+    /// The key of request target `uri` on `host`.
+    pub fn of(host: &'a str, uri: &'a Uri) -> CacheKey<'a> {
+        CacheKey::new(host, uri.path(), uri.query())
+    }
+}
+
+/// A stored key: the parts of a [`CacheKey`] copied into one shared
+/// buffer, `host` then `path` then `query`.
+#[derive(Debug, Clone)]
+struct OwnedKey {
+    text: Arc<str>,
+    host_end: usize,
+    path_end: usize,
+    has_query: bool,
+}
+
+impl OwnedKey {
+    fn new(key: CacheKey<'_>) -> OwnedKey {
+        let query = key.query.unwrap_or("");
+        let mut text = String::with_capacity(key.host.len() + key.path.len() + query.len());
+        text.push_str(key.host);
+        text.push_str(key.path);
+        text.push_str(query);
+        OwnedKey {
+            text: Arc::from(text),
+            host_end: key.host.len(),
+            path_end: key.host.len() + key.path.len(),
+            has_query: key.query.is_some(),
+        }
+    }
+}
+
+/// Views of a key as its borrowed parts, so the maps keyed on
+/// [`OwnedKey`] can be searched with a [`CacheKey`] (the map's key type
+/// must borrow as the lookup type, and both must hash alike).
+trait KeyParts {
+    fn parts(&self) -> CacheKey<'_>;
+}
+
+impl KeyParts for CacheKey<'_> {
+    fn parts(&self) -> CacheKey<'_> {
+        *self
+    }
+}
+
+impl KeyParts for OwnedKey {
+    fn parts(&self) -> CacheKey<'_> {
+        CacheKey {
+            host: &self.text[..self.host_end],
+            path: &self.text[self.host_end..self.path_end],
+            query: self.has_query.then(|| &self.text[self.path_end..]),
+        }
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+impl Eq for dyn KeyParts + '_ {}
+
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for OwnedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+impl Eq for OwnedKey {}
+
+impl Hash for OwnedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for OwnedKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
 
 /// A cached full representation.
 #[derive(Debug, Clone)]
@@ -40,7 +167,7 @@ const NIL: usize = usize::MAX;
 /// One stored entry plus its links in the recency list.
 #[derive(Debug)]
 struct Slot {
-    key: Arc<str>,
+    key: OwnedKey,
     entry: Arc<CachedEntry>,
     /// Next less recently used slot, or [`NIL`].
     older: usize,
@@ -51,7 +178,7 @@ struct Slot {
 #[derive(Debug)]
 struct CacheInner {
     /// Key → index into `slots`.
-    index: HashMap<Arc<str>, usize>,
+    index: HashMap<OwnedKey, usize>,
     slots: Vec<Slot>,
     /// Least recently used slot, or [`NIL`] when empty.
     oldest: usize,
@@ -62,7 +189,7 @@ struct CacheInner {
     ttl_ms: Option<u64>,
     evictions: u64,
     // KeyCDN's observed two-step behaviour needs per-key request history.
-    seen: HashSet<String>,
+    seen: HashSet<OwnedKey>,
     hits: u64,
     misses: u64,
 }
@@ -120,13 +247,13 @@ impl CacheInner {
     /// Stores `entry` under `key` as the most recently used entry. A new
     /// key arriving at a full cache takes over the least recently used
     /// entry's slot.
-    fn insert(&mut self, key: &str, entry: Arc<CachedEntry>) {
-        if let Some(&i) = self.index.get(key) {
+    fn insert(&mut self, key: CacheKey<'_>, entry: Arc<CachedEntry>) {
+        if let Some(&i) = self.index.get(&key as &dyn KeyParts) {
             self.slots[i].entry = entry;
             self.touch(i);
             return;
         }
-        let key: Arc<str> = Arc::from(key);
+        let key = OwnedKey::new(key);
         let i = if self.slots.len() < self.max_entries {
             self.slots.push(Slot {
                 key: key.clone(),
@@ -166,11 +293,15 @@ impl CacheInner {
 /// # Example
 ///
 /// ```
-/// use rangeamp_cdn::Cache;
+/// use rangeamp_cdn::{Cache, CacheKey};
+/// use rangeamp_http::{Response, StatusCode};
 ///
 /// let cache = Cache::with_capacity(2);
-/// // Every cache-busted URL is a distinct key:
-/// assert_ne!(Cache::key("victim", "/f.bin?rnd=1"), Cache::key("victim", "/f.bin?rnd=2"));
+/// let key = CacheKey::new("victim", "/f.bin", Some("rnd=1"));
+/// cache.put(key, Response::builder(StatusCode::OK).build());
+/// assert!(cache.get(key).is_some());
+/// // A cache-busted URL is a distinct key:
+/// assert!(cache.get(CacheKey::new("victim", "/f.bin", Some("rnd=2"))).is_none());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Cache {
@@ -202,15 +333,10 @@ impl Cache {
         self
     }
 
-    /// Builds the cache key for a host + request target pair.
-    pub fn key(host: &str, uri: &str) -> String {
-        format!("{host}|{uri}")
-    }
-
     /// Looks up a full representation at virtual instant zero (for
     /// callers that don't track time; equivalent to [`Cache::get_at`]
     /// with `now_ms = 0`).
-    pub fn get(&self, key: &str) -> Option<Arc<CachedEntry>> {
+    pub fn get(&self, key: CacheKey<'_>) -> Option<Arc<CachedEntry>> {
         self.get_at(key, 0)
     }
 
@@ -218,12 +344,18 @@ impl Cache {
     /// statistics and refreshing recency. An expired entry counts as a
     /// miss, keeps its recency, and is retained for
     /// [`Cache::get_stale`]. The returned entry is shared with the cache.
-    pub fn get_at(&self, key: &str, now_ms: u64) -> Option<Arc<CachedEntry>> {
+    pub fn get_at(&self, key: CacheKey<'_>, now_ms: u64) -> Option<Arc<CachedEntry>> {
         let mut inner = self.inner.lock();
         let ttl_ms = inner.ttl_ms;
-        let fresh = inner.index.get(key).copied().filter(|&i| {
-            ttl_ms.is_none_or(|ttl| now_ms < inner.slots[i].entry.stored_at_ms.saturating_add(ttl))
-        });
+        let fresh = inner
+            .index
+            .get(&key as &dyn KeyParts)
+            .copied()
+            .filter(|&i| {
+                ttl_ms.is_none_or(|ttl| {
+                    now_ms < inner.slots[i].entry.stored_at_ms.saturating_add(ttl)
+                })
+            });
         match fresh {
             Some(i) => {
                 inner.hits += 1;
@@ -241,15 +373,15 @@ impl Cache {
     /// serve-stale fallback when the upstream is failing. Does not touch
     /// hit/miss statistics or recency. The returned entry is shared with
     /// the cache.
-    pub fn get_stale(&self, key: &str) -> Option<Arc<CachedEntry>> {
+    pub fn get_stale(&self, key: CacheKey<'_>) -> Option<Arc<CachedEntry>> {
         let inner = self.inner.lock();
-        let i = *inner.index.get(key)?;
+        let i = *inner.index.get(&key as &dyn KeyParts)?;
         Some(Arc::clone(&inner.slots[i].entry))
     }
 
     /// Stores a full representation at virtual instant zero (see
     /// [`Cache::put_at`]).
-    pub fn put(&self, key: &str, response: Response) {
+    pub fn put(&self, key: CacheKey<'_>, response: Response) {
         self.put_at(key, response, 0);
     }
 
@@ -257,7 +389,7 @@ impl Cache {
     /// recently used. Storing over an existing key replaces the entry in
     /// place; storing a new key into a full cache first evicts the least
     /// recently used entry.
-    pub fn put_at(&self, key: &str, response: Response, now_ms: u64) {
+    pub fn put_at(&self, key: CacheKey<'_>, response: Response, now_ms: u64) {
         let entry = Arc::new(CachedEntry {
             response,
             stored_at_ms: now_ms,
@@ -272,13 +404,18 @@ impl Cache {
 
     /// Marks that `key` has been requested before (KeyCDN's first-pass
     /// marker), returning whether it had already been marked.
-    pub fn mark_seen(&self, key: &str) -> bool {
-        !self.inner.lock().seen.insert(key.to_string())
+    pub fn mark_seen(&self, key: CacheKey<'_>) -> bool {
+        let mut inner = self.inner.lock();
+        if inner.seen.contains(&key as &dyn KeyParts) {
+            return true;
+        }
+        inner.seen.insert(OwnedKey::new(key));
+        false
     }
 
     /// Whether `key` was requested before.
-    pub fn was_seen(&self, key: &str) -> bool {
-        self.inner.lock().seen.contains(key)
+    pub fn was_seen(&self, key: CacheKey<'_>) -> bool {
+        self.inner.lock().seen.contains(&key as &dyn KeyParts)
     }
 
     /// `(hits, misses)` counters.
@@ -304,14 +441,14 @@ impl Cache {
         *self.inner.lock() = CacheInner::default();
     }
 
-    /// Stored keys, least recently used first.
+    /// Paths of the stored keys, least recently used first.
     #[cfg(test)]
     fn keys_by_recency(&self) -> Vec<String> {
         let inner = self.inner.lock();
         let mut keys = Vec::with_capacity(inner.index.len());
         let mut i = inner.oldest;
         while i != NIL {
-            keys.push(inner.slots[i].key.to_string());
+            keys.push(inner.slots[i].key.parts().path.to_string());
             i = inner.slots[i].newer;
         }
         keys
@@ -434,6 +571,11 @@ mod tests {
     use proptest::prelude::*;
     use rangeamp_http::StatusCode;
 
+    /// A key on a fixed host whose path is `name`.
+    fn key(name: &str) -> CacheKey<'_> {
+        CacheKey::new("victim", name, None)
+    }
+
     fn response_of(len: usize) -> Response {
         Response::builder(StatusCode::OK)
             .sized_body(vec![0u8; len])
@@ -443,10 +585,10 @@ mod tests {
     #[test]
     fn put_then_get() {
         let cache = Cache::new();
-        let key = Cache::key("victim", "/f.bin");
-        assert!(cache.get(&key).is_none());
-        cache.put(&key, response_of(10));
-        assert_eq!(cache.get(&key).unwrap().response.body().len(), 10);
+        let key = CacheKey::new("victim", "/f.bin", None);
+        assert!(cache.get(key).is_none());
+        cache.put(key, response_of(10));
+        assert_eq!(cache.get(key).unwrap().response.body().len(), 10);
         assert_eq!(cache.stats(), (1, 1));
     }
 
@@ -454,67 +596,96 @@ mod tests {
     fn query_string_changes_the_key() {
         // The cache-busting property the attacks rely on.
         let cache = Cache::new();
-        cache.put(&Cache::key("victim", "/f.bin"), response_of(10));
-        assert!(cache.get(&Cache::key("victim", "/f.bin?rnd=1")).is_none());
-        assert!(cache.get(&Cache::key("victim", "/f.bin?rnd=2")).is_none());
+        cache.put(CacheKey::new("victim", "/f.bin", None), response_of(10));
+        assert!(cache
+            .get(CacheKey::new("victim", "/f.bin", Some("rnd=1")))
+            .is_none());
+        assert!(cache
+            .get(CacheKey::new("victim", "/f.bin", Some("rnd=2")))
+            .is_none());
     }
 
     #[test]
     fn host_changes_the_key() {
         let cache = Cache::new();
-        cache.put(&Cache::key("a", "/f"), response_of(1));
-        assert!(cache.get(&Cache::key("b", "/f")).is_none());
+        cache.put(CacheKey::new("a", "/f", None), response_of(1));
+        assert!(cache.get(CacheKey::new("b", "/f", None)).is_none());
+    }
+
+    #[test]
+    fn keys_whose_joined_text_coincides_stay_apart() {
+        // `a` + `/x|/y` and `a|/x` + `/y` both joined to `a|/x|/y` when
+        // keys were `host|target` strings.
+        let cache = Cache::new();
+        cache.put(CacheKey::new("a", "/x|/y", None), response_of(1000));
+        assert!(cache.get(CacheKey::new("a|/x", "/y", None)).is_none());
+        // Nor may a query move into the path or the host.
+        cache.put(CacheKey::new("h", "/p", Some("q")), response_of(1));
+        assert!(cache.get(CacheKey::new("h", "/pq", None)).is_none());
+        assert!(cache.get(CacheKey::new("h", "/p", Some(""))).is_none());
+        assert!(cache.get(CacheKey::new("h/p", "", Some("q"))).is_none());
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn key_of_a_target_round_trips_through_storage() {
+        let uri = Uri::parse("/f.bin?rnd=1").unwrap();
+        let key = CacheKey::of("victim", &uri);
+        assert_eq!(key, CacheKey::new("victim", "/f.bin", Some("rnd=1")));
+        assert_eq!(OwnedKey::new(key).parts(), key);
+        let bare = CacheKey::new("victim", "/f.bin", None);
+        assert_eq!(OwnedKey::new(bare).parts(), bare);
     }
 
     #[test]
     fn seen_marker_flips_on_second_visit() {
         let cache = Cache::new();
-        let key = Cache::key("victim", "/f.bin?x=1");
-        assert!(!cache.mark_seen(&key));
-        assert!(cache.was_seen(&key));
-        assert!(cache.mark_seen(&key));
+        let key = CacheKey::new("victim", "/f.bin", Some("x=1"));
+        assert!(!cache.mark_seen(key));
+        assert!(cache.was_seen(key));
+        assert!(cache.mark_seen(key));
     }
 
     #[test]
     fn clones_share_state() {
         let a = Cache::new();
         let b = a.clone();
-        a.put("k", response_of(1));
-        assert!(b.get("k").is_some());
+        a.put(key("k"), response_of(1));
+        assert!(b.get(key("k")).is_some());
     }
 
     #[test]
     fn lru_eviction_beyond_capacity() {
         let cache = Cache::with_capacity(2);
-        cache.put("a", response_of(1));
-        cache.put("b", response_of(2));
-        cache.put("c", response_of(3));
+        cache.put(key("a"), response_of(1));
+        cache.put(key("b"), response_of(2));
+        cache.put(key("c"), response_of(3));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.get("a").is_none(), "oldest evicted");
-        assert!(cache.get("b").is_some());
-        assert!(cache.get("c").is_some());
+        assert!(cache.get(key("a")).is_none(), "oldest evicted");
+        assert!(cache.get(key("b")).is_some());
+        assert!(cache.get(key("c")).is_some());
     }
 
     #[test]
     fn get_refreshes_recency() {
         let cache = Cache::with_capacity(2);
-        cache.put("a", response_of(1));
-        cache.put("b", response_of(2));
-        cache.get("a"); // a becomes most recent
-        cache.put("c", response_of(3));
-        assert!(cache.get("a").is_some(), "recently used survives");
-        assert!(cache.get("b").is_none(), "LRU victim");
+        cache.put(key("a"), response_of(1));
+        cache.put(key("b"), response_of(2));
+        cache.get(key("a")); // a becomes most recent
+        cache.put(key("c"), response_of(3));
+        assert!(cache.get(key("a")).is_some(), "recently used survives");
+        assert!(cache.get(key("b")).is_none(), "LRU victim");
     }
 
     #[test]
     fn reinsert_updates_without_duplicate_lru_entry() {
         let cache = Cache::with_capacity(2);
-        cache.put("a", response_of(1));
-        cache.put("a", response_of(9));
-        cache.put("b", response_of(2));
+        cache.put(key("a"), response_of(1));
+        cache.put(key("a"), response_of(9));
+        cache.put(key("b"), response_of(2));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get("a").unwrap().response.body().len(), 9);
+        assert_eq!(cache.get(key("a")).unwrap().response.body().len(), 9);
         assert_eq!(cache.evictions(), 0);
     }
 
@@ -523,68 +694,77 @@ mod tests {
         // The SBR side effect: each busted URL is a distinct key, so a
         // stream of attack requests evicts legitimate entries.
         let cache = Cache::with_capacity(4);
-        cache.put(&Cache::key("victim", "/popular.bin"), response_of(10));
+        cache.put(
+            CacheKey::new("victim", "/popular.bin", None),
+            response_of(10),
+        );
         for i in 0..16 {
+            let rnd = format!("rnd={i}");
             cache.put(
-                &Cache::key("victim", &format!("/f.bin?rnd={i}")),
+                CacheKey::new("victim", "/f.bin", Some(&rnd)),
                 response_of(1),
             );
         }
-        assert!(cache.get(&Cache::key("victim", "/popular.bin")).is_none());
+        assert!(cache
+            .get(CacheKey::new("victim", "/popular.bin", None))
+            .is_none());
         assert!(cache.evictions() >= 12);
     }
 
     #[test]
     fn clear_resets_everything() {
         let cache = Cache::new();
-        cache.put("k", response_of(1));
-        cache.mark_seen("k");
+        cache.put(key("k"), response_of(1));
+        cache.mark_seen(key("k"));
         cache.clear();
         assert!(cache.is_empty());
-        assert!(!cache.was_seen("k"));
+        assert!(!cache.was_seen(key("k")));
         assert_eq!(cache.stats(), (0, 0));
     }
 
     #[test]
     fn expired_get_is_a_miss_and_keeps_recency() {
         let cache = Cache::with_capacity(2).with_ttl(10);
-        cache.put_at("a", response_of(1), 0);
-        cache.put_at("b", response_of(2), 5);
-        assert!(cache.get_at("a", 12).is_none(), "a expired at 10");
+        cache.put_at(key("a"), response_of(1), 0);
+        cache.put_at(key("b"), response_of(2), 5);
+        assert!(cache.get_at(key("a"), 12).is_none(), "a expired at 10");
         assert_eq!(cache.stats(), (0, 1));
         assert_eq!(cache.keys_by_recency(), ["a", "b"]);
-        cache.put_at("c", response_of(3), 12);
+        cache.put_at(key("c"), response_of(3), 12);
         assert!(
-            cache.get_stale("a").is_none(),
+            cache.get_stale(key("a")).is_none(),
             "a stayed LRU and was evicted"
         );
-        assert!(cache.get_stale("b").is_some());
+        assert!(cache.get_stale(key("b")).is_some());
     }
 
     #[test]
     fn get_stale_keeps_recency_and_counters() {
         let cache = Cache::with_capacity(2).with_ttl(10);
-        cache.put_at("a", response_of(1), 0);
-        cache.put_at("b", response_of(2), 0);
-        assert_eq!(cache.get_stale("a").unwrap().response.body().len(), 1);
-        assert!(cache.get_stale("missing").is_none());
+        cache.put_at(key("a"), response_of(1), 0);
+        cache.put_at(key("b"), response_of(2), 0);
+        assert_eq!(cache.get_stale(key("a")).unwrap().response.body().len(), 1);
+        assert!(cache.get_stale(key("missing")).is_none());
         assert_eq!(cache.stats(), (0, 0));
         assert_eq!(cache.keys_by_recency(), ["a", "b"]);
-        cache.put("c", response_of(3));
-        assert!(cache.get_stale("a").is_none(), "a was still the LRU victim");
+        cache.put(key("c"), response_of(3));
+        assert!(
+            cache.get_stale(key("a")).is_none(),
+            "a was still the LRU victim"
+        );
     }
 
     #[test]
     fn put_over_existing_key_restamps_and_refreshes() {
         let cache = Cache::with_capacity(2).with_ttl(10);
-        cache.put_at("a", response_of(1), 0);
-        cache.put_at("b", response_of(2), 0);
-        cache.put_at("a", response_of(7), 8);
+        cache.put_at(key("a"), response_of(1), 0);
+        cache.put_at(key("b"), response_of(2), 0);
+        cache.put_at(key("a"), response_of(7), 8);
         assert_eq!(cache.keys_by_recency(), ["b", "a"]);
-        cache.put_at("c", response_of(3), 15);
+        cache.put_at(key("c"), response_of(3), 15);
         assert_eq!(cache.keys_by_recency(), ["a", "c"], "b was the LRU victim");
         assert_eq!(cache.evictions(), 1);
-        let entry = cache.get_at("a", 15).expect("fresh until 18");
+        let entry = cache.get_at(key("a"), 15).expect("fresh until 18");
         assert_eq!(entry.stored_at_ms, 8);
         assert_eq!(entry.response.body().len(), 7);
     }
@@ -592,10 +772,10 @@ mod tests {
     #[test]
     fn returned_entry_outlives_its_eviction() {
         let cache = Cache::with_capacity(1);
-        cache.put("a", response_of(5));
-        let held = cache.get("a").unwrap();
-        cache.put("b", response_of(6));
-        assert!(cache.get_stale("a").is_none());
+        cache.put(key("a"), response_of(5));
+        let held = cache.get(key("a")).unwrap();
+        cache.put(key("b"), response_of(6));
+        assert!(cache.get_stale(key("a")).is_none());
         assert_eq!(held.response.body().len(), 5);
         assert_eq!(held.stored_at_ms, 0);
     }
@@ -603,9 +783,9 @@ mod tests {
     #[test]
     fn hits_share_the_stored_entry() {
         let cache = Cache::new();
-        cache.put("a", response_of(5));
-        let first = cache.get("a").unwrap();
-        let second = cache.get_stale("a").unwrap();
+        cache.put(key("a"), response_of(5));
+        let first = cache.get(key("a")).unwrap();
+        let second = cache.get_stale(key("a")).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
     }
 
@@ -636,26 +816,27 @@ mod tests {
             let mut model = ModelCache::new(capacity, ttl_ms);
             let mut now_ms = 0u64;
             for (index, &step) in steps.iter().enumerate() {
-                let (op, key, advance) = step;
+                let (op, id, advance) = step;
                 now_ms += advance;
-                let key = format!("k{key}");
+                let name = format!("k{id}");
+                let key = key(&name);
                 match op {
                     // put_at: the body length tags which store wrote it.
                     0..=6 => {
                         let before = cache.keys_by_recency();
-                        let expected = model.put_at(&key, response_of(index), now_ms);
-                        cache.put_at(&key, response_of(index), now_ms);
+                        let expected = model.put_at(&name, response_of(index), now_ms);
+                        cache.put_at(key, response_of(index), now_ms);
                         let after = cache.keys_by_recency();
                         let evicted: Vec<String> =
                             before.into_iter().filter(|k| !after.contains(k)).collect();
                         prop_assert_eq!(evicted, expected, "evicted keys at {:?}", step);
                     }
                     7..=12 => prop_assert!(
-                        same_entry(cache.get_at(&key, now_ms), model.get_at(&key, now_ms)),
+                        same_entry(cache.get_at(key, now_ms), model.get_at(&name, now_ms)),
                         "get_at differs at {:?}", step
                     ),
                     13..=14 => prop_assert!(
-                        same_entry(cache.get_stale(&key), model.get_stale(&key)),
+                        same_entry(cache.get_stale(key), model.get_stale(&name)),
                         "get_stale differs at {:?}", step
                     ),
                     _ => {

@@ -61,7 +61,7 @@ mod resilience;
 mod upstream;
 pub mod vendor;
 
-pub use cache::{Cache, CachedEntry};
+pub use cache::{Cache, CacheKey, CachedEntry};
 pub use defense::{client_key, DefenseAction, DefenseHook, RequestOutcome, CLIENT_ID_HEADER};
 pub use fleet::{CdnFleet, IngressStrategy};
 pub use limits::{

@@ -150,7 +150,7 @@ pub fn max_overlapping_ranges_with_hop(
 ) -> usize {
     let admits = |n: usize| -> bool {
         let req = Request::get(path)
-            .header("Host", host)
+            .header("Host", host.to_string())
             .header("Range", case.header(n).to_string())
             .build();
         if !fcdn.admits(&req) {
@@ -158,7 +158,7 @@ pub fn max_overlapping_ranges_with_hop(
         }
         let mut forwarded = req.clone();
         for (name, value) in forwarded_extra_headers {
-            forwarded.headers_mut().append(name, value.to_string());
+            forwarded.headers_mut().append(*name, value.to_string());
         }
         bcdn.admits(&forwarded)
     };
@@ -204,7 +204,7 @@ mod tests {
     fn req_with_range(range: &str) -> Request {
         Request::get("/1KB.bin")
             .header("Host", "victim.example")
-            .header("Range", range)
+            .header("Range", range.to_string())
             .build()
     }
 

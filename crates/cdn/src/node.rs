@@ -1,14 +1,14 @@
 use std::sync::Arc;
 
 use rangeamp_http::range::{coalesce, ByteRangeSpec, RangeHeader};
-use rangeamp_http::{Request, Response, StatusCode};
+use rangeamp_http::{HeaderName, HeaderValue, Request, Response, StatusCode};
 use rangeamp_net::{Segment, SharedClock, SpanKind, Telemetry};
 
 use crate::assemble;
 use crate::defense::{client_key, DefenseAction, DefenseHook, RequestOutcome};
 use crate::vendor::{self, MissCtx, MissReply, MissResult, VendorProfile};
 use crate::{
-    BreakerConfig, Cache, MitigationConfig, MultiReplyPolicy, Resilience, UpstreamError,
+    BreakerConfig, Cache, CacheKey, MitigationConfig, MultiReplyPolicy, Resilience, UpstreamError,
     UpstreamService,
 };
 
@@ -31,6 +31,8 @@ pub struct EdgeNode {
     defense: Option<Arc<dyn DefenseHook>>,
     /// The profile's [`VendorProfile::via_token`], computed once.
     via_token: String,
+    /// The `Via` value this edge appends upstream, computed once.
+    via_value: HeaderValue,
     /// `X-Cache` values for each cache status, computed once.
     x_cache: XCache,
 }
@@ -39,15 +41,18 @@ pub struct EdgeNode {
 /// node reports.
 #[derive(Debug)]
 struct XCache {
-    hit: String,
-    miss: String,
-    deny: String,
-    stale: String,
+    hit: HeaderValue,
+    miss: HeaderValue,
+    deny: HeaderValue,
+    stale: HeaderValue,
 }
 
 impl XCache {
     fn new(profile: &VendorProfile) -> XCache {
-        let value = |status: &str| format!("{status} from {}", profile.vendor);
+        let value = |status: &str| {
+            HeaderValue::new(format!("{status} from {}", profile.vendor))
+                .expect("vendor names are valid header text")
+        };
         XCache {
             hit: value("HIT"),
             miss: value("MISS"),
@@ -71,8 +76,11 @@ impl EdgeNode {
     ) -> EdgeNode {
         let resilience =
             Resilience::new(profile.retry, BreakerConfig::default(), SharedClock::new());
+        let via_token = profile.via_token();
         EdgeNode {
-            via_token: profile.via_token(),
+            via_value: HeaderValue::new(format!("1.1 {via_token}"))
+                .expect("a via token is valid header text"),
+            via_token,
             x_cache: XCache::new(&profile),
             profile,
             cache: Cache::new(),
@@ -210,7 +218,6 @@ impl EdgeNode {
         let looped = req
             .headers()
             .get_all("via")
-            .iter()
             .any(|v| v.contains(self.via_token.as_str()));
         if looped {
             return self.finish(
@@ -241,9 +248,9 @@ impl EdgeNode {
         let Some(hook) = self.defense.clone() else {
             return self.handle_admitted(req, backend_truncate, self.profile.mitigation);
         };
-        let client = client_key(req).to_string();
+        let client = client_key(req);
         let now_ms = self.resilience.clock().now_millis();
-        let action = hook.decide(&client, req, now_ms);
+        let action = hook.decide(client, req, now_ms);
         let origin_before = self.segment.stats().response_bytes;
         let resp = if action == DefenseAction::Block {
             self.finish(
@@ -265,7 +272,7 @@ impl EdgeNode {
                 let mut span = tel
                     .tracer()
                     .start_span("defense-action", SpanKind::Defense, now_ms);
-                span.attr("client", client.clone());
+                span.attr("client", client.to_string());
                 span.attr("action", action.as_str());
                 span.finish(now_ms);
             }
@@ -280,7 +287,7 @@ impl EdgeNode {
             client_bytes: resp.wire_len(),
             status: resp.status().as_u16(),
         };
-        hook.observe(&client, req, action, &outcome, now_ms);
+        hook.observe(client, req, action, &outcome, now_ms);
         resp
     }
 
@@ -322,11 +329,11 @@ impl EdgeNode {
 
         // 3. Cache lookup: path+query keying, so the attacker's random
         //    query string always misses (§II-A).
-        let host = req.headers().get("host").unwrap_or("-").to_string();
-        let cache_key = Cache::key(&host, &req.uri().to_string());
+        let host = req.headers().get("host").unwrap_or("-");
+        let cache_key = CacheKey::of(host, req.uri());
         if self.profile.cache_enabled {
             let now_ms = self.resilience.clock().now_millis();
-            let looked_up = self.cache.get_at(&cache_key, now_ms);
+            let looked_up = self.cache.get_at(cache_key, now_ms);
             if let Some(tel) = &self.telemetry {
                 let result = if looked_up.is_some() { "hit" } else { "miss" };
                 let vendor = self.profile.vendor.to_string();
@@ -359,9 +366,9 @@ impl EdgeNode {
             upstream: self.upstream.as_ref(),
             segment: &self.segment,
             cache: &self.cache,
-            cache_key: cache_key.clone(),
+            cache_key,
             backend_truncate,
-            via_token: &self.via_token,
+            via_value: &self.via_value,
             resilience: &self.resilience,
             telemetry: self.telemetry.as_ref(),
         };
@@ -375,7 +382,7 @@ impl EdgeNode {
                 let resp = match result.reply {
                     MissReply::Passthrough(upstream_resp) => {
                         if result.cacheable && upstream_resp.status() == StatusCode::OK {
-                            self.store(&cache_key, &upstream_resp);
+                            self.store(cache_key, &upstream_resp);
                         }
                         if upstream_resp.status() == StatusCode::OK && range.is_some() {
                             // RFC 2616 (quoted in the paper's §VI-B): a proxy that
@@ -394,7 +401,7 @@ impl EdgeNode {
                     }
                     MissReply::ServeFromFull(full) => {
                         if result.cacheable && full.status() == StatusCode::OK {
-                            self.store(&cache_key, &full);
+                            self.store(cache_key, &full);
                         }
                         if full.status().is_success() {
                             assemble::serve_from_full(
@@ -420,7 +427,7 @@ impl EdgeNode {
         // 5b. Serve-stale: a 5xx outcome falls back to an expired cached
         //     copy when one exists (RFC 5861 stale-if-error behaviour).
         if resp.status().as_u16() >= 500 && self.profile.cache_enabled {
-            if let Some(entry) = self.cache.get_stale(&cache_key) {
+            if let Some(entry) = self.cache.get_stale(cache_key) {
                 self.resilience.with_stats(|s| s.stale_serves += 1);
                 if let Some(tel) = &self.telemetry {
                     let now_ms = self.resilience.clock().now_millis();
@@ -525,7 +532,7 @@ impl EdgeNode {
         }
     }
 
-    fn store(&self, key: &str, resp: &Response) {
+    fn store(&self, key: CacheKey<'_>, resp: &Response) {
         if self.profile.cache_enabled {
             self.cache
                 .put_at(key, resp.clone(), self.resilience.clock().now_millis());
@@ -534,15 +541,20 @@ impl EdgeNode {
 
     /// Appends the vendor's standing headers, per-request extras, and the
     /// cache-status header every CDN exposes (`x_cache` is one of the
-    /// node's precomputed [`XCache`] values).
-    fn finish(&self, mut resp: Response, extra: &[(String, String)], x_cache: &str) -> Response {
-        for (name, value) in &self.profile.extra_headers {
-            resp.headers_mut().append(name, value.clone());
+    /// node's precomputed [`XCache`] values). Every appended value is
+    /// shared, not copied.
+    fn finish(
+        &self,
+        mut resp: Response,
+        extra: &[(HeaderName, HeaderValue)],
+        x_cache: &HeaderValue,
+    ) -> Response {
+        let headers = resp.headers_mut();
+        headers.reserve(self.profile.extra_headers.len() + extra.len() + 1);
+        for (name, value) in self.profile.extra_headers.iter().chain(extra) {
+            headers.append(name, value);
         }
-        for (name, value) in extra {
-            resp.headers_mut().append(name, value.clone());
-        }
-        resp.headers_mut().append("X-Cache", x_cache);
+        headers.append(HeaderName::X_CACHE, x_cache);
         resp
     }
 }
@@ -621,7 +633,7 @@ mod tests {
     fn sbr_request(range: &str, rnd: u32) -> Request {
         Request::get(&format!("/target.bin?rnd={rnd}"))
             .header("Host", "victim.example")
-            .header("Range", range)
+            .header("Range", range.to_string())
             .build()
     }
 
@@ -652,8 +664,30 @@ mod tests {
         assert!(resp
             .headers()
             .get_all("x-cache")
-            .iter()
             .any(|v| v.starts_with("HIT")));
+    }
+
+    #[test]
+    fn cached_objects_do_not_alias_across_hosts() {
+        // `|` is legal in both a Host value and a path, so a key joined
+        // as `host|target` made these two requests one cache entry.
+        let mut store = ResourceStore::new();
+        store.add_synthetic("/x|/y", 1000, "application/octet-stream");
+        store.add_synthetic("/y", 50, "application/octet-stream");
+        let origin = Arc::new(OriginServer::new(store));
+        let segment = Segment::new(SegmentName::CdnOrigin);
+        let edge = EdgeNode::new(Vendor::Akamai.profile(), origin, segment.clone());
+
+        let first = edge.handle(&Request::get("/x|/y").header("Host", "a").build());
+        assert_eq!(first.body().len(), 1000);
+        let second = edge.handle(&Request::get("/y").header("Host", "a|/x").build());
+        assert_eq!(second.body().len(), 50, "served another host's object");
+        assert!(second
+            .headers()
+            .get_all("x-cache")
+            .any(|v| v.starts_with("MISS")));
+        assert_eq!(segment.stats().requests, 2, "both reached the origin");
+        assert_eq!(edge.cache().len(), 2);
     }
 
     #[test]
@@ -688,7 +722,6 @@ mod tests {
         assert!(resp
             .headers()
             .get_all("x-cache")
-            .iter()
             .any(|v| v.contains("MISS")));
     }
 

@@ -179,7 +179,7 @@ impl Scanner {
         bed.reset_traffic();
         let req = Request::get(uri)
             .header("Host", TARGET_HOST)
-            .header("Range", range)
+            .header("Range", range.to_string())
             .build();
         let resp = bed.request(&req);
         ProbeObservation {

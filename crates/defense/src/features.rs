@@ -261,7 +261,7 @@ mod tests {
     fn sample(target: &str, range: Option<&str>) -> RequestSample {
         let mut builder = Request::get(target).header("Host", "victim");
         if let Some(range) = range {
-            builder = builder.header("Range", range);
+            builder = builder.header("Range", range.to_string());
         }
         RequestSample::of(&builder.build())
     }

@@ -57,7 +57,9 @@ pub mod wire;
 pub use body::{Body, Chunks};
 pub use conditional::IfRange;
 pub use error::{Error, Result};
-pub use headers::{HeaderMap, HeaderName, HeaderValue};
+pub use headers::{
+    HeaderIter, HeaderMap, HeaderName, HeaderValue, IntoHeaderName, IntoHeaderValue,
+};
 pub use method::Method;
 pub use request::{Request, RequestBuilder};
 pub use response::{Response, ResponseBuilder};

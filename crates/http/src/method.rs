@@ -75,7 +75,7 @@ impl FromStr for Method {
 }
 
 /// RFC 7230 `tchar`.
-pub(crate) fn is_tchar(b: u8) -> bool {
+pub(crate) const fn is_tchar(b: u8) -> bool {
     matches!(
         b,
         b'!' | b'#'

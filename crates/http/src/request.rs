@@ -1,4 +1,4 @@
-use crate::{Body, HeaderMap, Method, Uri, Version};
+use crate::{Body, HeaderMap, IntoHeaderName, IntoHeaderValue, Method, Uri, Version};
 
 /// An HTTP request message.
 ///
@@ -103,6 +103,10 @@ pub struct RequestBuilder {
 }
 
 impl RequestBuilder {
+    /// Header fields a new builder has room for: a client request's
+    /// `Host`, `Range` and client id, with one to spare.
+    const HEADER_CAPACITY: usize = 4;
+
     /// Starts a builder, validating the request target.
     ///
     /// # Errors
@@ -113,7 +117,7 @@ impl RequestBuilder {
             method,
             uri: Uri::parse(target)?,
             version: Version::Http11,
-            headers: HeaderMap::new(),
+            headers: HeaderMap::with_capacity(RequestBuilder::HEADER_CAPACITY),
             body: Body::empty(),
         })
     }
@@ -129,7 +133,11 @@ impl RequestBuilder {
     /// # Panics
     ///
     /// Panics on invalid header text; builders are for trusted call sites.
-    pub fn header(mut self, name: &str, value: impl Into<String>) -> RequestBuilder {
+    pub fn header(
+        mut self,
+        name: impl IntoHeaderName,
+        value: impl IntoHeaderValue,
+    ) -> RequestBuilder {
         self.headers.append(name, value);
         self
     }

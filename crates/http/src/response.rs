@@ -1,4 +1,6 @@
-use crate::{Body, HeaderMap, StatusCode, Version};
+use crate::{
+    Body, HeaderMap, HeaderName, HeaderValue, IntoHeaderName, IntoHeaderValue, StatusCode, Version,
+};
 
 /// An HTTP response message.
 ///
@@ -29,7 +31,7 @@ impl Response {
         ResponseBuilder {
             version: Version::Http11,
             status,
-            headers: HeaderMap::new(),
+            headers: HeaderMap::with_capacity(ResponseBuilder::HEADER_CAPACITY),
             body: Body::empty(),
         }
     }
@@ -62,8 +64,10 @@ impl Response {
     /// Replaces the payload, fixing up `Content-Length` to match.
     pub fn set_body(&mut self, body: impl Into<Body>) {
         self.body = body.into();
-        self.headers
-            .set("Content-Length", self.body.len().to_string());
+        self.headers.set(
+            HeaderName::CONTENT_LENGTH,
+            HeaderValue::from_u64(self.body.len()),
+        );
     }
 
     /// Wire length of the status line in bytes, including CRLF.
@@ -95,6 +99,11 @@ pub struct ResponseBuilder {
 }
 
 impl ResponseBuilder {
+    /// Header fields a new builder has room for: an edge response's
+    /// representation headers plus a vendor's standing headers and
+    /// `X-Cache`.
+    const HEADER_CAPACITY: usize = 16;
+
     /// Sets the protocol version (HTTP/1.1 by default).
     pub fn version(mut self, version: Version) -> ResponseBuilder {
         self.version = version;
@@ -106,7 +115,11 @@ impl ResponseBuilder {
     /// # Panics
     ///
     /// Panics on invalid header text; builders are for trusted call sites.
-    pub fn header(mut self, name: &str, value: impl Into<String>) -> ResponseBuilder {
+    pub fn header(
+        mut self,
+        name: impl IntoHeaderName,
+        value: impl IntoHeaderValue,
+    ) -> ResponseBuilder {
         self.headers.append(name, value);
         self
     }
@@ -120,8 +133,10 @@ impl ResponseBuilder {
     /// Sets the payload and a matching `Content-Length` header.
     pub fn sized_body(mut self, body: impl Into<Body>) -> ResponseBuilder {
         self.body = body.into();
-        self.headers
-            .set("Content-Length", self.body.len().to_string());
+        self.headers.set(
+            HeaderName::CONTENT_LENGTH,
+            HeaderValue::from_u64(self.body.len()),
+        );
         self
     }
 

@@ -1,5 +1,6 @@
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::Error;
 
@@ -8,10 +9,15 @@ use crate::Error;
 /// CDN cache keys are derived from this (most CDNs key on path+query, which
 /// is exactly why appending a random query string forces a cache miss —
 /// paper §II-A), so the query component is first-class here.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The target text is stored once and shared by clones, so a capture or a
+/// cache key can hold on to a request's target without copying it.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Uri {
-    path: String,
-    query: Option<String>,
+    /// The whole target as received: `path` or `path?query`.
+    target: Arc<str>,
+    /// Where the path ends: the index of the first `?`, or the length.
+    path_end: usize,
 }
 
 impl Uri {
@@ -31,26 +37,27 @@ impl Uri {
                 "bad request target {target:?}"
             )));
         }
-        match target.split_once('?') {
-            Some((path, query)) => Ok(Uri {
-                path: path.to_string(),
-                query: Some(query.to_string()),
-            }),
-            None => Ok(Uri {
-                path: target.to_string(),
-                query: None,
-            }),
-        }
+        Ok(Uri::from_target(Arc::from(target)))
+    }
+
+    fn from_target(target: Arc<str>) -> Uri {
+        let path_end = target.find('?').unwrap_or(target.len());
+        Uri { target, path_end }
     }
 
     /// The path component, always beginning with `/`.
     pub fn path(&self) -> &str {
-        &self.path
+        &self.target[..self.path_end]
     }
 
     /// The query component without the leading `?`, if present.
     pub fn query(&self) -> Option<&str> {
-        self.query.as_deref()
+        self.target.get(self.path_end + 1..)
+    }
+
+    /// The whole target: the path, then `?` and the query if present.
+    pub fn as_str(&self) -> &str {
+        &self.target
     }
 
     /// Returns a copy with an extra `key=value` pair appended to the query.
@@ -59,38 +66,37 @@ impl Uri {
     /// makes most CDNs treat the URL as a brand-new cache key and forward
     /// the request to the origin (paper §II-A, §IV-B).
     pub fn with_query_param(&self, key: &str, value: &str) -> Uri {
-        let pair = format!("{key}={value}");
-        let query = match &self.query {
-            Some(existing) if !existing.is_empty() => format!("{existing}&{pair}"),
-            _ => pair,
+        let target = match self.query() {
+            Some(existing) if !existing.is_empty() => format!("{self}&{key}={value}"),
+            _ => format!("{}?{key}={value}", self.path()),
         };
-        Uri {
-            path: self.path.clone(),
-            query: Some(query),
-        }
+        Uri::from_target(Arc::from(target))
     }
 
     /// Returns a copy with the query stripped (how a CDN configured to
     /// "ignore query strings" normalizes its cache key).
     pub fn without_query(&self) -> Uri {
-        Uri {
-            path: self.path.clone(),
-            query: None,
-        }
+        Uri::from_target(Arc::from(self.path()))
     }
 
     /// Wire length of the target in bytes.
     pub fn wire_len(&self) -> u64 {
-        self.to_string().len() as u64
+        self.target.len() as u64
+    }
+}
+
+impl fmt::Debug for Uri {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Uri")
+            .field("path", &self.path())
+            .field("query", &self.query())
+            .finish()
     }
 }
 
 impl fmt::Display for Uri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.query {
-            Some(query) => write!(f, "{}?{}", self.path, query),
-            None => f.write_str(&self.path),
-        }
+        f.write_str(&self.target)
     }
 }
 
@@ -140,6 +146,47 @@ mod tests {
     fn without_query_normalizes() {
         let uri = Uri::parse("/f.bin?rnd=1").unwrap();
         assert_eq!(uri.without_query().to_string(), "/f.bin");
+    }
+
+    /// The target length as the `String`-formatting `wire_len` computed
+    /// it before targets were stored whole.
+    fn model_wire_len(uri: &Uri) -> u64 {
+        let text = match uri.query() {
+            Some(query) => format!("{}?{}", uri.path(), query),
+            None => uri.path().to_string(),
+        };
+        text.len() as u64
+    }
+
+    #[test]
+    fn wire_len_matches_the_formatted_target() {
+        for target in [
+            "/",
+            "/f.bin",
+            "/f.bin?",
+            "/f.bin?x=1&y=2",
+            "/a?b?c",
+            "/%20?%3F",
+        ] {
+            let uri = Uri::parse(target).unwrap();
+            assert_eq!(uri.wire_len(), model_wire_len(&uri), "{target}");
+            assert_eq!(uri.wire_len(), target.len() as u64);
+            assert_eq!(uri.as_str(), target);
+        }
+        let uri = Uri::parse("/a?b?c").unwrap();
+        assert_eq!((uri.path(), uri.query()), ("/a", Some("b?c")));
+        let busted = Uri::parse("/f?").unwrap().with_query_param("k", "v");
+        assert_eq!(busted.to_string(), "/f?k=v");
+        assert_eq!(busted.wire_len(), model_wire_len(&busted));
+    }
+
+    #[test]
+    fn clones_share_the_target() {
+        let uri = Uri::parse("/f.bin?x=1").unwrap();
+        let copy = uri.clone();
+        assert!(std::ptr::eq(uri.as_str(), copy.as_str()));
+        assert_eq!(uri, copy);
+        assert_ne!(uri, uri.without_query());
     }
 
     #[test]

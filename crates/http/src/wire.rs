@@ -86,7 +86,7 @@ pub fn decode_request(input: &[u8]) -> Result<Request> {
 
     let mut builder = crate::RequestBuilder::try_new(method, &uri.to_string())?.version(version);
     for (name, value) in headers.iter() {
-        builder = builder.header(name.as_str(), value.as_str());
+        builder = builder.header(name, value);
     }
     Ok(builder.body(body).build())
 }
@@ -126,7 +126,7 @@ pub fn decode_response(input: &[u8]) -> Result<Response> {
 
     let mut builder = Response::builder(status).version(version);
     for (name, value) in headers.iter() {
-        builder = builder.header(name.as_str(), value.as_str());
+        builder = builder.header(name, value);
     }
     Ok(builder.body(body).build())
 }

@@ -5,7 +5,9 @@
 //! (§V-A). [`CaptureLog`] records a summary of every message that crossed
 //! a segment so the scanner can do exactly that comparison.
 
-use rangeamp_http::{Request, Response};
+use std::fmt;
+
+use rangeamp_http::{HeaderValue, Method, Request, Response, StatusCode, Uri, Version};
 
 /// Which way a captured message was travelling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,20 +18,61 @@ pub enum Direction {
     Downstream,
 }
 
+/// The start line of a captured message, held as its parts: the target
+/// shares the request's text, so capturing it copies nothing. Its
+/// `Display` is the line as it went on the wire, without CRLF.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StartLine {
+    /// `method target version`.
+    Request {
+        /// Request method.
+        method: Method,
+        /// Request target.
+        uri: Uri,
+        /// Protocol version.
+        version: Version,
+    },
+    /// `version code reason`.
+    Response {
+        /// Protocol version.
+        version: Version,
+        /// Status code.
+        status: StatusCode,
+    },
+}
+
+impl fmt::Display for StartLine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StartLine::Request {
+                method,
+                uri,
+                version,
+            } => write!(f, "{method} {uri} {version}"),
+            StartLine::Response { version, status } => {
+                write!(f, "{version} {status} {}", status.reason_phrase())
+            }
+        }
+    }
+}
+
 /// One captured message.
+///
+/// Header values are shared with the captured message, not copied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaptureEntry {
     /// Travel direction.
     pub direction: Direction,
     /// Wire size of the whole message in bytes.
     pub wire_len: u64,
-    /// Start line (request line or status line) for quick inspection.
-    pub start_line: String,
+    /// Start line (request line or status line) for inspection; see
+    /// [`CaptureEntry::start_line`] for its text.
+    pub start: StartLine,
     /// The `Range` header value if the message carried one, the
     /// `Content-Range` value for responses.
-    pub range_header: Option<String>,
+    pub range_header: Option<HeaderValue>,
     /// The `Content-Type` header value, if any (multipart detection).
-    pub content_type: Option<String>,
+    pub content_type: Option<HeaderValue>,
     /// Payload length in bytes.
     pub body_len: u64,
     /// Wire bytes actually delivered before the receiver aborted, when
@@ -52,12 +95,21 @@ impl CaptureEntry {
 
     /// Summarizes a request captured at `at_millis` of virtual time.
     pub fn of_request_at(req: &Request, at_millis: u64) -> CaptureEntry {
+        CaptureEntry::request(req, req.wire_len(), at_millis)
+    }
+
+    /// Summarizes a request whose wire size the caller already metered.
+    pub(crate) fn request(req: &Request, wire_len: u64, at_millis: u64) -> CaptureEntry {
         CaptureEntry {
             direction: Direction::Upstream,
-            wire_len: req.wire_len(),
-            start_line: format!("{} {} {}", req.method(), req.uri(), req.version()),
-            range_header: req.headers().get("range").map(str::to_string),
-            content_type: req.headers().get("content-type").map(str::to_string),
+            wire_len,
+            start: StartLine::Request {
+                method: req.method().clone(),
+                uri: req.uri().clone(),
+                version: req.version(),
+            },
+            range_header: req.headers().get_value("range").cloned(),
+            content_type: req.headers().get_value("content-type").cloned(),
             body_len: req.body().len(),
             delivered_len: None,
             at_millis,
@@ -71,17 +123,20 @@ impl CaptureEntry {
 
     /// Summarizes a response captured at `at_millis` of virtual time.
     pub fn of_response_at(resp: &Response, at_millis: u64) -> CaptureEntry {
+        CaptureEntry::response(resp, resp.wire_len(), at_millis)
+    }
+
+    /// Summarizes a response whose wire size the caller already metered.
+    pub(crate) fn response(resp: &Response, wire_len: u64, at_millis: u64) -> CaptureEntry {
         CaptureEntry {
             direction: Direction::Downstream,
-            wire_len: resp.wire_len(),
-            start_line: format!(
-                "{} {} {}",
-                resp.version(),
-                resp.status(),
-                resp.status().reason_phrase()
-            ),
-            range_header: resp.headers().get("content-range").map(str::to_string),
-            content_type: resp.headers().get("content-type").map(str::to_string),
+            wire_len,
+            start: StartLine::Response {
+                version: resp.version(),
+                status: resp.status(),
+            },
+            range_header: resp.headers().get_value("content-range").cloned(),
+            content_type: resp.headers().get_value("content-type").cloned(),
             body_len: resp.body().len(),
             delivered_len: None,
             at_millis,
@@ -106,6 +161,12 @@ impl CaptureEntry {
         }
     }
 
+    /// The start line as it went on the wire, without CRLF, such as
+    /// `GET /f.bin HTTP/1.1` or `HTTP/1.1 206 Partial Content`.
+    pub fn start_line(&self) -> String {
+        self.start.to_string()
+    }
+
     /// Whether the receiver aborted this delivery before the end.
     pub fn is_truncated(&self) -> bool {
         self.delivered_len.is_some()
@@ -115,12 +176,10 @@ impl CaptureEntry {
     /// cache-busting observable online defenses key on (`?rnd=…` churn,
     /// paper §II-A). `None` for responses and query-less requests.
     pub fn query(&self) -> Option<&str> {
-        if self.direction != Direction::Upstream {
-            return None;
+        match &self.start {
+            StartLine::Request { uri, .. } => uri.query(),
+            StartLine::Response { .. } => None,
         }
-        let target = self.start_line.split(' ').nth(1)?;
-        let (_, query) = target.split_once('?')?;
-        Some(query)
     }
 }
 
@@ -170,7 +229,7 @@ impl CaptureLog {
     pub fn forwarded_ranges(&self) -> Vec<Option<String>> {
         self.in_direction(Direction::Upstream)
             .iter()
-            .map(|e| e.range_header.clone())
+            .map(|e| e.range_header.as_ref().map(|v| v.as_str().to_string()))
             .collect()
     }
 
@@ -234,8 +293,9 @@ impl CaptureLog {
             }
             out.push_str(arrow);
             out.push(' ');
-            out.push_str(&entry.start_line);
+            out.push_str(&entry.start_line());
             if let Some(range) = &entry.range_header {
+                let range = range.as_str();
                 let label = match entry.direction {
                     Direction::Upstream => "Range",
                     Direction::Downstream => "Content-Range",
@@ -243,7 +303,7 @@ impl CaptureLog {
                 let shown: String = if range.len() > 48 {
                     format!("{}… ({} chars)", &range[..45], range.len())
                 } else {
-                    range.clone()
+                    range.to_string()
                 };
                 out.push_str(&format!(" | {label}: {shown}"));
             }
@@ -270,8 +330,11 @@ mod tests {
             .build();
         let entry = CaptureEntry::of_request(&req);
         assert_eq!(entry.direction, Direction::Upstream);
-        assert_eq!(entry.start_line, "GET /f.bin?x=1 HTTP/1.1");
-        assert_eq!(entry.range_header.as_deref(), Some("bytes=0-0"));
+        assert_eq!(entry.start_line(), "GET /f.bin?x=1 HTTP/1.1");
+        assert_eq!(
+            entry.range_header.as_ref().map(HeaderValue::as_str),
+            Some("bytes=0-0")
+        );
         assert_eq!(entry.wire_len, req.wire_len());
     }
 
@@ -283,8 +346,11 @@ mod tests {
             .build();
         let entry = CaptureEntry::of_response(&resp);
         assert_eq!(entry.direction, Direction::Downstream);
-        assert_eq!(entry.start_line, "HTTP/1.1 206 Partial Content");
-        assert_eq!(entry.range_header.as_deref(), Some("bytes 0-0/1000"));
+        assert_eq!(entry.start_line(), "HTTP/1.1 206 Partial Content");
+        assert_eq!(
+            entry.range_header.as_ref().map(HeaderValue::as_str),
+            Some("bytes 0-0/1000")
+        );
         assert_eq!(entry.body_len, 1);
     }
 
@@ -330,7 +396,7 @@ mod tests {
         let huge = "bytes=".to_string() + &"0-,".repeat(5000);
         log.push(CaptureEntry::of_request(
             &Request::get("/f")
-                .header("Range", huge.trim_end_matches(','))
+                .header("Range", huge.trim_end_matches(',').to_string())
                 .build(),
         ));
         let trace = log.render();

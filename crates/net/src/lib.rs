@@ -44,7 +44,7 @@ pub mod metrics;
 mod segment;
 pub mod telemetry;
 
-pub use capture::{CaptureEntry, CaptureLog, Direction};
+pub use capture::{CaptureEntry, CaptureLog, Direction, StartLine};
 pub use clock::{SharedClock, VirtualClock};
 pub use fault::{Delivery, FaultEvent, FaultKind, FaultPlan, FaultRates, FaultySegment};
 pub use flowsim::{FlowId, FlowSim, LinkId};

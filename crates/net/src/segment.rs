@@ -114,24 +114,35 @@ impl Segment {
         self.inner.lock().clock = Some(clock);
     }
 
-    /// Meters and captures a request crossing upstream.
+    /// Meters and captures a request crossing upstream. Both lengths are
+    /// arithmetic and the capture shares the request's text, so nothing
+    /// is allocated beyond the capture log's amortised growth.
     pub fn send_request(&self, req: &Request) {
+        let wire_len = req.wire_len();
+        let h2_len = rangeamp_http::h2frame::request_wire_len(req);
         let mut inner = self.inner.lock();
         let now = inner.now_millis();
         inner.stats.requests += 1;
-        inner.stats.request_bytes += req.wire_len();
-        inner.stats.h2_request_bytes += rangeamp_http::h2frame::request_wire_len(req);
-        inner.capture.push(CaptureEntry::of_request_at(req, now));
+        inner.stats.request_bytes += wire_len;
+        inner.stats.h2_request_bytes += h2_len;
+        inner
+            .capture
+            .push(CaptureEntry::request(req, wire_len, now));
     }
 
-    /// Meters and captures a response crossing downstream.
+    /// Meters and captures a response crossing downstream, allocating
+    /// nothing beyond the capture log's amortised growth.
     pub fn send_response(&self, resp: &Response) {
+        let wire_len = resp.wire_len();
+        let h2_len = rangeamp_http::h2frame::response_wire_len(resp);
         let mut inner = self.inner.lock();
         let now = inner.now_millis();
         inner.stats.responses += 1;
-        inner.stats.response_bytes += resp.wire_len();
-        inner.stats.h2_response_bytes += rangeamp_http::h2frame::response_wire_len(resp);
-        inner.capture.push(CaptureEntry::of_response_at(resp, now));
+        inner.stats.response_bytes += wire_len;
+        inner.stats.h2_response_bytes += h2_len;
+        inner
+            .capture
+            .push(CaptureEntry::response(resp, wire_len, now));
     }
 
     /// Meters a response of which the receiver only accepted

@@ -2,7 +2,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bytes::Bytes;
-use rangeamp_http::Body;
+use rangeamp_http::{Body, HeaderValue};
 
 /// A static web resource served by the origin.
 ///
@@ -12,19 +12,25 @@ use rangeamp_http::Body;
 #[derive(Clone)]
 pub struct Resource {
     path: String,
-    content_type: String,
+    content_type: HeaderValue,
     content: Bytes,
-    etag: String,
+    etag: HeaderValue,
 }
 
 impl Resource {
     /// Creates a resource with explicit content.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `content_type` is not valid header text.
     pub fn new(path: &str, content_type: &str, content: impl Into<Bytes>) -> Resource {
         let content = content.into();
         let etag = Resource::compute_etag(path, &content);
         Resource {
             path: path.to_string(),
-            content_type: content_type.to_string(),
+            content_type: content_type
+                .parse()
+                .expect("a media type should be valid header text"),
             content,
             etag,
         }
@@ -54,6 +60,11 @@ impl Resource {
 
     /// Media type.
     pub fn content_type(&self) -> &str {
+        self.content_type.as_str()
+    }
+
+    /// Media type as a shareable `Content-Type` value.
+    pub fn content_type_value(&self) -> &HeaderValue {
         &self.content_type
     }
 
@@ -84,13 +95,23 @@ impl Resource {
 
     /// Apache-style strong ETag.
     pub fn etag(&self) -> &str {
+        self.etag.as_str()
+    }
+
+    /// The ETag as a shareable header value.
+    pub fn etag_value(&self) -> &HeaderValue {
         &self.etag
     }
 
-    fn compute_etag(path: &str, content: &Bytes) -> String {
+    fn compute_etag(path: &str, content: &Bytes) -> HeaderValue {
         // Apache derives ETags from inode/mtime/size; we derive from
         // path/size, which is just as stable for a simulated filesystem.
-        format!("\"{:x}-{:x}\"", fnv1a(path.as_bytes()), content.len())
+        HeaderValue::new(format!(
+            "\"{:x}-{:x}\"",
+            fnv1a(path.as_bytes()),
+            content.len()
+        ))
+        .expect("hex digits and quotes are valid header text")
     }
 }
 
@@ -98,7 +119,7 @@ impl fmt::Debug for Resource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Resource")
             .field("path", &self.path)
-            .field("content_type", &self.content_type)
+            .field("content_type", &self.content_type())
             .field("len", &self.content.len())
             .finish()
     }

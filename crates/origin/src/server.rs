@@ -162,7 +162,7 @@ impl OriginServer {
             if if_none_match == resource.etag() || if_none_match == "*" {
                 return self
                     .base_response(StatusCode::NOT_MODIFIED)
-                    .header("ETag", resource.etag())
+                    .header("ETag", resource.etag_value())
                     .build();
             }
         }
@@ -235,10 +235,10 @@ impl OriginServer {
                 };
                 self.base_response(StatusCode::PARTIAL_CONTENT)
                     .header("Last-Modified", self.config.date_header.clone())
-                    .header("ETag", resource.etag())
+                    .header("ETag", resource.etag_value())
                     .header("Accept-Ranges", "bytes")
                     .header("Content-Range", content_range.to_string())
-                    .header("Content-Type", resource.content_type())
+                    .header("Content-Type", resource.content_type_value())
                     .sized_body(resource.slice(range.first, range.last))
                     .build()
             }
@@ -250,7 +250,7 @@ impl OriginServer {
                 let content_type = builder.content_type_header();
                 self.base_response(StatusCode::PARTIAL_CONTENT)
                     .header("Last-Modified", self.config.date_header.clone())
-                    .header("ETag", resource.etag())
+                    .header("ETag", resource.etag_value())
                     .header("Accept-Ranges", "bytes")
                     .header("Content-Type", content_type)
                     .sized_body(builder.build())
@@ -269,12 +269,12 @@ impl OriginServer {
         let mut builder = self
             .base_response(StatusCode::OK)
             .header("Last-Modified", self.config.date_header.clone())
-            .header("ETag", resource.etag());
+            .header("ETag", resource.etag_value());
         if advertise_ranges {
             builder = builder.header("Accept-Ranges", "bytes");
         }
         builder
-            .header("Content-Type", resource.content_type())
+            .header("Content-Type", resource.content_type_value())
             .sized_body(resource.full_body())
             .build()
     }
@@ -304,7 +304,7 @@ mod tests {
     fn get(path: &str, range: Option<&str>) -> Request {
         let mut builder = Request::get(path).header("Host", "origin.example");
         if let Some(range) = range {
-            builder = builder.header("Range", range);
+            builder = builder.header("Range", range.to_string());
         }
         builder.build()
     }

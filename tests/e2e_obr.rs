@@ -157,7 +157,7 @@ fn origin_with_ranges_disabled_replies_200_to_the_bcdn() {
     let statuses: Vec<String> = captured
         .in_direction(rangeamp_net::Direction::Downstream)
         .iter()
-        .map(|e| e.start_line.clone())
+        .map(|e| e.start_line())
         .collect();
     assert!(
         statuses.iter().all(|s| s.contains("200")),
@@ -212,7 +212,7 @@ fn obr_rope_body_equals_its_flattened_copy() {
             .headers()
             .iter()
             .fold(Response::builder(resp.status()), |b, (name, value)| {
-                b.header(name.as_str(), value.as_str())
+                b.header(name, value)
             })
             .body(flat)
             .build();
