@@ -11,14 +11,14 @@
 //!     --json experiments/defense.json --threads 8
 //! ```
 
-use rangeamp::defense_eval::DefenseEvalConfig;
+use rangeamp::defense_eval::{run_defense_eval, DefenseEvalConfig};
 use rangeamp_bench::BenchCli;
 
 fn main() {
     let cli = BenchCli::parse();
     let config = DefenseEvalConfig::default();
     let seed = cli.seed.unwrap_or(2020);
-    let reports = rangeamp_bench::defense_eval_reports_exec(&config, &cli.executor(), seed);
+    let reports = run_defense_eval(&config, &cli.executor(), seed);
     println!("{}", rangeamp_bench::render_defense_eval(&reports));
 
     let detected = reports.iter().filter(|r| r.detected).count();

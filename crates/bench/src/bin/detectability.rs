@@ -17,7 +17,7 @@ use rangeamp_bench::BenchCli;
 fn main() {
     let cli = BenchCli::parse();
     let seed = cli.seed.unwrap_or(2020);
-    let points = rangeamp_bench::detectability_points_exec(seed, &cli.executor());
+    let points = rangeamp_bench::detectability_points(seed, &cli.executor());
 
     let mut table = TextTable::new(
         "Tiny-range detector at the origin — mixed stream of 2000 benign + 2000 SBR requests (10 MB resource)",

@@ -15,7 +15,7 @@ use rangeamp_bench::BenchCli;
 fn main() {
     let cli = BenchCli::parse();
     const MB: u64 = 1024 * 1024;
-    let rows = rangeamp_bench::dropped_get_rows_exec(10 * MB, &cli.executor());
+    let rows = rangeamp_bench::dropped_get_rows(10 * MB, &cli.executor());
 
     let mut table = TextTable::new(
         "Dropped-GET (Triukose et al.) vs SBR — origin response bytes per attack round (10 MB resource)",

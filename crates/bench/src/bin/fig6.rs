@@ -10,7 +10,7 @@
 //! cargo run -p rangeamp-bench --release --bin fig6
 //! ```
 
-use rangeamp_bench::{sbr_points_exec, BenchCli, SbrPoint, MB};
+use rangeamp_bench::{sbr_points, BenchCli, SbrPoint, MB};
 use rangeamp_cdn::Vendor;
 
 fn print_csv(title: &str, points: &[SbrPoint], value: impl Fn(&SbrPoint) -> String) {
@@ -37,7 +37,7 @@ fn print_csv(title: &str, points: &[SbrPoint], value: impl Fn(&SbrPoint) -> Stri
 fn main() {
     let cli = BenchCli::parse();
     let sizes: Vec<u64> = (1..=25).collect();
-    let points = sbr_points_exec(&sizes, &cli.executor());
+    let points = sbr_points(&sizes, &cli.executor());
 
     print_csv("Fig 6a — amplification factor", &points, |p| {
         format!("{:.0}", p.amplification_factor)

@@ -12,7 +12,7 @@
 
 fn main() {
     let cli = rangeamp_bench::BenchCli::parse();
-    let reports = rangeamp_bench::fig7_reports_exec(&cli.executor());
+    let reports = rangeamp_bench::fig7_reports(&cli.executor());
     println!("{}", rangeamp_bench::render_fig7_summary(&reports));
 
     println!("# Fig 7b — origin outgoing bandwidth (Mbps) per second");

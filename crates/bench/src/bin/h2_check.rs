@@ -15,7 +15,7 @@ use rangeamp_bench::BenchCli;
 
 fn main() {
     let cli = BenchCli::parse();
-    let rows = rangeamp_bench::h2_rows_exec(&cli.executor());
+    let rows = rangeamp_bench::h2_rows(&cli.executor());
 
     let mut table = TextTable::new(
         "SBR amplification under HTTP/1.1 vs HTTP/2 framing (10 MB resource)",

@@ -8,7 +8,7 @@
 //! cargo run -p rangeamp-bench --release --bin mitigation
 //! ```
 
-use rangeamp::mitigation::origin_rate_limit_admission;
+use rangeamp::mitigation::{evaluate_obr_defenses, origin_rate_limit_admission};
 use rangeamp::report::TextTable;
 use rangeamp_bench::BenchCli;
 use rangeamp_cdn::Vendor;
@@ -18,7 +18,7 @@ fn main() {
     let cli = BenchCli::parse();
     let mb = 1024 * 1024;
     let vendors = [Vendor::Akamai, Vendor::Cloudflare, Vendor::CloudFront];
-    let sbr_rows = rangeamp_bench::sbr_mitigation_rows_exec(&vendors, 10 * mb, &cli.executor());
+    let sbr_rows = rangeamp_bench::sbr_mitigation_rows(&vendors, 10 * mb, &cli.executor());
 
     let mut sbr = TextTable::new(
         "SBR mitigations (10 MB resource) — amplification factor under each defense",
@@ -36,8 +36,7 @@ fn main() {
     }
     println!("{sbr}");
 
-    let obr_outcomes =
-        rangeamp_bench::obr_mitigation_outcomes(Vendor::Cloudflare, Vendor::Akamai, 256);
+    let obr_outcomes = evaluate_obr_defenses(Vendor::Cloudflare, Vendor::Akamai, 256);
     let mut obr = TextTable::new(
         "OBR mitigations (Cloudflare → Akamai, n = 256) — BCDN-side defenses",
         &["defense", "factor", "residual vs vulnerable"],

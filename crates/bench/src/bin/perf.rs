@@ -21,24 +21,22 @@
 //! * `--tolerance <pct>` — regression tolerance in percent (default 15);
 //! * `--warmup <n>` / `--iters <n>` — iteration counts (default 1 / 3).
 
-use rangeamp::chaos::ChaosConfig;
+use rangeamp::chaos::{run_sbr_campaign, ChaosConfig};
 use rangeamp::executor::Executor;
+use rangeamp::scanner::Scanner;
 use rangeamp::Telemetry;
 use rangeamp_bench::timing::{check_against_baseline, time_workload, PerfReport};
-use rangeamp_bench::{
-    arg_value, obr_sweep_points, retry_amp_reports_exec, sbr_points_exec, scanner,
-    table5_measurements_exec, write_output,
-};
+use rangeamp_bench::{arg_value, obr_sweep_points, sbr_points, table5_measurements, write_output};
 
 /// Table I–V sweep: scanner tables plus the SBR (1 MB) and OBR
 /// amplification measurements.
 fn table_sweep(executor: &Executor) -> (u64, u64) {
-    let scan = scanner();
-    let t1 = scan.scan_table1_exec(executor);
-    let t2 = scan.scan_table2_exec(executor);
-    let t3 = scan.scan_table3_exec(executor);
-    let t4 = sbr_points_exec(&[1], executor);
-    let t5 = table5_measurements_exec(executor);
+    let scan = Scanner::default();
+    let t1 = scan.scan_table1(executor);
+    let t2 = scan.scan_table2(executor);
+    let t3 = scan.scan_table3(executor);
+    let t4 = sbr_points(&[1], executor);
+    let t5 = table5_measurements(executor);
     let units = (t1.len() + t2.len() + t3.len() + t4.len() + t5.len()) as u64;
     let bytes: u64 = t4
         .iter()
@@ -68,7 +66,7 @@ fn perf_chaos_config() -> ChaosConfig {
 
 /// SBR chaos campaign across all 13 vendors, untraced.
 fn chaos_campaign(executor: &Executor) -> (u64, u64) {
-    let reports = retry_amp_reports_exec(&perf_chaos_config(), None, executor);
+    let reports = run_sbr_campaign(&perf_chaos_config(), None, executor);
     let bytes = reports
         .iter()
         .map(|r| r.origin.request_bytes + r.origin.response_bytes)
@@ -80,7 +78,7 @@ fn chaos_campaign(executor: &Executor) -> (u64, u64) {
 /// the telemetry hot path. "Wire bytes" here are the exported bytes.
 fn telemetry_export(executor: &Executor) -> (u64, u64) {
     let telemetry = Telemetry::seeded(7);
-    let reports = retry_amp_reports_exec(&perf_chaos_config(), Some(&telemetry), executor);
+    let reports = run_sbr_campaign(&perf_chaos_config(), Some(&telemetry), executor);
     let trace = telemetry.tracer().chrome_trace_json();
     let metrics = telemetry.metrics().snapshot().to_jsonl();
     let units = reports.len() as u64 + telemetry.tracer().span_count() as u64;

@@ -25,9 +25,9 @@
 //!     --trace retry_amp.trace.json --json retry_amp.json --threads 8
 //! ```
 
-use rangeamp::chaos::ChaosConfig;
+use rangeamp::chaos::{run_sbr_campaign, ChaosConfig};
 use rangeamp::Telemetry;
-use rangeamp_bench::{arg_value, retry_amp_json, retry_amp_reports_exec, write_output, BenchCli};
+use rangeamp_bench::{arg_value, retry_amp_json, write_output, BenchCli};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -38,7 +38,7 @@ fn main() {
     let trace_path = arg_value("--trace");
     let telemetry = trace_path.as_ref().map(|_| Telemetry::seeded(config.seed));
 
-    let reports = retry_amp_reports_exec(&config, telemetry.as_ref(), &cli.executor());
+    let reports = run_sbr_campaign(&config, telemetry.as_ref(), &cli.executor());
     println!("{}", rangeamp_bench::render_retry_amp(&reports));
 
     if let (Some(path), Some(tel)) = (&trace_path, &telemetry) {

@@ -18,7 +18,7 @@ fn main() {
     let model = CostModel::default();
     let rate = 10; // requests per second
     let hours = 1.0;
-    let rows = rangeamp_bench::severity_rows_exec(rate, hours, &model, &cli.executor());
+    let rows = rangeamp_bench::severity_rows(rate, hours, &model, &cli.executor());
 
     let mut table = TextTable::new(
         "Projected cost of 1 hour of SBR at 10 req/s against a 25 MB resource (illustrative list prices)",

@@ -8,9 +8,11 @@
 //! cargo run -p rangeamp-bench --release --bin table1
 //! ```
 
+use rangeamp::scanner::Scanner;
+
 fn main() {
     let cli = rangeamp_bench::BenchCli::parse();
-    let rows = rangeamp_bench::scanner().scan_table1_exec(&cli.executor());
+    let rows = Scanner::default().scan_table1(&cli.executor());
     println!("{}", rangeamp_bench::render_table1(&rows));
     println!(
         "{} vulnerable (vendor, format) rows across {} vendors — the paper finds all 13 CDNs vulnerable.",

@@ -8,9 +8,11 @@
 //! cargo run -p rangeamp-bench --release --bin table2
 //! ```
 
+use rangeamp::scanner::Scanner;
+
 fn main() {
     let cli = rangeamp_bench::BenchCli::parse();
-    let rows = rangeamp_bench::scanner().scan_table2_exec(&cli.executor());
+    let rows = Scanner::default().scan_table2(&cli.executor());
     println!("{}", rangeamp_bench::render_table2(&rows));
     println!(
         "{} FCDN-eligible vendors — the paper finds 4 (CDN77, CDNsun, Cloudflare, StackPath).",

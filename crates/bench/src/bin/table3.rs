@@ -8,9 +8,11 @@
 //! cargo run -p rangeamp-bench --release --bin table3
 //! ```
 
+use rangeamp::scanner::Scanner;
+
 fn main() {
     let cli = rangeamp_bench::BenchCli::parse();
-    let rows = rangeamp_bench::scanner().scan_table3_exec(&cli.executor());
+    let rows = Scanner::default().scan_table3(&cli.executor());
     println!("{}", rangeamp_bench::render_table3(&rows));
     println!(
         "{} BCDN-eligible vendors — the paper finds 3 (Akamai, Azure, StackPath).",

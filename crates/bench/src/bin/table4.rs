@@ -10,7 +10,7 @@
 
 fn main() {
     let cli = rangeamp_bench::BenchCli::parse();
-    let points = rangeamp_bench::sbr_points_exec(&[1, 10, 25], &cli.executor());
+    let points = rangeamp_bench::sbr_points(&[1, 10, 25], &cli.executor());
     println!("{}", rangeamp_bench::render_table4(&points));
     cli.write_json(&points);
 }

@@ -10,7 +10,7 @@
 
 fn main() {
     let cli = rangeamp_bench::BenchCli::parse();
-    let measurements = rangeamp_bench::table5_measurements_exec(&cli.executor());
+    let measurements = rangeamp_bench::table5_measurements(&cli.executor());
     println!("{}", rangeamp_bench::render_table5(&measurements));
     cli.write_json(&measurements);
 }

@@ -18,7 +18,7 @@
 //! then moves to stderr so the JSON stays parseable).
 
 use rangeamp::attack::exploited_range_case;
-use rangeamp::chaos::{run_obr_chaos_with, run_sbr_chaos_with, ChaosConfig};
+use rangeamp::chaos::{run_obr_chaos, run_sbr_chaos, ChaosConfig};
 use rangeamp::net::SpanKind;
 use rangeamp::{Telemetry, Testbed, TARGET_HOST, TARGET_PATH};
 use rangeamp_bench::{arg_value, write_output, MB};
@@ -109,7 +109,7 @@ fn main() {
         ..ChaosConfig::default()
     };
     for vendor in [Vendor::Akamai, Vendor::CloudFront] {
-        let report = run_sbr_chaos_with(vendor, &config, Some(&telemetry));
+        let report = run_sbr_chaos(vendor, &config, Some(&telemetry));
         summary.push(format!(
             "chaos vendor={} attempts={} retries/req={:.3} cache_hit={:.1}% availability={:.1}%",
             vendor.name(),
@@ -122,7 +122,7 @@ fn main() {
 
     // One OBR cascade under the same fault rates: FCDN -> BCDN -> origin
     // hops all appear in the trace.
-    let cascade = run_obr_chaos_with(
+    let cascade = run_obr_chaos(
         Vendor::CloudFront,
         Vendor::Fastly,
         &config,

@@ -16,15 +16,15 @@ use rangeamp::attack::{
     obr_combos, DroppedGetAttack, FloodExperiment, FloodReport, ObrAttack, ObrMeasurement,
     SbrAttack,
 };
-use rangeamp::chaos::{run_sbr_campaign, run_sbr_campaign_exec, ChaosConfig, VendorChaosReport};
-use rangeamp::defense_eval::{run_defense_eval, DefenseEvalConfig, DefenseScenarioReport};
+use rangeamp::chaos::VendorChaosReport;
+use rangeamp::defense_eval::DefenseScenarioReport;
 use rangeamp::executor::Executor;
-use rangeamp::mitigation::{evaluate_obr_defenses, evaluate_sbr_defenses, DefenseOutcome};
+use rangeamp::mitigation::{evaluate_sbr_defenses, DefenseOutcome};
 use rangeamp::report::{group_digits, TextTable};
-use rangeamp::scanner::{Scanner, Table1Row, Table2Row, Table3Row};
+use rangeamp::scanner::{Table1Row, Table2Row, Table3Row};
 use rangeamp::severity::{project_cost, AttackCost, BillingModel, CostModel};
 use rangeamp::workload::{evaluate_detector, TinyRangeDetector, WorkloadGenerator};
-use rangeamp::{Telemetry, Testbed, TARGET_PATH};
+use rangeamp::{Testbed, TARGET_PATH};
 use rangeamp_cdn::Vendor;
 use rangeamp_origin::ResourceStore;
 use serde::Serialize;
@@ -50,16 +50,11 @@ pub struct SbrPoint {
 }
 
 /// Runs the SBR attack for every vendor at the given sizes (Table IV
-/// uses {1, 10, 25} MB; Fig 6 sweeps 1..=25 MB).
-pub fn sbr_points(sizes_mb: &[u64]) -> Vec<SbrPoint> {
-    sbr_points_exec(sizes_mb, &Executor::sequential())
-}
-
-/// [`sbr_points`] sharded over a deterministic executor. Each size is
-/// one unit (the 13 vendor testbeds of a size share one synthetic
+/// uses {1, 10, 25} MB; Fig 6 sweeps 1..=25 MB). Each size is one
+/// executor unit (the 13 vendor testbeds of a size share one synthetic
 /// resource store), and points concatenate in input-size order — output
 /// is byte-identical at any thread count.
-pub fn sbr_points_exec(sizes_mb: &[u64], executor: &Executor) -> Vec<SbrPoint> {
+pub fn sbr_points(sizes_mb: &[u64], executor: &Executor) -> Vec<SbrPoint> {
     executor
         .map(0, sizes_mb.to_vec(), |_, size_mb| {
             let size = size_mb * MB;
@@ -143,14 +138,10 @@ pub fn render_table4(points: &[SbrPoint]) -> TextTable {
     table
 }
 
-/// Runs the Table V experiment: OBR with max n over all 11 combos.
-pub fn table5_measurements() -> Vec<ObrMeasurement> {
-    table5_measurements_exec(&Executor::sequential())
-}
-
-/// [`table5_measurements`] with each FCDN → BCDN cascade as one
-/// executor unit, merged back in [`obr_combos`] order.
-pub fn table5_measurements_exec(executor: &Executor) -> Vec<ObrMeasurement> {
+/// Runs the Table V experiment: OBR with max n over all 11 combos,
+/// each FCDN → BCDN cascade as one executor unit, merged back in
+/// [`obr_combos`] order.
+pub fn table5_measurements(executor: &Executor) -> Vec<ObrMeasurement> {
     executor.map(0, obr_combos(), |_, (fcdn, bcdn)| {
         ObrAttack::new(fcdn, bcdn).run()
     })
@@ -261,14 +252,9 @@ pub fn render_table5(measurements: &[ObrMeasurement]) -> TextTable {
     table
 }
 
-/// Runs Fig 7 for m = 1..=15.
-pub fn fig7_reports() -> Vec<FloodReport> {
-    fig7_reports_exec(&Executor::sequential())
-}
-
-/// [`fig7_reports`] with each attack rate m as one executor unit,
+/// Runs Fig 7 for m = 1..=15, each attack rate m as one executor unit,
 /// merged back in ascending-m order.
-pub fn fig7_reports_exec(executor: &Executor) -> Vec<FloodReport> {
+pub fn fig7_reports(executor: &Executor) -> Vec<FloodReport> {
     executor.map(0, (1..=15).collect(), |_, m| {
         FloodExperiment::paper_config(m).run()
     })
@@ -340,33 +326,6 @@ pub fn render_table3(rows: &[Table3Row]) -> TextTable {
         ]);
     }
     table
-}
-
-/// The default scanner used by the harness binaries.
-pub fn scanner() -> Scanner {
-    Scanner::default()
-}
-
-/// Runs the default SBR chaos campaign (flaky origin, every vendor).
-pub fn retry_amp_reports() -> Vec<VendorChaosReport> {
-    run_sbr_campaign(&ChaosConfig::default())
-}
-
-/// [`retry_amp_reports`] with an optional telemetry bundle: every round
-/// of every vendor's run is traced, and the campaign publishes its
-/// per-vendor gauges/counters into the bundle's metrics registry.
-pub fn retry_amp_reports_with(telemetry: Option<&Telemetry>) -> Vec<VendorChaosReport> {
-    retry_amp_reports_exec(&ChaosConfig::default(), telemetry, &Executor::sequential())
-}
-
-/// [`retry_amp_reports_with`] sharded over a deterministic executor
-/// with an explicit campaign configuration.
-pub fn retry_amp_reports_exec(
-    config: &ChaosConfig,
-    telemetry: Option<&Telemetry>,
-    executor: &Executor,
-) -> Vec<VendorChaosReport> {
-    run_sbr_campaign_exec(config, telemetry, executor)
 }
 
 /// Renders the per-vendor retry-amplification table: how much extra
@@ -441,17 +400,6 @@ pub fn retry_amp_json(reports: &[VendorChaosReport]) -> serde_json::Value {
     )
 }
 
-/// Runs the online-defense evaluation campaign (DESIGN.md §12): all 24
-/// scenarios (13 Table IV SBR vendors + 11 Table V OBR cascades), each
-/// replayed undefended and defended as one executor unit.
-pub fn defense_eval_reports_exec(
-    config: &DefenseEvalConfig,
-    executor: &Executor,
-    seed: u64,
-) -> Vec<DefenseScenarioReport> {
-    run_defense_eval(config, executor, seed)
-}
-
 /// Renders the defense evaluation table: detection quality, enforcement
 /// ladder outcome, and victim-link traffic with/without the layer.
 pub fn render_defense_eval(reports: &[DefenseScenarioReport]) -> TextTable {
@@ -506,7 +454,7 @@ pub struct DetectabilityPoint {
 /// Sweeps the naive tiny-range detector over a mixed 2000 + 2000 stream
 /// (10 MB resource). Each threshold is one executor unit regenerating
 /// the same seeded stream, so points are thread-count invariant.
-pub fn detectability_points_exec(seed: u64, executor: &Executor) -> Vec<DetectabilityPoint> {
+pub fn detectability_points(seed: u64, executor: &Executor) -> Vec<DetectabilityPoint> {
     const SIZE: u64 = 10 * MB;
     let thresholds: Vec<u64> = vec![1, 16, 64, 256, 1024, 65_536];
     executor.map(seed, thresholds, |_, threshold| {
@@ -538,7 +486,7 @@ pub struct MitigationRow {
 
 /// Runs the SBR mitigation ablation for `vendors`; one vendor per
 /// executor unit.
-pub fn sbr_mitigation_rows_exec(
+pub fn sbr_mitigation_rows(
     vendors: &[Vendor],
     resource_size: u64,
     executor: &Executor,
@@ -547,11 +495,6 @@ pub fn sbr_mitigation_rows_exec(
         vendor: vendor.name().to_string(),
         outcomes: evaluate_sbr_defenses(vendor, resource_size),
     })
-}
-
-/// The OBR mitigation ablation (single cascade, one unit).
-pub fn obr_mitigation_outcomes(fcdn: Vendor, bcdn: Vendor, n: usize) -> Vec<DefenseOutcome> {
-    evaluate_obr_defenses(fcdn, bcdn, n)
 }
 
 /// One row of the §V-E severity table.
@@ -565,7 +508,7 @@ pub struct SeverityRow {
 
 /// Projects §V-E costs for every vendor (25 MB resource, one vendor per
 /// executor unit).
-pub fn severity_rows_exec(
+pub fn severity_rows(
     rate: u32,
     hours: f64,
     model: &CostModel,
@@ -601,7 +544,7 @@ pub struct DroppedGetRow {
 }
 
 /// Runs the §VIII comparison for every vendor; one vendor per unit.
-pub fn dropped_get_rows_exec(resource_size: u64, executor: &Executor) -> Vec<DroppedGetRow> {
+pub fn dropped_get_rows(resource_size: u64, executor: &Executor) -> Vec<DroppedGetRow> {
     executor.map(0, Vendor::ALL.to_vec(), |_, vendor| {
         let dropped = DroppedGetAttack::new(vendor, resource_size).run();
         let sbr = SbrAttack::new(vendor, resource_size).run();
@@ -628,7 +571,7 @@ pub struct H2Row {
 
 /// Runs the HTTP/2 framing comparison (10 MB resource); one vendor per
 /// executor unit.
-pub fn h2_rows_exec(executor: &Executor) -> Vec<H2Row> {
+pub fn h2_rows(executor: &Executor) -> Vec<H2Row> {
     executor.map(0, Vendor::ALL.to_vec(), |_, vendor| {
         let report = SbrAttack::new(vendor, 10 * MB).run();
         H2Row {
@@ -639,9 +582,12 @@ pub fn h2_rows_exec(executor: &Executor) -> Vec<H2Row> {
     })
 }
 
-/// The flag set shared by every table/figure binary, parsed once.
+/// The flag set shared by the experiment binaries, parsed once.
 ///
-/// All harness binaries accept:
+/// `table1`–`table5`, `fig6`, `fig7`, `retry_amp`, `defense`,
+/// `detectability`, `dropped_get`, `h2_check`, `mitigation`, `obr_sweep`,
+/// `severity` and `fuzz` accept (`all`, `perf` and `trace` parse their own
+/// flags):
 ///
 /// * `--json <path>` — also write the experiment's rows as pretty JSON;
 /// * `--threads <n>` — shard the experiment over `n` executor threads
@@ -724,23 +670,13 @@ pub fn write_output(path: &str, contents: &str) {
     eprintln!("wrote {}", path.display());
 }
 
-/// If the command line carries `--json <path>`, serialises `value` as
-/// pretty-printed JSON to that path. The printed text output is
-/// unaffected, so existing golden outputs stay byte-identical.
-pub fn maybe_write_json<T: Serialize>(value: &T) {
-    if let Some(path) = arg_value("--json") {
-        let json = serde_json::to_string_pretty(value).expect("serializable");
-        write_output(&path, &json);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sbr_points_cover_all_vendors() {
-        let points = sbr_points(&[1]);
+        let points = sbr_points(&[1], &Executor::sequential());
         assert_eq!(points.len(), 13);
         for point in &points {
             assert!(point.amplification_factor > 100.0, "{point:?}");
@@ -749,14 +685,14 @@ mod tests {
 
     #[test]
     fn table4_renders_13_rows() {
-        let points = sbr_points(&[1]);
+        let points = sbr_points(&[1], &Executor::sequential());
         let table = render_table4(&points);
         assert_eq!(table.len(), 13);
     }
 
     #[test]
     fn table5_has_11_rows() {
-        let measurements = table5_measurements();
+        let measurements = table5_measurements(&Executor::sequential());
         assert_eq!(measurements.len(), 11);
         let table = render_table5(&measurements);
         assert_eq!(table.len(), 11);

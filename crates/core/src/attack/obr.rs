@@ -173,11 +173,9 @@ impl ObrAttack {
         if let Some(mitigation) = self.bcdn_mitigation {
             bcdn_profile = bcdn_profile.with_mitigation(mitigation);
         }
-        let bed = CascadeTestbed::with_profiles(
-            self.fcdn.fcdn_profile(),
-            bcdn_profile,
-            self.resource_size,
-        );
+        let bed = CascadeTestbed::builder(self.fcdn.fcdn_profile(), bcdn_profile)
+            .resource_size(self.resource_size)
+            .build();
         self.run_on(&bed)
     }
 

@@ -15,6 +15,7 @@
 use std::process::ExitCode;
 
 use rangeamp::attack::{DroppedGetAttack, FloodExperiment, ObrAttack, SbrAttack};
+use rangeamp::executor::Executor;
 use rangeamp::report::TextTable;
 use rangeamp::scanner::Scanner;
 use rangeamp::Testbed;
@@ -94,23 +95,33 @@ fn parse_number<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T, String
     raw.parse().map_err(|_| format!("invalid {what}: {raw:?}"))
 }
 
-fn cmd_sbr(args: &[String]) -> Result<(), String> {
-    let vendor = parse_vendor(&flag(args, "--cdn").ok_or("missing --cdn")?)?;
+/// Reads `--size-mb` (default 10) and returns it with the resource size
+/// in bytes, refusing sizes whose byte count does not fit in a `u64`.
+fn size_flag(args: &[String]) -> Result<(u64, u64), String> {
     let size_mb: u64 = match flag(args, "--size-mb") {
         Some(raw) => parse_number(&raw, "--size-mb")?,
         None => 10,
     };
+    let size = size_mb
+        .checked_mul(MB)
+        .ok_or_else(|| format!("invalid --size-mb: {size_mb} MB overflows a 64-bit byte count"))?;
+    Ok((size_mb, size))
+}
+
+fn cmd_sbr(args: &[String]) -> Result<(), String> {
+    let vendor = parse_vendor(&flag(args, "--cdn").ok_or("missing --cdn")?)?;
+    let (size_mb, size) = size_flag(args)?;
     let rounds: u64 = match flag(args, "--rounds") {
         Some(raw) => parse_number(&raw, "--rounds")?,
         None => 1,
     };
     let trace = args.iter().any(|a| a == "--trace");
-    let attack = SbrAttack::new(vendor, size_mb * MB);
+    let attack = SbrAttack::new(vendor, size);
     println!("SBR against {vendor}, {size_mb} MB resource");
     println!("exploited case: {}", attack.exploited_case().description);
     let bed = Testbed::builder()
         .vendor(vendor)
-        .resource(rangeamp::TARGET_PATH, size_mb * MB)
+        .resource(rangeamp::TARGET_PATH, size)
         .build();
     for round in 1..=rounds {
         let report = attack.run_on(&bed, round);
@@ -153,7 +164,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
     let scanner = Scanner::default();
     let rows = match flag(args, "--cdn") {
         Some(raw) => scanner.scan_vendor_table1(parse_vendor(&raw)?),
-        None => scanner.scan_table1(),
+        None => scanner.scan_table1(&Executor::sequential()),
     };
     let mut table = TextTable::new(
         "SBR-vulnerable range forwarding behaviours",
@@ -189,11 +200,8 @@ fn cmd_flood(args: &[String]) -> Result<(), String> {
 
 fn cmd_drop(args: &[String]) -> Result<(), String> {
     let vendor = parse_vendor(&flag(args, "--cdn").ok_or("missing --cdn")?)?;
-    let size_mb: u64 = match flag(args, "--size-mb") {
-        Some(raw) => parse_number(&raw, "--size-mb")?,
-        None => 10,
-    };
-    let report = DroppedGetAttack::new(vendor, size_mb * MB).run();
+    let (size_mb, size) = size_flag(args)?;
+    let report = DroppedGetAttack::new(vendor, size).run();
     println!("dropped-GET against {vendor} ({size_mb} MB resource)");
     println!(
         "keeps backend alive on abort: {}",
@@ -203,10 +211,7 @@ fn cmd_drop(args: &[String]) -> Result<(), String> {
         "origin sent {} B for {} attacker bytes",
         report.origin_bytes, report.attacker_bytes
     );
-    println!(
-        "defense effective: {}",
-        report.defense_effective(size_mb * MB)
-    );
+    println!("defense effective: {}", report.defense_effective(size));
     Ok(())
 }
 

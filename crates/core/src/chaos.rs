@@ -155,16 +155,13 @@ impl VendorChaosReport {
 
 /// Runs one vendor's exploited SBR case for `config.rounds` rounds under
 /// that vendor's derived fault schedule.
-pub fn run_sbr_chaos(vendor: Vendor, config: &ChaosConfig) -> VendorChaosReport {
-    run_sbr_chaos_with(vendor, config, None)
-}
-
-/// [`run_sbr_chaos`] with an optional telemetry bundle: every round is
-/// traced end to end, and after the run the campaign publishes gauges
-/// (`retries_per_request`, `cache_hit_ratio`) computed from the *same*
-/// authoritative counters the report carries, so metrics and
-/// [`ResilienceStats`] can never disagree.
-pub fn run_sbr_chaos_with(
+///
+/// With a telemetry bundle every round is traced end to end, and after
+/// the run the campaign publishes gauges (`retries_per_request`,
+/// `cache_hit_ratio`) computed from the *same* authoritative counters
+/// the report carries, so metrics and [`ResilienceStats`] can never
+/// disagree.
+pub fn run_sbr_chaos(
     vendor: Vendor,
     config: &ChaosConfig,
     telemetry: Option<&Telemetry>,
@@ -239,78 +236,76 @@ fn publish_vendor_metrics(tel: &Telemetry, report: &VendorChaosReport) {
     metrics.gauge_set("availability", &labels, report.availability());
 }
 
-/// Runs [`run_sbr_chaos`] for every vendor, in [`Vendor::ALL`] order.
-pub fn run_sbr_campaign(config: &ChaosConfig) -> Vec<VendorChaosReport> {
-    run_sbr_campaign_with(config, None)
-}
-
-/// [`run_sbr_campaign`] with an optional telemetry bundle threaded into
-/// every vendor's run (single-shard executor).
-pub fn run_sbr_campaign_with(
-    config: &ChaosConfig,
-    telemetry: Option<&Telemetry>,
-) -> Vec<VendorChaosReport> {
-    run_sbr_campaign_exec(config, telemetry, &Executor::sequential())
-}
-
-/// [`run_sbr_campaign`] sharded over a deterministic [`Executor`].
+/// Runs [`run_sbr_chaos`] for every vendor, in [`Vendor::ALL`] order,
+/// sharded over a deterministic [`Executor`].
 ///
-/// Each vendor is one unit: its fault schedule still derives from
-/// [`ChaosConfig::vendor_seed`] (unchanged by parallelism), and when a
-/// telemetry bundle is supplied every unit traces into its *own* bundle
-/// seeded from the executor's per-unit seed stream; the bundles are
-/// absorbed into `telemetry` in vendor order after the parallel section.
-/// Reports, rendered tables, metrics snapshots and Chrome-trace exports
-/// are therefore byte-identical at any thread count.
-pub fn run_sbr_campaign_exec(
+/// Each vendor is one unit: its fault schedule derives from
+/// [`ChaosConfig::vendor_seed`] (unchanged by parallelism), and with a
+/// telemetry bundle every unit traces into its *own* bundle seeded from
+/// the executor's per-unit seed stream; the bundles are absorbed into
+/// `telemetry` in vendor order after the parallel section. Reports,
+/// rendered tables, metrics snapshots and Chrome-trace exports are
+/// therefore byte-identical at any thread count.
+pub fn run_sbr_campaign(
     config: &ChaosConfig,
     telemetry: Option<&Telemetry>,
     executor: &Executor,
 ) -> Vec<VendorChaosReport> {
-    let traced = telemetry.is_some();
-    let results = executor.map(config.seed, Vendor::ALL.to_vec(), |ctx, vendor| {
-        let unit_tel = traced.then(|| Telemetry::seeded(ctx.seed));
-        let report = run_sbr_chaos_with(vendor, config, unit_tel.as_ref());
-        (report, unit_tel)
-    });
-    let mut reports = Vec::with_capacity(results.len());
-    for (report, unit_tel) in results {
-        if let (Some(main), Some(unit)) = (telemetry, unit_tel.as_ref()) {
-            main.absorb(unit);
-        }
-        reports.push(report);
-    }
-    reports
+    run_units(
+        config.seed,
+        Vendor::ALL.to_vec(),
+        telemetry,
+        executor,
+        |vendor, tel| run_sbr_chaos(vendor, config, tel),
+    )
 }
 
 /// Runs [`run_obr_chaos`] for every vulnerable FCDN → BCDN combination
-/// (the paper's 11 Table V cascades), in [`obr_combos`] order.
-pub fn run_obr_campaign(config: &ChaosConfig) -> Vec<CascadeChaosReport> {
-    run_obr_campaign_exec(config, None, &Executor::sequential())
-}
-
-/// [`run_obr_campaign`] sharded over a deterministic [`Executor`], with
-/// an optional telemetry bundle absorbed in combo order (same contract
-/// as [`run_sbr_campaign_exec`]).
-pub fn run_obr_campaign_exec(
+/// (the paper's 11 Table V cascades), in [`obr_combos`] order, with the
+/// same sharding and telemetry contract as [`run_sbr_campaign`].
+pub fn run_obr_campaign(
     config: &ChaosConfig,
     telemetry: Option<&Telemetry>,
     executor: &Executor,
 ) -> Vec<CascadeChaosReport> {
+    run_units(
+        config.seed,
+        obr_combos(),
+        telemetry,
+        executor,
+        |(fcdn, bcdn), tel| run_obr_chaos(fcdn, bcdn, config, tel),
+    )
+}
+
+/// Runs `run` once per unit on `executor`. When `telemetry` is given,
+/// each unit traces into a fresh bundle seeded from the executor's
+/// per-unit seed stream for `seed`, and the bundles are absorbed into
+/// `telemetry` in unit order after the parallel section.
+fn run_units<T, R>(
+    seed: u64,
+    units: Vec<T>,
+    telemetry: Option<&Telemetry>,
+    executor: &Executor,
+    run: impl Fn(T, Option<&Telemetry>) -> R + Sync,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+{
     let traced = telemetry.is_some();
-    let results = executor.map(config.seed, obr_combos(), |ctx, (fcdn, bcdn)| {
+    let results = executor.map(seed, units, |ctx, unit| {
         let unit_tel = traced.then(|| Telemetry::seeded(ctx.seed));
-        let report = run_obr_chaos_with(fcdn, bcdn, config, unit_tel.as_ref());
-        (report, unit_tel)
+        (run(unit, unit_tel.as_ref()), unit_tel)
     });
-    let mut reports = Vec::with_capacity(results.len());
-    for (report, unit_tel) in results {
-        if let (Some(main), Some(unit)) = (telemetry, unit_tel.as_ref()) {
-            main.absorb(unit);
-        }
-        reports.push(report);
-    }
-    reports
+    results
+        .into_iter()
+        .map(|(report, unit_tel)| {
+            if let (Some(main), Some(unit)) = (telemetry, unit_tel.as_ref()) {
+                main.absorb(unit);
+            }
+            report
+        })
+        .collect()
 }
 
 /// Outcome of one cascaded OBR chaos run.
@@ -353,14 +348,9 @@ impl CascadeChaosReport {
 
 /// Runs an OBR cascade for `config.rounds` rounds with faults injected
 /// on the `bcdn-origin` path. The OBR `n` is kept small (the damage
-/// under study is the *retry* multiplier, not the part count).
-pub fn run_obr_chaos(fcdn: Vendor, bcdn: Vendor, config: &ChaosConfig) -> CascadeChaosReport {
-    run_obr_chaos_with(fcdn, bcdn, config, None)
-}
-
-/// [`run_obr_chaos`] with an optional telemetry bundle shared by both
-/// edges and the origin.
-pub fn run_obr_chaos_with(
+/// under study is the *retry* multiplier, not the part count). A
+/// telemetry bundle, when given, is shared by both edges and the origin.
+pub fn run_obr_chaos(
     fcdn: Vendor,
     bcdn: Vendor,
     config: &ChaosConfig,
@@ -368,14 +358,12 @@ pub fn run_obr_chaos_with(
 ) -> CascadeChaosReport {
     let seed = config.vendor_seed(fcdn) ^ config.vendor_seed(bcdn).rotate_left(17);
     let plan = FaultPlan::with_rates(seed, config.rates);
-    let bed = CascadeTestbed::with_chaos_telemetry(
-        fcdn.fcdn_profile(),
-        bcdn.profile(),
-        1024,
-        plan,
-        config.breaker,
-        telemetry.cloned(),
-    );
+    let mut builder =
+        CascadeTestbed::builder(fcdn.fcdn_profile(), bcdn.profile()).faults(plan, config.breaker);
+    if let Some(tel) = telemetry {
+        builder = builder.telemetry(tel.clone());
+    }
+    let bed = builder.build();
     let attack = ObrAttack::new(fcdn, bcdn).overlapping_ranges(16);
     let case = attack.range_case();
     for round in 0..config.rounds {
@@ -415,8 +403,8 @@ mod tests {
     #[test]
     fn same_seed_same_bytes() {
         let config = small_config();
-        let a = run_sbr_chaos(Vendor::Akamai, &config);
-        let b = run_sbr_chaos(Vendor::Akamai, &config);
+        let a = run_sbr_chaos(Vendor::Akamai, &config, None);
+        let b = run_sbr_chaos(Vendor::Akamai, &config, None);
         assert_eq!(a.client, b.client);
         assert_eq!(a.origin, b.origin);
         assert_eq!(a.resilience, b.resilience);
@@ -430,8 +418,8 @@ mod tests {
             seed: config.seed + 1,
             ..config
         };
-        let a = run_sbr_chaos(Vendor::Akamai, &config);
-        let b = run_sbr_chaos(Vendor::Akamai, &other);
+        let a = run_sbr_chaos(Vendor::Akamai, &config, None);
+        let b = run_sbr_chaos(Vendor::Akamai, &other, None);
         // Fault schedules differ, so some counter must differ.
         assert!(
             a.origin != b.origin || a.resilience != b.resilience,
@@ -445,7 +433,7 @@ mod tests {
             rates: FaultRates::HEALTHY,
             ..small_config()
         };
-        let report = run_sbr_chaos(Vendor::Akamai, &config);
+        let report = run_sbr_chaos(Vendor::Akamai, &config, None);
         assert_eq!(report.resilience.retries, 0);
         assert_eq!(report.resilience.upstream_failures, 0);
         assert_eq!(report.breaker_opens, 0);
@@ -456,7 +444,7 @@ mod tests {
 
     #[test]
     fn flaky_origin_inflates_retry_amplification() {
-        let report = run_sbr_chaos(Vendor::Akamai, &small_config());
+        let report = run_sbr_chaos(Vendor::Akamai, &small_config(), None);
         assert!(
             report.resilience.upstream_failures > 0,
             "faults should fire"
@@ -473,7 +461,7 @@ mod tests {
     #[test]
     fn fastly_never_retries() {
         // Fastly's policy is fail-fast (RetryPolicy::none()).
-        let report = run_sbr_chaos(Vendor::Fastly, &small_config());
+        let report = run_sbr_chaos(Vendor::Fastly, &small_config(), None);
         assert_eq!(report.resilience.retries, 0);
         assert!((report.retry_amplification() - 1.0).abs() < f64::EPSILON);
     }
@@ -485,7 +473,7 @@ mod tests {
             resource_size: 16 * 1024,
             ..ChaosConfig::default()
         };
-        let reports = run_sbr_campaign(&config);
+        let reports = run_sbr_campaign(&config, None, &Executor::sequential());
         assert_eq!(reports.len(), Vendor::ALL.len());
         for (report, vendor) in reports.iter().zip(Vendor::ALL) {
             assert_eq!(report.vendor, vendor);
@@ -501,7 +489,7 @@ mod tests {
         };
         let run = |threads: usize| {
             let tel = Telemetry::seeded(config.seed);
-            let reports = run_sbr_campaign_exec(&config, Some(&tel), &Executor::new(threads));
+            let reports = run_sbr_campaign(&config, Some(&tel), &Executor::new(threads));
             let digest: Vec<String> = reports.iter().map(|r| format!("{r:?}")).collect();
             (
                 digest,
@@ -521,9 +509,9 @@ mod tests {
             rounds: 2,
             ..ChaosConfig::default()
         };
-        let seq = run_obr_campaign(&config);
+        let seq = run_obr_campaign(&config, None, &Executor::sequential());
         assert_eq!(seq.len(), crate::attack::obr_combos().len());
-        let par = run_obr_campaign_exec(&config, None, &Executor::new(5));
+        let par = run_obr_campaign(&config, None, &Executor::new(5));
         let digest = |rs: &[CascadeChaosReport]| -> Vec<String> {
             rs.iter().map(|r| format!("{r:?}")).collect()
         };
@@ -536,8 +524,8 @@ mod tests {
             rounds: 6,
             ..ChaosConfig::default()
         };
-        let a = run_obr_chaos(Vendor::Cloudflare, Vendor::Akamai, &config);
-        let b = run_obr_chaos(Vendor::Cloudflare, Vendor::Akamai, &config);
+        let a = run_obr_chaos(Vendor::Cloudflare, Vendor::Akamai, &config, None);
+        let b = run_obr_chaos(Vendor::Cloudflare, Vendor::Akamai, &config, None);
         assert_eq!(a.middle, b.middle);
         assert_eq!(a.origin, b.origin);
         assert_eq!(a.fcdn_resilience, b.fcdn_resilience);

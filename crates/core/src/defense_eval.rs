@@ -302,19 +302,14 @@ fn build_bed(
             }
             ScenarioBed::Single(builder.build())
         }
-        DefenseScenario::Obr(fcdn, bcdn) => ScenarioBed::Cascade(match defense {
-            Some(layer) => CascadeTestbed::with_profiles_defense(
-                fcdn.fcdn_profile(),
-                bcdn.profile(),
-                config.obr_resource_size,
-                layer,
-            ),
-            None => CascadeTestbed::with_profiles(
-                fcdn.fcdn_profile(),
-                bcdn.profile(),
-                config.obr_resource_size,
-            ),
-        }),
+        DefenseScenario::Obr(fcdn, bcdn) => {
+            let mut builder = CascadeTestbed::builder(fcdn.fcdn_profile(), bcdn.profile())
+                .resource_size(config.obr_resource_size);
+            if let Some(layer) = defense {
+                builder = builder.defense(layer);
+            }
+            ScenarioBed::Cascade(builder.build())
+        }
     }
 }
 

@@ -64,7 +64,9 @@ pub mod workload;
 pub use amplification::{AmplificationMeasurement, TrafficBreakdown};
 pub use executor::Executor;
 pub use rangeamp_net::{MetricsRegistry, Telemetry, Tracer};
-pub use testbed::{CascadeTestbed, Testbed, TestbedBuilder, TARGET_HOST, TARGET_PATH};
+pub use testbed::{
+    CascadeBuilder, CascadeTestbed, Testbed, TestbedBuilder, TARGET_HOST, TARGET_PATH,
+};
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.

@@ -219,20 +219,21 @@ impl Scanner {
     }
 
     /// Probes every vendor with the Table I case matrix and derives the
-    /// vulnerable rows.
-    pub fn scan_table1(&self) -> Vec<Table1Row> {
-        self.scan_table1_exec(&Executor::sequential())
+    /// vulnerable rows, one executor unit per vendor.
+    pub fn scan_table1(&self, executor: &Executor) -> Vec<Table1Row> {
+        self.per_vendor(executor, |vendor| self.scan_vendor_table1(vendor))
     }
 
-    /// [`Scanner::scan_table1`] with each vendor's probe matrix run as
-    /// one executor unit. Every probe builds its own testbed and the
-    /// rows concatenate in [`Vendor::ALL`] order, so the output is
-    /// byte-identical at any thread count.
-    pub fn scan_table1_exec(&self, executor: &Executor) -> Vec<Table1Row> {
+    /// Runs `scan` for every vendor as one executor unit each. Every
+    /// probe builds its own testbed and the rows concatenate in
+    /// [`Vendor::ALL`] order, so the output is byte-identical at any
+    /// thread count.
+    fn per_vendor<R, I>(&self, executor: &Executor, scan: impl Fn(Vendor) -> I + Sync) -> Vec<R>
+    where
+        I: IntoIterator<Item = R> + Send,
+    {
         executor
-            .map(self.seed, Vendor::ALL.to_vec(), |_, vendor| {
-                self.scan_vendor_table1(vendor)
-            })
+            .map(self.seed, Vendor::ALL.to_vec(), |_, vendor| scan(vendor))
             .into_iter()
             .flatten()
             .collect()
@@ -446,20 +447,10 @@ impl Scanner {
     }
 
     /// Probes every vendor's FCDN eligibility (Table II): does it relay
-    /// overlapping multi-range headers verbatim?
-    pub fn scan_table2(&self) -> Vec<Table2Row> {
-        self.scan_table2_exec(&Executor::sequential())
-    }
-
-    /// [`Scanner::scan_table2`] with one executor unit per vendor.
-    pub fn scan_table2_exec(&self, executor: &Executor) -> Vec<Table2Row> {
-        executor
-            .map(self.seed, Vendor::ALL.to_vec(), |_, vendor| {
-                self.scan_vendor_table2(vendor)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+    /// overlapping multi-range headers verbatim? One executor unit per
+    /// vendor.
+    pub fn scan_table2(&self, executor: &Executor) -> Vec<Table2Row> {
+        self.per_vendor(executor, |vendor| self.scan_vendor_table2(vendor))
     }
 
     /// Table II derivation for one vendor.
@@ -503,20 +494,10 @@ impl Scanner {
 
     /// Probes every vendor's BCDN eligibility (Table III): with range
     /// support disabled at the origin, does an overlapping multi-range
-    /// request come back as one part per range?
-    pub fn scan_table3(&self) -> Vec<Table3Row> {
-        self.scan_table3_exec(&Executor::sequential())
-    }
-
-    /// [`Scanner::scan_table3`] with one executor unit per vendor.
-    pub fn scan_table3_exec(&self, executor: &Executor) -> Vec<Table3Row> {
-        executor
-            .map(self.seed, Vendor::ALL.to_vec(), |_, vendor| {
-                self.scan_vendor_table3(vendor)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+    /// request come back as one part per range? One executor unit per
+    /// vendor.
+    pub fn scan_table3(&self, executor: &Executor) -> Vec<Table3Row> {
+        self.per_vendor(executor, |vendor| self.scan_vendor_table3(vendor))
     }
 
     /// Table III derivation for one vendor.
@@ -643,7 +624,7 @@ mod tests {
 
     #[test]
     fn table1_covers_all_13_vendors() {
-        let rows = Scanner::default().scan_table1();
+        let rows = Scanner::default().scan_table1(&Executor::sequential());
         let mut vendors: Vec<&str> = rows.iter().map(|r| r.vendor.as_str()).collect();
         vendors.sort_unstable();
         vendors.dedup();
@@ -695,7 +676,7 @@ mod tests {
 
     #[test]
     fn table2_matches_paper_fcdns() {
-        let rows = Scanner::default().scan_table2();
+        let rows = Scanner::default().scan_table2(&Executor::sequential());
         let mut vendors: Vec<&str> = rows.iter().map(|r| r.vendor.as_str()).collect();
         vendors.sort_unstable();
         assert_eq!(
@@ -709,7 +690,7 @@ mod tests {
 
     #[test]
     fn table3_matches_paper_bcdns() {
-        let rows = Scanner::default().scan_table3();
+        let rows = Scanner::default().scan_table3(&Executor::sequential());
         let mut vendors: Vec<&str> = rows.iter().map(|r| r.vendor.as_str()).collect();
         vendors.sort_unstable();
         assert_eq!(vendors, vec!["Akamai", "Azure", "StackPath"], "{rows:#?}");
@@ -720,19 +701,16 @@ mod tests {
     #[test]
     fn parallel_scan_matches_sequential() {
         let scanner = Scanner::default();
-        let digest = |rows: &[Table1Row]| -> Vec<String> {
-            rows.iter()
-                .map(|r| {
-                    format!(
-                        "{}|{}|{}",
-                        r.vendor, r.vulnerable_format, r.forwarded_format
-                    )
-                })
-                .collect()
+        let scan = |table: u8, executor: &Executor| match table {
+            1 => format!("{:?}", scanner.scan_table1(executor)),
+            2 => format!("{:?}", scanner.scan_table2(executor)),
+            _ => format!("{:?}", scanner.scan_table3(executor)),
         };
-        let seq = digest(&scanner.scan_table1());
-        let par = digest(&scanner.scan_table1_exec(&Executor::new(8)));
-        assert_eq!(seq, par);
+        for table in 1..=3 {
+            let seq = scan(table, &Executor::sequential());
+            let par = scan(table, &Executor::new(8));
+            assert_eq!(seq, par, "table{table}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rangeamp_cdn::{
 };
 use rangeamp_http::{Request, Response};
 use rangeamp_net::metrics::{FACTOR_BUCKETS, LATENCY_BUCKETS_MS};
-use rangeamp_net::{FaultPlan, Segment, SegmentName, SharedClock, SpanKind, Telemetry};
+use rangeamp_net::{ActiveSpan, FaultPlan, Segment, SegmentName, SharedClock, SpanKind, Telemetry};
 use rangeamp_origin::{OriginConfig, OriginServer, ResourceStore};
 
 /// Default target path used by the attack builders.
@@ -59,15 +59,7 @@ impl Testbed {
     /// attacker-segment response bytes) lands in the
     /// `amplification_factor{vendor=…}` histogram.
     pub fn request(&self, req: &Request) -> Response {
-        match self.edge.telemetry().cloned() {
-            Some(tel) => self.traced_request(&tel, req, None),
-            None => {
-                self.client_segment.send_request(req);
-                let resp = self.edge.handle(req);
-                self.client_segment.send_response(&resp);
-                resp
-            }
-        }
+        self.exchange(req, None)
     }
 
     /// Sends one client request and immediately aborts the front-end
@@ -75,76 +67,39 @@ impl Testbed {
     /// dropped-connection attack the paper evaluates in §VIII). The edge
     /// node decides — per vendor — whether the back-end transfer survives.
     pub fn request_aborted(&self, req: &Request, received: u64) -> Response {
-        match self.edge.telemetry().cloned() {
-            Some(tel) => self.traced_request(&tel, req, Some(received)),
-            None => {
-                self.client_segment.send_request(req);
-                let resp = self.edge.handle_with_client_abort(req, received);
-                self.client_segment.send_response_truncated(&resp, received);
-                resp
-            }
-        }
+        self.exchange(req, Some(received))
     }
 
-    /// The traced twin of `request`/`request_aborted`: identical metering
-    /// calls in identical order, plus a root span and per-request metrics
+    /// The one metered exchange behind `request`/`request_aborted`. The
+    /// segments see the same calls in the same order with and without
+    /// telemetry; tracing only adds a root span and per-request metrics
     /// derived from the same segment counters the reports use.
-    fn traced_request(&self, tel: &Telemetry, req: &Request, abort: Option<u64>) -> Response {
-        let clock = self.edge.resilience().clock().clone();
-        let vendor = self.edge.profile().vendor.to_string();
-        let origin_before = self.edge.origin_segment().stats();
-        let start_ms = clock.now_millis();
-
+    fn exchange(&self, req: &Request, abort: Option<u64>) -> Response {
+        let trace = self.edge.telemetry().map(|tel| {
+            let vendor = self.edge.profile().vendor.name();
+            ClientTrace::begin(tel, &self.edge, &[("vendor", vendor)], req)
+        });
         self.client_segment.send_request(req);
-        let mut span = tel
-            .tracer()
-            .start_trace("client-request", SpanKind::Request, start_ms);
-        span.attr("vendor", vendor.clone());
-        span.attr("uri", req.uri().to_string());
-        if let Some(range) = req.headers().get("range") {
-            span.attr("range", range);
-        }
-        span.add_bytes_in(req.wire_len());
-
         let resp = match abort {
             None => self.edge.handle(req),
             Some(received) => self.edge.handle_with_client_abort(req, received),
         };
-
-        let delivered = match abort {
-            None => resp.wire_len(),
-            Some(received) => {
-                span.attr("aborted_after", received.to_string());
-                resp.wire_len().min(received)
-            }
-        };
-        span.add_bytes_out(delivered);
-        span.attr("status", resp.status().as_u16().to_string());
-        span.finish(clock.now_millis());
         match abort {
             None => self.client_segment.send_response(&resp),
             Some(received) => self.client_segment.send_response_truncated(&resp, received),
         }
-
-        let victim_bytes =
-            self.edge.origin_segment().stats().response_bytes - origin_before.response_bytes;
-        let metrics = tel.metrics();
-        let labels = [("vendor", vendor.as_str())];
-        metrics.counter_add("client_requests_total", &labels, 1);
-        metrics.counter_add("client_request_bytes_total", &labels, req.wire_len());
-        metrics.counter_add("client_response_bytes_total", &labels, delivered);
-        metrics.observe_with(
-            "amplification_factor",
-            &labels,
-            &FACTOR_BUCKETS,
-            victim_bytes / delivered.max(1),
-        );
-        metrics.observe_with(
-            "request_virtual_latency_ms",
-            &labels,
-            &LATENCY_BUCKETS_MS,
-            clock.now_millis() - start_ms,
-        );
+        if let Some(trace) = trace {
+            let (metrics, labels, start_ms) = (trace.tel.metrics(), [trace.label], trace.start_ms);
+            let delivered = trace.end(&resp, abort.map(|received| ("aborted_after", received)));
+            metrics.counter_add("client_request_bytes_total", &labels, req.wire_len());
+            metrics.counter_add("client_response_bytes_total", &labels, delivered);
+            metrics.observe_with(
+                "request_virtual_latency_ms",
+                &labels,
+                &LATENCY_BUCKETS_MS,
+                self.edge.resilience().clock().now_millis() - start_ms,
+            );
+        }
         resp
     }
 
@@ -365,147 +320,19 @@ impl CascadeTestbed {
     /// Wires `fcdn` in front of `bcdn` over a 1 KB target resource, the
     /// Table V configuration.
     pub fn new(fcdn: Vendor, bcdn: Vendor) -> CascadeTestbed {
-        CascadeTestbed::with_resource(fcdn, bcdn, 1024)
+        CascadeTestbed::builder(fcdn.fcdn_profile(), bcdn.profile()).build()
     }
 
-    /// Same, with an explicit resource size.
-    pub fn with_resource(fcdn: Vendor, bcdn: Vendor, size: u64) -> CascadeTestbed {
-        CascadeTestbed::with_profiles(fcdn.fcdn_profile(), bcdn.profile(), size)
-    }
-
-    /// Full control over both profiles (mitigation ablations).
-    pub fn with_profiles(
-        fcdn_profile: VendorProfile,
-        bcdn_profile: VendorProfile,
-        size: u64,
-    ) -> CascadeTestbed {
-        CascadeTestbed::with_profiles_telemetry(fcdn_profile, bcdn_profile, size, None)
-    }
-
-    /// [`CascadeTestbed::with_profiles`] with an optional telemetry
-    /// bundle shared by both edges and the origin. The BCDN sits behind
-    /// an `Arc`, so telemetry must be injected at construction time —
-    /// it cannot be attached to a built cascade.
-    pub fn with_profiles_telemetry(
-        fcdn_profile: VendorProfile,
-        bcdn_profile: VendorProfile,
-        size: u64,
-        telemetry: Option<Telemetry>,
-    ) -> CascadeTestbed {
-        let origin = Arc::new(CascadeTestbed::cascade_origin(size, telemetry.as_ref()));
-        let bcdn_segment = Segment::new(SegmentName::BcdnOrigin);
-        let mut bcdn = EdgeNode::new(bcdn_profile, origin.clone(), bcdn_segment);
-        if let Some(tel) = &telemetry {
-            bcdn = bcdn.with_telemetry(tel.clone());
-        }
-        let bcdn_node = Arc::new(bcdn);
-        let fcdn_segment = Segment::new(SegmentName::FcdnBcdn);
-        let mut fcdn = EdgeNode::new(fcdn_profile, bcdn_node.clone(), fcdn_segment);
-        if let Some(tel) = &telemetry {
-            fcdn = fcdn.with_telemetry(tel.clone());
-        }
-        CascadeTestbed::assemble(fcdn, bcdn_node, origin)
-    }
-
-    /// Cascade with an online defense hook on the FCDN — the edge whose
-    /// origin-facing segment (`fcdn-bcdn`) is the OBR victim link. Both
-    /// edges share one virtual clock so the defense's sliding windows
-    /// advance consistently across the cascade; the client id header is
-    /// forwarded upstream wholesale, so the BCDN could attach its own
-    /// hook the same way.
-    pub fn with_profiles_defense(
-        fcdn_profile: VendorProfile,
-        bcdn_profile: VendorProfile,
-        size: u64,
-        defense: Arc<dyn DefenseHook>,
-    ) -> CascadeTestbed {
-        let origin = Arc::new(CascadeTestbed::cascade_origin(size, None));
-        let clock = SharedClock::new();
-        let bcdn_segment = Segment::new(SegmentName::BcdnOrigin);
-        let bcdn_resilience =
-            Resilience::new(bcdn_profile.retry, BreakerConfig::default(), clock.clone());
-        let bcdn = EdgeNode::new(bcdn_profile, origin.clone(), bcdn_segment)
-            .with_resilience(bcdn_resilience);
-        let bcdn_node = Arc::new(bcdn);
-        let fcdn_segment = Segment::new(SegmentName::FcdnBcdn);
-        let fcdn_resilience = Resilience::new(fcdn_profile.retry, BreakerConfig::default(), clock);
-        let fcdn = EdgeNode::new(fcdn_profile, bcdn_node.clone(), fcdn_segment)
-            .with_resilience(fcdn_resilience)
-            .with_defense(defense);
-        CascadeTestbed::assemble(fcdn, bcdn_node, origin)
-    }
-
-    /// Cascade with fault injection on the `bcdn-origin` path. Both
-    /// edges run their vendor retry policies and circuit breakers on one
-    /// shared virtual clock, so an FCDN retrying into a broken BCDN is
-    /// observable end to end (retry amplification across the cascade).
-    pub fn with_chaos(
-        fcdn_profile: VendorProfile,
-        bcdn_profile: VendorProfile,
-        size: u64,
-        plan: FaultPlan,
-        breaker: BreakerConfig,
-    ) -> CascadeTestbed {
-        CascadeTestbed::with_chaos_telemetry(fcdn_profile, bcdn_profile, size, plan, breaker, None)
-    }
-
-    /// [`CascadeTestbed::with_chaos`] with an optional telemetry bundle.
-    pub fn with_chaos_telemetry(
-        fcdn_profile: VendorProfile,
-        bcdn_profile: VendorProfile,
-        size: u64,
-        plan: FaultPlan,
-        breaker: BreakerConfig,
-        telemetry: Option<Telemetry>,
-    ) -> CascadeTestbed {
-        let origin = Arc::new(CascadeTestbed::cascade_origin(size, telemetry.as_ref()));
-        let clock = SharedClock::new();
-        let clocked: Arc<dyn UpstreamService> =
-            Arc::new(ClockedOrigin::new(origin.clone(), clock.clone()));
-        let faulty: Arc<dyn UpstreamService> =
-            Arc::new(FaultyUpstream::new(clocked, Arc::new(plan)));
-        let bcdn_segment = Segment::new(SegmentName::BcdnOrigin);
-        let bcdn_resilience = Resilience::new(bcdn_profile.retry, breaker, clock.clone());
-        let mut bcdn =
-            EdgeNode::new(bcdn_profile, faulty, bcdn_segment).with_resilience(bcdn_resilience);
-        if let Some(tel) = &telemetry {
-            bcdn = bcdn.with_telemetry(tel.clone());
-        }
-        let bcdn_node = Arc::new(bcdn);
-        let fcdn_segment = Segment::new(SegmentName::FcdnBcdn);
-        let fcdn_resilience = Resilience::new(fcdn_profile.retry, breaker, clock);
-        let mut fcdn = EdgeNode::new(fcdn_profile, bcdn_node.clone(), fcdn_segment)
-            .with_resilience(fcdn_resilience);
-        if let Some(tel) = &telemetry {
-            fcdn = fcdn.with_telemetry(tel.clone());
-        }
-        CascadeTestbed::assemble(fcdn, bcdn_node, origin)
-    }
-
-    fn cascade_origin(size: u64, telemetry: Option<&Telemetry>) -> OriginServer {
-        let mut store = ResourceStore::new();
-        store.add_synthetic(TARGET_PATH, size, "application/octet-stream");
-        let mut origin = OriginServer::with_config(store, OriginConfig::ranges_disabled());
-        if let Some(tel) = telemetry {
-            origin = origin.with_telemetry(tel.clone());
-        }
-        origin
-    }
-
-    /// Final wiring shared by all constructors: create the client
-    /// segment and stamp every segment's captures off the FCDN's clock
-    /// (in chaos cascades all edges share one clock already).
-    fn assemble(fcdn: EdgeNode, bcdn: Arc<EdgeNode>, origin: Arc<OriginServer>) -> CascadeTestbed {
-        let clock = fcdn.resilience().clock().clone();
-        let client_segment = Segment::new(SegmentName::ClientFcdn);
-        client_segment.attach_clock(clock.clone());
-        fcdn.origin_segment().attach_clock(clock.clone());
-        bcdn.origin_segment().attach_clock(clock);
-        CascadeTestbed {
-            client_segment,
-            fcdn,
-            bcdn,
-            origin,
+    /// Starts a builder over explicit FCDN and BCDN profiles (e.g.
+    /// [`Vendor::fcdn_profile`] and a mitigated BCDN profile).
+    pub fn builder(fcdn_profile: VendorProfile, bcdn_profile: VendorProfile) -> CascadeBuilder {
+        CascadeBuilder {
+            fcdn_profile,
+            bcdn_profile,
+            resource_size: 1024,
+            telemetry: None,
+            defense: None,
+            faults: None,
         }
     }
 
@@ -514,56 +341,38 @@ impl CascadeTestbed {
     /// client→FCDN, FCDN→BCDN and BCDN→origin, and the OBR amplification
     /// factor (victim `fcdn-bcdn` bytes ÷ attacker bytes) is recorded.
     pub fn request(&self, req: &Request) -> Response {
-        let Some(tel) = self.fcdn.telemetry().cloned() else {
-            self.client_segment.send_request(req);
-            let resp = self.fcdn.handle(req);
-            self.client_segment.send_response(&resp);
-            return resp;
-        };
-        let clock = self.fcdn.resilience().clock().clone();
-        let start_ms = clock.now_millis();
-        let middle_before = self.fcdn.origin_segment().stats();
-
-        self.client_segment.send_request(req);
-        let mut span = tel
-            .tracer()
-            .start_trace("client-request", SpanKind::Request, start_ms);
-        let fcdn_vendor = self.fcdn.profile().vendor.to_string();
-        span.attr("fcdn", fcdn_vendor.clone());
-        span.attr("bcdn", self.bcdn.profile().vendor.to_string());
-        span.attr("uri", req.uri().to_string());
-        if let Some(range) = req.headers().get("range") {
-            span.attr("range", range);
-        }
-        span.add_bytes_in(req.wire_len());
-        let resp = self.fcdn.handle(req);
-        span.add_bytes_out(resp.wire_len());
-        span.attr("status", resp.status().as_u16().to_string());
-        span.finish(clock.now_millis());
-        self.client_segment.send_response(&resp);
-
-        let victim_bytes =
-            self.fcdn.origin_segment().stats().response_bytes - middle_before.response_bytes;
-        let labels = [("fcdn", fcdn_vendor.as_str())];
-        tel.metrics()
-            .counter_add("client_requests_total", &labels, 1);
-        tel.metrics().observe_with(
-            "amplification_factor",
-            &labels,
-            &FACTOR_BUCKETS,
-            victim_bytes / resp.wire_len().max(1),
-        );
-        resp
+        self.exchange(req, None)
     }
 
     /// Like [`CascadeTestbed::request`], but the attacker only receives
     /// `receive_window` bytes of the response before aborting (§IV-C's
-    /// small-TCP-window / early-abort trick).
+    /// small-TCP-window / early-abort trick). Traced the same way, with
+    /// the amplification factor taken over the bytes actually received.
     pub fn request_with_small_window(&self, req: &Request, receive_window: u64) -> Response {
+        self.exchange(req, Some(receive_window))
+    }
+
+    /// The one metered exchange behind `request`/`request_with_small_window`.
+    fn exchange(&self, req: &Request, receive_window: Option<u64>) -> Response {
+        let trace = self.fcdn.telemetry().map(|tel| {
+            let who = [
+                ("fcdn", self.fcdn.profile().vendor.name()),
+                ("bcdn", self.bcdn.profile().vendor.name()),
+            ];
+            ClientTrace::begin(tel, &self.fcdn, &who, req)
+        });
         self.client_segment.send_request(req);
         let resp = self.fcdn.handle(req);
-        self.client_segment
-            .send_response_truncated(&resp, receive_window);
+        match receive_window {
+            None => self.client_segment.send_response(&resp),
+            Some(window) => self.client_segment.send_response_truncated(&resp, window),
+        }
+        if let Some(trace) = trace {
+            trace.end(
+                &resp,
+                receive_window.map(|window| ("receive_window", window)),
+            );
+        }
         resp
     }
 
@@ -602,6 +411,181 @@ impl CascadeTestbed {
         self.client_segment.reset();
         self.fcdn.origin_segment().reset();
         self.bcdn.origin_segment().reset();
+    }
+}
+
+/// Builder for [`CascadeTestbed`]: both profiles are fixed up front,
+/// everything else is optional. Whatever is attached, both edges run
+/// their resilience layer on one shared virtual clock, so time advanced
+/// at the FCDN (a defense window, a retry backoff) is the BCDN's time too.
+#[derive(Debug)]
+pub struct CascadeBuilder {
+    fcdn_profile: VendorProfile,
+    bcdn_profile: VendorProfile,
+    resource_size: u64,
+    telemetry: Option<Telemetry>,
+    defense: Option<Arc<dyn DefenseHook>>,
+    faults: Option<(FaultPlan, BreakerConfig)>,
+}
+
+impl CascadeBuilder {
+    /// Sets the size of the attacker's target resource (default 1 KB).
+    pub fn resource_size(mut self, size: u64) -> CascadeBuilder {
+        self.resource_size = size;
+        self
+    }
+
+    /// Attaches a telemetry bundle shared by both edges and the origin.
+    /// The BCDN sits behind an `Arc`, so telemetry must be injected here —
+    /// it cannot be attached to a built cascade.
+    pub fn telemetry(mut self, telemetry: Telemetry) -> CascadeBuilder {
+        self.telemetry = Some(telemetry);
+        self
+    }
+
+    /// Attaches an online defense hook to the FCDN — the edge whose
+    /// origin-facing segment (`fcdn-bcdn`) is the OBR victim link. The
+    /// client id header is forwarded upstream wholesale, so the BCDN
+    /// could attach its own hook the same way.
+    pub fn defense(mut self, hook: Arc<dyn DefenseHook>) -> CascadeBuilder {
+        self.defense = Some(hook);
+        self
+    }
+
+    /// Injects faults on the `bcdn-origin` path and gives both edges
+    /// `breaker` (default: [`BreakerConfig::default`]). With both edges
+    /// retrying on the shared clock, an FCDN retrying into a broken BCDN
+    /// is observable end to end (retry amplification across the cascade).
+    pub fn faults(mut self, plan: FaultPlan, breaker: BreakerConfig) -> CascadeBuilder {
+        self.faults = Some((plan, breaker));
+        self
+    }
+
+    /// Wires origin, BCDN and FCDN together. The origin is the attacker's
+    /// own, with range support disabled, so the BCDN always receives a
+    /// complete 200 (§IV-C).
+    pub fn build(self) -> CascadeTestbed {
+        let mut store = ResourceStore::new();
+        store.add_synthetic(TARGET_PATH, self.resource_size, "application/octet-stream");
+        let mut origin_server = OriginServer::with_config(store, OriginConfig::ranges_disabled());
+        if let Some(tel) = &self.telemetry {
+            origin_server = origin_server.with_telemetry(tel.clone());
+        }
+        let origin = Arc::new(origin_server);
+        let clock = SharedClock::new();
+        let (upstream, breaker): (Arc<dyn UpstreamService>, BreakerConfig) = match self.faults {
+            Some((plan, breaker)) => {
+                let clocked = Arc::new(ClockedOrigin::new(origin.clone(), clock.clone()));
+                (
+                    Arc::new(FaultyUpstream::new(clocked, Arc::new(plan))),
+                    breaker,
+                )
+            }
+            None => (origin.clone(), BreakerConfig::default()),
+        };
+        let edge = |profile: VendorProfile, upstream: Arc<dyn UpstreamService>, segment| {
+            let resilience = Resilience::new(profile.retry, breaker, clock.clone());
+            let edge =
+                EdgeNode::new(profile, upstream, Segment::new(segment)).with_resilience(resilience);
+            match &self.telemetry {
+                Some(tel) => edge.with_telemetry(tel.clone()),
+                None => edge,
+            }
+        };
+        let bcdn = Arc::new(edge(self.bcdn_profile, upstream, SegmentName::BcdnOrigin));
+        let mut fcdn = edge(self.fcdn_profile, bcdn.clone(), SegmentName::FcdnBcdn);
+        if let Some(hook) = self.defense {
+            fcdn = fcdn.with_defense(hook);
+        }
+        // Every segment stamps its captures off the shared clock, so the
+        // three hops interleave into one timeline.
+        let client_segment = Segment::new(SegmentName::ClientFcdn);
+        client_segment.attach_clock(clock.clone());
+        fcdn.origin_segment().attach_clock(clock.clone());
+        bcdn.origin_segment().attach_clock(clock);
+        CascadeTestbed {
+            client_segment,
+            fcdn,
+            bcdn,
+            origin,
+        }
+    }
+}
+
+/// The root `client-request` span of one traced exchange, with the
+/// readings its per-request metrics are computed from. `edge` is the
+/// client-facing edge: its clock times the span and its origin-facing
+/// segment is the victim link.
+struct ClientTrace<'a> {
+    tel: &'a Telemetry,
+    edge: &'a EdgeNode,
+    label: (&'static str, &'a str),
+    span: ActiveSpan,
+    start_ms: u64,
+    victim_before: u64,
+}
+
+impl<'a> ClientTrace<'a> {
+    /// Reads the clock and the victim meter, then opens the root span
+    /// with `who` as its leading attributes. The first of them also
+    /// labels the per-request metrics.
+    fn begin(
+        tel: &'a Telemetry,
+        edge: &'a EdgeNode,
+        who: &[(&'static str, &'a str)],
+        req: &Request,
+    ) -> ClientTrace<'a> {
+        let victim_before = edge.origin_segment().stats().response_bytes;
+        let start_ms = edge.resilience().clock().now_millis();
+        let mut span = tel
+            .tracer()
+            .start_trace("client-request", SpanKind::Request, start_ms);
+        for &(key, value) in who {
+            span.attr(key, value);
+        }
+        span.attr("uri", req.uri().to_string());
+        if let Some(range) = req.headers().get("range") {
+            span.attr("range", range);
+        }
+        span.add_bytes_in(req.wire_len());
+        ClientTrace {
+            tel,
+            edge,
+            label: who[0],
+            span,
+            start_ms,
+            victim_before,
+        }
+    }
+
+    /// Closes the span over `resp` and records the request count and its
+    /// amplification factor (victim-link ÷ client response bytes).
+    /// `cutoff` names the attribute and the byte count at which the
+    /// client stopped reading, if it did. Returns the bytes delivered to
+    /// the client.
+    fn end(mut self, resp: &Response, cutoff: Option<(&'static str, u64)>) -> u64 {
+        let delivered = match cutoff {
+            None => resp.wire_len(),
+            Some((key, limit)) => {
+                self.span.attr(key, limit.to_string());
+                resp.wire_len().min(limit)
+            }
+        };
+        self.span.add_bytes_out(delivered);
+        self.span.attr("status", resp.status().as_u16().to_string());
+        self.span
+            .finish(self.edge.resilience().clock().now_millis());
+        let victim_bytes = self.edge.origin_segment().stats().response_bytes - self.victim_before;
+        let labels = [self.label];
+        let metrics = self.tel.metrics();
+        metrics.counter_add("client_requests_total", &labels, 1);
+        metrics.observe_with(
+            "amplification_factor",
+            &labels,
+            &FACTOR_BUCKETS,
+            victim_bytes / delivered.max(1),
+        );
+        delivered
     }
 }
 
@@ -666,5 +650,67 @@ mod tests {
         bed.request_with_small_window(&req, 512);
         assert_eq!(bed.client_segment().stats().response_bytes, 512);
         assert!(bed.client_segment().is_aborted());
+    }
+
+    #[test]
+    fn cascade_edges_share_one_clock() {
+        let defense = Arc::new(rangeamp_defense::DefenseLayer::new(
+            rangeamp_defense::EnforceConfig::default(),
+        ));
+        let beds = [
+            (
+                "new",
+                CascadeTestbed::new(Vendor::Cloudflare, Vendor::Akamai),
+            ),
+            (
+                "defense",
+                CascadeTestbed::builder(
+                    Vendor::Cloudflare.fcdn_profile(),
+                    Vendor::Akamai.profile(),
+                )
+                .defense(defense)
+                .build(),
+            ),
+        ];
+        for (name, bed) in beds {
+            bed.fcdn().resilience().clock().advance_millis(1_234);
+            assert_eq!(
+                bed.bcdn().resilience().clock().now_millis(),
+                1_234,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn traced_small_window_roots_one_span_and_meters_the_window() {
+        let tel = Telemetry::seeded(1);
+        let bed =
+            CascadeTestbed::builder(Vendor::StackPath.fcdn_profile(), Vendor::Akamai.profile())
+                .telemetry(tel.clone())
+                .build();
+        let req = Request::get(TARGET_PATH)
+            .header("Host", TARGET_HOST)
+            .header("Range", "bytes=0-,0-,0-,0-")
+            .build();
+        let resp = bed.request_with_small_window(&req, 512);
+        assert!(resp.wire_len() > 512);
+        assert_eq!(bed.client_segment().stats().response_bytes, 512);
+
+        let spans = tel.tracer().finished_spans();
+        let roots: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "client-request")
+            .collect();
+        assert_eq!(roots.len(), 1, "{spans:#?}");
+        let root = roots[0];
+        assert_eq!(root.parent, None);
+        assert_eq!(root.bytes_out, 512);
+        assert_eq!(root.attr("receive_window"), Some("512"));
+        assert_eq!(
+            tel.metrics()
+                .counter_value("client_requests_total", &[("fcdn", "StackPath")]),
+            1
+        );
     }
 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use rangeamp::chaos::{run_sbr_campaign_exec, ChaosConfig};
+use rangeamp::chaos::{run_sbr_campaign, ChaosConfig};
 use rangeamp::executor::{merge_shard_results, splitmix64, unit_seed, Executor};
 use rangeamp::Telemetry;
 
@@ -117,7 +117,7 @@ proptest! {
 
         let digest = |executor: &Executor| {
             let telemetry = Telemetry::seeded(config.seed);
-            let reports = run_sbr_campaign_exec(&config, Some(&telemetry), executor);
+            let reports = run_sbr_campaign(&config, Some(&telemetry), executor);
             (
                 format!("{reports:?}"),
                 telemetry.metrics().snapshot().render(),

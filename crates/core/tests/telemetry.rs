@@ -5,7 +5,7 @@
 //! metrics-match-[`ResilienceStats`] invariant.
 
 use rangeamp::attack::exploited_range_case;
-use rangeamp::chaos::{run_obr_chaos_with, run_sbr_chaos_with, ChaosConfig};
+use rangeamp::chaos::{run_obr_chaos, run_sbr_chaos, ChaosConfig};
 use rangeamp::net::SpanKind;
 use rangeamp::{Telemetry, Testbed, TARGET_HOST, TARGET_PATH};
 use rangeamp_cdn::Vendor;
@@ -22,8 +22,8 @@ fn seeded_campaign_exports(seed: u64) -> (String, String) {
         rounds: 6,
         ..ChaosConfig::default()
     };
-    run_sbr_chaos_with(Vendor::Akamai, &config, Some(&telemetry));
-    run_obr_chaos_with(
+    run_sbr_chaos(Vendor::Akamai, &config, Some(&telemetry));
+    run_obr_chaos(
         Vendor::CloudFront,
         Vendor::Fastly,
         &config,
@@ -142,7 +142,7 @@ fn chaos_metrics_match_resilience_stats() {
         rounds: 12,
         ..ChaosConfig::default()
     };
-    let report = run_sbr_chaos_with(Vendor::Akamai, &config, Some(&telemetry));
+    let report = run_sbr_chaos(Vendor::Akamai, &config, Some(&telemetry));
 
     let metrics = telemetry.metrics();
     let labels = [("vendor", "Akamai")];
@@ -190,7 +190,7 @@ fn obr_cascade_trace_covers_both_edges() {
         rounds: 2,
         ..ChaosConfig::default()
     };
-    run_obr_chaos_with(
+    run_obr_chaos(
         Vendor::CloudFront,
         Vendor::Fastly,
         &config,

@@ -6,17 +6,19 @@
 //! cargo run --release --example scan_vendors
 //! ```
 
+use rangeamp::executor::Executor;
 use rangeamp::report::TextTable;
 use rangeamp::scanner::Scanner;
 
 fn main() {
     let scanner = Scanner::default();
+    let executor = Executor::sequential();
 
     let mut table1 = TextTable::new(
         "Range forwarding behaviours vulnerable to the SBR attack",
         &["CDN", "Vulnerable Range Format", "Forwarded Range Format"],
     );
-    for row in scanner.scan_table1() {
+    for row in scanner.scan_table1(&executor) {
         table1.row(vec![
             row.vendor,
             row.vulnerable_format,
@@ -29,7 +31,7 @@ fn main() {
         "Multi-range forwarding vulnerable to the OBR attack (FCDN side)",
         &["CDN", "Vulnerable Range Format", "Forwarded"],
     );
-    for row in scanner.scan_table2() {
+    for row in scanner.scan_table2(&executor) {
         table2.row(vec![
             row.vendor,
             row.vulnerable_format,
@@ -42,7 +44,7 @@ fn main() {
         "Multi-range replying vulnerable to the OBR attack (BCDN side)",
         &["CDN", "Vulnerable Ranges Format", "Response Format"],
     );
-    for row in scanner.scan_table3() {
+    for row in scanner.scan_table3(&executor) {
         table3.row(vec![row.vendor, row.vulnerable_format, row.response_format]);
     }
     println!("{table3}");

@@ -96,3 +96,16 @@ fn invalid_number_fails_cleanly() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("invalid --size-mb"));
 }
+
+#[test]
+fn overflowing_size_fails_cleanly() {
+    // 2^44 MB is 2^64 bytes: one past u64::MAX, so it must be refused
+    // rather than wrap to a 0-byte (or, one higher, a 1 MB) resource.
+    for (command, size_mb) in [("sbr", "17592186044416"), ("drop", "17592186044417")] {
+        let output = run(&[command, "--cdn", "akamai", "--size-mb", size_mb]);
+        assert!(!output.status.success(), "{command} --size-mb {size_mb}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("--size-mb"), "{command}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
+}

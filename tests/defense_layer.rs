@@ -102,12 +102,12 @@ fn drive_obr(
     attack: bool,
 ) -> SegmentBytes {
     let size = 1024;
-    let bed = match defense {
-        Some(layer) => {
-            CascadeTestbed::with_profiles_defense(fcdn.fcdn_profile(), bcdn.profile(), size, layer)
-        }
-        None => CascadeTestbed::with_profiles(fcdn.fcdn_profile(), bcdn.profile(), size),
-    };
+    let mut builder =
+        CascadeTestbed::builder(fcdn.fcdn_profile(), bcdn.profile()).resource_size(size);
+    if let Some(layer) = defense {
+        builder = builder.defense(layer);
+    }
+    let bed = builder.build();
     let clock = bed.fcdn().resilience().clock().clone();
     let mut generator = WorkloadGenerator::new(11, size);
     let obr = ObrAttack::new(fcdn, bcdn);

@@ -1,6 +1,7 @@
 //! Scanner conformance: the behaviour-derived Tables I–III must agree
 //! with the paper's findings vendor by vendor.
 
+use rangeamp::executor::Executor;
 use rangeamp::scanner::Scanner;
 use rangeamp_cdn::{RangePolicy, Vendor};
 
@@ -10,7 +11,7 @@ fn scanner() -> Scanner {
 
 #[test]
 fn table1_every_vendor_is_sbr_vulnerable() {
-    let rows = scanner().scan_table1();
+    let rows = scanner().scan_table1(&Executor::sequential());
     for vendor in Vendor::ALL {
         assert!(
             rows.iter().any(|r| r.vendor == vendor.name()),
@@ -21,7 +22,7 @@ fn table1_every_vendor_is_sbr_vulnerable() {
 
 #[test]
 fn table1_deletion_vendors_forward_none() {
-    let rows = scanner().scan_table1();
+    let rows = scanner().scan_table1(&Executor::sequential());
     for vendor in [
         "Akamai",
         "Fastly",
@@ -126,7 +127,7 @@ fn table1_cloudfront_is_pure_expansion() {
 
 #[test]
 fn table2_exactly_the_paper_fcdns() {
-    let rows = scanner().scan_table2();
+    let rows = scanner().scan_table2(&Executor::sequential());
     let mut vendors: Vec<&str> = rows.iter().map(|r| r.vendor.as_str()).collect();
     vendors.sort_unstable();
     assert_eq!(vendors, vec!["CDN77", "CDNsun", "Cloudflare", "StackPath"]);
@@ -134,7 +135,7 @@ fn table2_exactly_the_paper_fcdns() {
 
 #[test]
 fn table3_exactly_the_paper_bcdns() {
-    let rows = scanner().scan_table3();
+    let rows = scanner().scan_table3(&Executor::sequential());
     let mut vendors: Vec<&str> = rows.iter().map(|r| r.vendor.as_str()).collect();
     vendors.sort_unstable();
     assert_eq!(vendors, vec!["Akamai", "Azure", "StackPath"]);
