@@ -361,6 +361,7 @@ impl EdgeNode {
         // 4. Cache miss: mitigation overrides, then the vendor mechanics.
         let mut ctx = MissCtx {
             req,
+            profile: &self.profile,
             range: range.clone(),
             resource_size: size_hint,
             upstream: self.upstream.as_ref(),
@@ -469,9 +470,9 @@ impl EdgeNode {
             // Multi-range under a capped-expansion regime: never hand the
             // set to the vendor's (unbounded) expansion logic; coalesce
             // and forward the merged ranges instead.
-            return vendor::coalesced_forward(&self.profile, ctx);
+            return vendor::coalesced_forward(ctx);
         }
-        vendor::handle_miss(&self.profile, ctx)
+        vendor::handle_miss(ctx)
     }
 
     /// The paper's "better way" (§VI-C): expand the requested range by at
@@ -586,26 +587,10 @@ fn upstream_error_response(err: &UpstreamError) -> Response {
 }
 
 /// Coalesces a multi-range header against a known representation size,
-/// producing concrete `first-last` specs.
+/// producing concrete `first-last` specs (`first-` at the end).
 fn coalesce_header(header: &RangeHeader, complete_length: u64) -> RangeHeader {
-    let merged = coalesce(&header.resolve(complete_length));
-    if merged.is_empty() {
-        return header.clone();
-    }
-    let specs = merged
-        .iter()
-        .map(|r| {
-            if r.last + 1 == complete_length {
-                ByteRangeSpec::From { first: r.first }
-            } else {
-                ByteRangeSpec::FromTo {
-                    first: r.first,
-                    last: r.last,
-                }
-            }
-        })
-        .collect();
-    RangeHeader::new(specs).expect("coalesced specs are valid")
+    RangeHeader::from_resolved(&coalesce(&header.resolve(complete_length)), complete_length)
+        .unwrap_or_else(|| header.clone())
 }
 
 #[cfg(test)]
@@ -635,6 +620,25 @@ mod tests {
             .header("Host", "victim.example")
             .header("Range", range.to_string())
             .build()
+    }
+
+    #[test]
+    fn miss_and_hit_reply_under_the_node_profile() {
+        // A multi-range miss is coalesced and forwarded; its reply must
+        // follow the profile the node was built with, as a hit does.
+        let mut profile = Vendor::Akamai.profile();
+        profile.multi_reply = MultiReplyPolicy::RejectOverlapping;
+        let (edge, _segment) = testbed_with_profile(profile, MB);
+        let miss = edge.handle(&sbr_request("bytes=0-10,5-20", 1));
+        let warm = Request::get("/target.bin?rnd=2")
+            .header("Host", "victim.example")
+            .build();
+        assert_eq!(edge.handle(&warm).status(), StatusCode::OK);
+        let hit = edge.handle(&sbr_request("bytes=0-10,5-20", 2));
+        assert_eq!(hit.headers().get("x-cache"), Some("HIT from Akamai"));
+        assert_eq!(miss.headers().get("x-cache"), Some("MISS from Akamai"));
+        assert_eq!(miss.status(), StatusCode::RANGE_NOT_SATISFIABLE);
+        assert_eq!(miss.status(), hit.status());
     }
 
     #[test]

@@ -118,41 +118,11 @@ impl<T: UpstreamService + ?Sized> UpstreamService for Arc<T> {
     }
 }
 
-/// Adapter wrapping an [`OriginServer`] for shared use (kept for API
-/// clarity at call sites; `Arc<OriginServer>` works directly too).
-#[derive(Debug, Clone)]
-pub struct OriginUpstream {
-    origin: Arc<OriginServer>,
-}
-
-impl OriginUpstream {
-    /// Wraps an origin server.
-    pub fn new(origin: OriginServer) -> OriginUpstream {
-        OriginUpstream {
-            origin: Arc::new(origin),
-        }
-    }
-
-    /// Shared access to the wrapped server.
-    pub fn origin(&self) -> &Arc<OriginServer> {
-        &self.origin
-    }
-}
-
-impl UpstreamService for OriginUpstream {
-    fn handle(&self, req: &Request) -> Result<Response, UpstreamError> {
-        Ok(OriginServer::handle(&self.origin, req))
-    }
-
-    fn resource_size(&self, path: &str) -> Option<u64> {
-        self.origin.store().get(path).map(|r| r.len())
-    }
-}
-
 /// An origin driven through [`OriginServer::handle_at`] on a shared
-/// virtual clock, so time-dependent origin behaviour (the overload
-/// shedder's transfer slots draining) lines up with the edge's retries
-/// and breaker windows.
+/// virtual clock, so its telemetry spans line up with the edge's
+/// retries, breaker windows and cache TTLs. Every testbed puts its
+/// origin behind one of these; the response bytes are the bare
+/// origin's.
 #[derive(Debug, Clone)]
 pub struct ClockedOrigin {
     origin: Arc<OriginServer>,
@@ -295,12 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn origin_upstream_adapter() {
-        let upstream = OriginUpstream::new(origin());
-        assert_eq!(upstream.resource_size("/f.bin"), Some(1234));
-    }
-
-    #[test]
     fn healthy_faulty_upstream_is_transparent() {
         let bare = Arc::new(origin());
         let wrapped = FaultyUpstream::new(bare.clone(), Arc::new(FaultPlan::healthy()));
@@ -364,21 +328,22 @@ mod tests {
 
     #[test]
     fn clocked_origin_feeds_virtual_now() {
-        use rangeamp_origin::{OverloadPolicy, OverloadShedder};
+        use rangeamp_net::Telemetry;
+        let tel = Telemetry::seeded(1);
         let clock = SharedClock::new();
-        let origin =
-            Arc::new(origin().with_overload(OverloadShedder::new(OverloadPolicy::strict(1))));
-        let upstream = ClockedOrigin::new(origin, clock.clone());
+        let bare = Arc::new(origin().with_telemetry(tel.clone()));
+        let upstream = ClockedOrigin::new(bare.clone(), clock.clone());
         let req = Request::get("/f.bin").build();
-        assert_eq!(upstream.handle(&req).unwrap().status(), StatusCode::OK);
-        // Second transfer at the same instant: slot still occupied.
-        assert_eq!(
-            upstream.handle(&req).unwrap().status(),
-            StatusCode::SERVICE_UNAVAILABLE
-        );
-        // Advance past the drain time: admitted again.
-        clock.advance_millis(10);
-        assert_eq!(upstream.handle(&req).unwrap().status(), StatusCode::OK);
+        clock.advance_millis(1_250);
+        let via = upstream.handle(&req).unwrap();
+        assert_eq!(via, OriginServer::handle(&bare, &req));
+        let stamps: Vec<u64> = tel
+            .tracer()
+            .finished_spans()
+            .iter()
+            .map(|span| span.start_ms)
+            .collect();
+        assert_eq!(stamps, vec![1_250, 0], "clocked, then bare");
         assert_eq!(upstream.resource_size("/f.bin"), Some(1234));
     }
 

@@ -170,8 +170,7 @@ pub fn run_sbr_chaos(
     let mut builder = Testbed::builder()
         .vendor(vendor)
         .resource(TARGET_PATH, config.resource_size)
-        .fault_plan(plan)
-        .breaker(config.breaker);
+        .faults(plan, config.breaker);
     if let Some(ttl) = config.cache_ttl_ms {
         builder = builder.cache_ttl_ms(ttl);
     }

@@ -154,8 +154,7 @@ fn flaky_round(seed: u64) -> (u64, u64, u64, u64) {
     let bed = Testbed::builder()
         .vendor(Vendor::CloudFront)
         .resource(TARGET_PATH, 256 * 1024)
-        .fault_plan(FaultPlan::flaky_origin(seed))
-        .breaker(BreakerConfig::default())
+        .faults(FaultPlan::flaky_origin(seed), BreakerConfig::default())
         .cache_ttl_ms(60_000)
         .build();
     for i in 0..24u32 {

@@ -232,6 +232,35 @@ impl RangeHeader {
         }
     }
 
+    /// Builds the header that requests exactly `ranges`, resolved against
+    /// a representation of `complete_length` bytes: a range ending at the
+    /// last byte becomes `first-`, any other `first-last`. Returns `None`
+    /// for an empty set or when a range is not a resolved range of that
+    /// representation (`first <= last < complete_length` fails). This is
+    /// how an edge forwards a coalesced set.
+    pub fn from_resolved(ranges: &[ResolvedRange], complete_length: u64) -> Option<RangeHeader> {
+        if ranges
+            .iter()
+            .any(|r| r.first > r.last || r.last >= complete_length)
+        {
+            return None;
+        }
+        let specs = ranges
+            .iter()
+            .map(|r| {
+                if r.last + 1 == complete_length {
+                    ByteRangeSpec::From { first: r.first }
+                } else {
+                    ByteRangeSpec::FromTo {
+                        first: r.first,
+                        last: r.last,
+                    }
+                }
+            })
+            .collect();
+        RangeHeader::new(specs).ok()
+    }
+
     /// Builds the OBR attack header `bytes=0-,0-,...,0-` with `n` specs.
     ///
     /// # Panics

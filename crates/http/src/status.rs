@@ -35,8 +35,7 @@ impl StatusCode {
     pub const INTERNAL_SERVER_ERROR: StatusCode = StatusCode(500);
     /// `502 Bad Gateway`.
     pub const BAD_GATEWAY: StatusCode = StatusCode(502);
-    /// `503 Service Unavailable` — emitted by the origin's overload
-    /// shedder when the concurrent-transfer budget is exhausted.
+    /// `503 Service Unavailable`.
     pub const SERVICE_UNAVAILABLE: StatusCode = StatusCode(503);
     /// `504 Gateway Timeout`.
     pub const GATEWAY_TIMEOUT: StatusCode = StatusCode(504);

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use rangeamp_http::range::{ByteRangeSpec, ContentRange, RangeHeader};
+use rangeamp_http::range::{coalesce, ByteRangeSpec, ContentRange, RangeHeader, ResolvedRange};
 use rangeamp_http::{wire, HeaderMap, HeaderName, HeaderValue, Request, Uri};
 
 proptest! {
@@ -115,5 +115,55 @@ proptest! {
         let _ = ByteRangeSpec::FromTo { first, last: last.max(first) }.resolve(len);
         let _ = ByteRangeSpec::From { first }.resolve(len);
         let _ = ByteRangeSpec::Suffix { len: last }.resolve(len);
+    }
+
+    #[test]
+    fn merged_ranges_round_trip_through_their_header(
+        raw in proptest::collection::vec((0u8..3, 0u64..2_000, 0u64..2_000), 1..12),
+        complete_length in 1u64..1_500,
+    ) {
+        let specs: Vec<ByteRangeSpec> = raw
+            .iter()
+            .map(|&(kind, a, b)| match kind {
+                0 => ByteRangeSpec::FromTo { first: a.min(b), last: a.max(b) },
+                1 => ByteRangeSpec::From { first: a },
+                _ => ByteRangeSpec::Suffix { len: a },
+            })
+            .collect();
+        let merged = coalesce(&RangeHeader::new(specs).expect("valid specs").resolve(complete_length));
+        match RangeHeader::from_resolved(&merged, complete_length) {
+            None => prop_assert!(merged.is_empty()),
+            Some(header) => {
+                let reparsed = RangeHeader::parse(&header.header_value()).expect("reparses");
+                prop_assert_eq!(reparsed.resolve(complete_length), merged);
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrary_resolved_ranges_build_a_header_only_when_in_bounds(
+        raw in proptest::collection::vec(
+            (
+                prop_oneof![0u64..2_000, Just(u64::MAX - 1), Just(u64::MAX)],
+                prop_oneof![0u64..2_000, Just(u64::MAX - 1), Just(u64::MAX)],
+            ),
+            0..8,
+        ),
+        complete_length in prop_oneof![1u64..1_500, Just(u64::MAX)],
+    ) {
+        let ranges: Vec<ResolvedRange> = raw
+            .iter()
+            .map(|&(first, last)| ResolvedRange { first, last })
+            .collect();
+        let in_bounds = !ranges.is_empty()
+            && ranges.iter().all(|r| r.first <= r.last && r.last < complete_length);
+        match RangeHeader::from_resolved(&ranges, complete_length) {
+            None => prop_assert!(!in_bounds),
+            Some(header) => {
+                prop_assert!(in_bounds);
+                let reparsed = RangeHeader::parse(&header.header_value()).expect("reparses");
+                prop_assert_eq!(reparsed.resolve(complete_length), ranges);
+            }
+        }
     }
 }

@@ -88,16 +88,6 @@ pub struct CaptureEntry {
 }
 
 impl CaptureEntry {
-    /// Summarizes a request captured at virtual time zero.
-    pub fn of_request(req: &Request) -> CaptureEntry {
-        CaptureEntry::of_request_at(req, 0)
-    }
-
-    /// Summarizes a request captured at `at_millis` of virtual time.
-    pub fn of_request_at(req: &Request, at_millis: u64) -> CaptureEntry {
-        CaptureEntry::request(req, req.wire_len(), at_millis)
-    }
-
     /// Summarizes a request whose wire size the caller already metered.
     pub(crate) fn request(req: &Request, wire_len: u64, at_millis: u64) -> CaptureEntry {
         CaptureEntry {
@@ -114,16 +104,6 @@ impl CaptureEntry {
             delivered_len: None,
             at_millis,
         }
-    }
-
-    /// Summarizes a response captured at virtual time zero.
-    pub fn of_response(resp: &Response) -> CaptureEntry {
-        CaptureEntry::of_response_at(resp, 0)
-    }
-
-    /// Summarizes a response captured at `at_millis` of virtual time.
-    pub fn of_response_at(resp: &Response, at_millis: u64) -> CaptureEntry {
-        CaptureEntry::response(resp, resp.wire_len(), at_millis)
     }
 
     /// Summarizes a response whose wire size the caller already metered.
@@ -145,19 +125,15 @@ impl CaptureEntry {
 
     /// Summarizes a response of which only `delivered` wire bytes reached
     /// the receiver before the connection was cut.
-    pub fn of_response_truncated(resp: &Response, delivered: u64) -> CaptureEntry {
-        CaptureEntry::of_response_truncated_at(resp, delivered, 0)
-    }
-
-    /// Truncated-response summary captured at `at_millis` of virtual time.
-    pub fn of_response_truncated_at(
+    pub(crate) fn truncated_response(
         resp: &Response,
         delivered: u64,
         at_millis: u64,
     ) -> CaptureEntry {
+        let wire_len = resp.wire_len();
         CaptureEntry {
-            delivered_len: Some(delivered.min(resp.wire_len())),
-            ..CaptureEntry::of_response_at(resp, at_millis)
+            delivered_len: Some(delivered.min(wire_len)),
+            ..CaptureEntry::response(resp, wire_len, at_millis)
         }
     }
 
@@ -165,21 +141,6 @@ impl CaptureEntry {
     /// `GET /f.bin HTTP/1.1` or `HTTP/1.1 206 Partial Content`.
     pub fn start_line(&self) -> String {
         self.start.to_string()
-    }
-
-    /// Whether the receiver aborted this delivery before the end.
-    pub fn is_truncated(&self) -> bool {
-        self.delivered_len.is_some()
-    }
-
-    /// The query string of a captured request's target, if any — the
-    /// cache-busting observable online defenses key on (`?rnd=…` churn,
-    /// paper §II-A). `None` for responses and query-less requests.
-    pub fn query(&self) -> Option<&str> {
-        match &self.start {
-            StartLine::Request { uri, .. } => uri.query(),
-            StartLine::Response { .. } => None,
-        }
     }
 }
 
@@ -231,43 +192,6 @@ impl CaptureLog {
             .iter()
             .map(|e| e.range_header.as_ref().map(|v| v.as_str().to_string()))
             .collect()
-    }
-
-    /// Entries whose delivery was aborted mid-transfer.
-    pub fn truncated_entries(&self) -> Vec<&CaptureEntry> {
-        self.entries.iter().filter(|e| e.is_truncated()).collect()
-    }
-
-    /// Entries captured in the half-open virtual-time window
-    /// `[from_ms, to_ms)` — the slicing primitive behind sliding-window
-    /// feature extraction (DESIGN.md §12).
-    pub fn in_window(&self, from_ms: u64, to_ms: u64) -> Vec<&CaptureEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.at_millis >= from_ms && e.at_millis < to_ms)
-            .collect()
-    }
-
-    /// The number of distinct query strings across captured upstream
-    /// requests — cache-busting churn: benign clients reuse a stable URL
-    /// while RangeAmp attackers randomise the query per request.
-    pub fn distinct_queries(&self) -> usize {
-        let mut seen: Vec<&str> = self
-            .entries
-            .iter()
-            .filter_map(CaptureEntry::query)
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
-    }
-
-    /// Total response bytes captured.
-    pub fn response_bytes(&self) -> u64 {
-        self.in_direction(Direction::Downstream)
-            .iter()
-            .map(|e| e.wire_len)
-            .sum()
     }
 
     /// Renders the capture as a human-readable exchange trace (the
@@ -322,13 +246,21 @@ mod tests {
     use super::*;
     use rangeamp_http::{Request, Response, StatusCode};
 
+    fn request_entry(req: &Request) -> CaptureEntry {
+        CaptureEntry::request(req, req.wire_len(), 0)
+    }
+
+    fn response_entry(resp: &Response) -> CaptureEntry {
+        CaptureEntry::response(resp, resp.wire_len(), 0)
+    }
+
     #[test]
     fn request_capture_summary() {
         let req = Request::get("/f.bin?x=1")
             .header("Host", "h")
             .header("Range", "bytes=0-0")
             .build();
-        let entry = CaptureEntry::of_request(&req);
+        let entry = request_entry(&req);
         assert_eq!(entry.direction, Direction::Upstream);
         assert_eq!(entry.start_line(), "GET /f.bin?x=1 HTTP/1.1");
         assert_eq!(
@@ -344,7 +276,7 @@ mod tests {
             .header("Content-Range", "bytes 0-0/1000")
             .sized_body(vec![0xff])
             .build();
-        let entry = CaptureEntry::of_response(&resp);
+        let entry = response_entry(&resp);
         assert_eq!(entry.direction, Direction::Downstream);
         assert_eq!(entry.start_line(), "HTTP/1.1 206 Partial Content");
         assert_eq!(
@@ -357,10 +289,10 @@ mod tests {
     #[test]
     fn forwarded_ranges_preserves_order_and_absence() {
         let mut log = CaptureLog::new();
-        log.push(CaptureEntry::of_request(
+        log.push(request_entry(
             &Request::get("/a").header("Range", "bytes=0-0").build(),
         ));
-        log.push(CaptureEntry::of_request(&Request::get("/b").build()));
+        log.push(request_entry(&Request::get("/b").build()));
         assert_eq!(
             log.forwarded_ranges(),
             vec![Some("bytes=0-0".to_string()), None]
@@ -370,13 +302,13 @@ mod tests {
     #[test]
     fn render_produces_readable_trace() {
         let mut log = CaptureLog::new();
-        log.push(CaptureEntry::of_request(
+        log.push(request_entry(
             &Request::get("/f.bin?rnd=1")
                 .header("Host", "h")
                 .header("Range", "bytes=0-0")
                 .build(),
         ));
-        log.push(CaptureEntry::of_response(
+        log.push(response_entry(
             &Response::builder(StatusCode::PARTIAL_CONTENT)
                 .header("Content-Range", "bytes 0-0/1048576")
                 .sized_body(vec![0xff])
@@ -394,7 +326,7 @@ mod tests {
     fn render_truncates_huge_range_headers() {
         let mut log = CaptureLog::new();
         let huge = "bytes=".to_string() + &"0-,".repeat(5000);
-        log.push(CaptureEntry::of_request(
+        log.push(request_entry(
             &Request::get("/f")
                 .header("Range", huge.trim_end_matches(',').to_string())
                 .build(),
@@ -409,15 +341,14 @@ mod tests {
         let resp = Response::builder(StatusCode::OK)
             .sized_body(vec![0u8; 10_000])
             .build();
-        let entry = CaptureEntry::of_response_truncated(&resp, 512);
-        assert!(entry.is_truncated());
+        let entry = CaptureEntry::truncated_response(&resp, 512, 0);
         assert_eq!(entry.delivered_len, Some(512));
         assert_eq!(entry.wire_len, resp.wire_len(), "full size still recorded");
 
         let mut log = CaptureLog::new();
-        log.push(CaptureEntry::of_response(&resp));
+        log.push(response_entry(&resp));
         log.push(entry);
-        assert_eq!(log.truncated_entries().len(), 1);
+        assert_eq!(log.entries()[0].delivered_len, None);
         assert!(log.render().contains("(aborted after 512 B)"));
     }
 
@@ -426,75 +357,30 @@ mod tests {
         let resp = Response::builder(StatusCode::OK)
             .sized_body(vec![0u8; 8])
             .build();
-        let entry = CaptureEntry::of_response_truncated(&resp, u64::MAX);
+        let entry = CaptureEntry::truncated_response(&resp, u64::MAX, 0);
         assert_eq!(entry.delivered_len, Some(resp.wire_len()));
     }
 
     #[test]
     fn timestamped_captures_carry_virtual_time() {
         let req = Request::get("/f").build();
-        let entry = CaptureEntry::of_request_at(&req, 1_250);
+        let entry = CaptureEntry::request(&req, req.wire_len(), 1_250);
         assert_eq!(entry.at_millis, 1_250);
-        // The zero-time constructors stamp the epoch.
-        assert_eq!(CaptureEntry::of_request(&req).at_millis, 0);
 
         let resp = Response::builder(StatusCode::OK)
             .sized_body(vec![0u8; 4])
             .build();
-        assert_eq!(CaptureEntry::of_response_at(&resp, 99).at_millis, 99);
-        let truncated = CaptureEntry::of_response_truncated_at(&resp, 2, 7);
+        assert_eq!(
+            CaptureEntry::response(&resp, resp.wire_len(), 99).at_millis,
+            99
+        );
+        let truncated = CaptureEntry::truncated_response(&resp, 2, 7);
         assert_eq!(truncated.at_millis, 7);
         assert_eq!(truncated.delivered_len, Some(2));
 
         let mut log = CaptureLog::new();
-        log.push(CaptureEntry::of_request_at(&req, 1_250));
+        log.push(entry);
         let trace = log.render();
         assert!(trace.contains("[t=1.250s] -> GET /f HTTP/1.1"), "{trace}");
-    }
-
-    #[test]
-    fn query_extraction_and_churn_counting() {
-        let mut log = CaptureLog::new();
-        for rnd in [1, 2, 2, 3] {
-            log.push(CaptureEntry::of_request(
-                &Request::get(&format!("/f.bin?rnd={rnd}")).build(),
-            ));
-        }
-        log.push(CaptureEntry::of_request(
-            &Request::get("/plain.bin").build(),
-        ));
-        log.push(CaptureEntry::of_response(
-            &Response::builder(StatusCode::OK)
-                .sized_body(vec![0])
-                .build(),
-        ));
-        assert_eq!(log.entries()[0].query(), Some("rnd=1"));
-        assert_eq!(log.entries()[4].query(), None, "query-less request");
-        assert_eq!(log.entries()[5].query(), None, "responses have no query");
-        assert_eq!(log.distinct_queries(), 3);
-    }
-
-    #[test]
-    fn window_slicing_is_half_open() {
-        let mut log = CaptureLog::new();
-        for at in [0, 999, 1000, 1500, 2000] {
-            log.push(CaptureEntry::of_request_at(&Request::get("/f").build(), at));
-        }
-        let window = log.in_window(1000, 2000);
-        assert_eq!(window.len(), 2);
-        assert!(window.iter().all(|e| (1000..2000).contains(&e.at_millis)));
-    }
-
-    #[test]
-    fn response_bytes_sums_downstream_only() {
-        let mut log = CaptureLog::new();
-        let req = Request::get("/a").build();
-        let resp = Response::builder(StatusCode::OK)
-            .sized_body(vec![0u8; 10])
-            .build();
-        log.push(CaptureEntry::of_request(&req));
-        log.push(CaptureEntry::of_response(&resp));
-        assert_eq!(log.response_bytes(), resp.wire_len());
-        assert_eq!(log.len(), 2);
     }
 }

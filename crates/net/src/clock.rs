@@ -1,53 +1,17 @@
 //! Deterministic virtual time.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A virtual clock measured in milliseconds.
+/// A cloneable handle on one shared virtual clock, measured in
+/// milliseconds.
 ///
-/// All time-dependent experiments (Fig 7's 30-second attack runs) run on
-/// virtual time so results are deterministic and a 30-second experiment
-/// completes instantly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VirtualClock {
-    millis: u64,
-}
-
-impl VirtualClock {
-    /// A clock at time zero.
-    pub fn new() -> VirtualClock {
-        VirtualClock::default()
-    }
-
-    /// Current time in milliseconds since the epoch of the experiment.
-    pub fn now_millis(&self) -> u64 {
-        self.millis
-    }
-
-    /// Current time in whole seconds.
-    pub fn now_secs(&self) -> u64 {
-        self.millis / 1000
-    }
-
-    /// Advances the clock.
-    pub fn advance_millis(&mut self, millis: u64) {
-        self.millis += millis;
-    }
-
-    /// Advances the clock by whole seconds.
-    pub fn advance_secs(&mut self, secs: u64) {
-        self.millis += secs * 1000;
-    }
-}
-
-/// A cloneable handle on one shared virtual clock.
-///
-/// [`VirtualClock`] is a `Copy` value, which is right for single-owner
-/// experiment loops but useless when several components (retry loops,
-/// circuit breakers, the origin's overload shedder) must observe the
-/// *same* advancing time. `SharedClock` is the multi-reader variant:
-/// clones share state, and advancing any handle advances them all.
+/// All time-dependent experiments (Fig 7's 30-second attack runs, retry
+/// backoff, breaker windows, cache TTLs) run on virtual time, so results
+/// are deterministic and a 30-second experiment completes instantly.
+/// Clones share state: every component that must observe the *same*
+/// advancing time (retry loops, circuit breakers, the origin, segment
+/// captures) holds a handle, and advancing any handle advances them all.
 #[derive(Debug, Clone, Default)]
 pub struct SharedClock {
     millis: Arc<AtomicU64>,
@@ -59,50 +23,14 @@ impl SharedClock {
         SharedClock::default()
     }
 
-    /// A shared clock starting at `millis`.
-    pub fn starting_at(millis: u64) -> SharedClock {
-        let clock = SharedClock::new();
-        clock.millis.store(millis, Ordering::SeqCst);
-        clock
-    }
-
-    /// Current time in milliseconds.
+    /// Current time in milliseconds since the epoch of the experiment.
     pub fn now_millis(&self) -> u64 {
         self.millis.load(Ordering::SeqCst)
-    }
-
-    /// Current time in whole seconds.
-    pub fn now_secs(&self) -> u64 {
-        self.now_millis() / 1000
     }
 
     /// Advances the clock for every handle.
     pub fn advance_millis(&self, millis: u64) {
         self.millis.fetch_add(millis, Ordering::SeqCst);
-    }
-
-    /// Advances the clock by whole seconds.
-    pub fn advance_secs(&self, secs: u64) {
-        self.advance_millis(secs * 1000);
-    }
-
-    /// A `Copy` snapshot of the current instant.
-    pub fn snapshot(&self) -> VirtualClock {
-        let mut clock = VirtualClock::new();
-        clock.advance_millis(self.now_millis());
-        clock
-    }
-}
-
-impl fmt::Display for SharedClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.snapshot().fmt(f)
-    }
-}
-
-impl fmt::Display for VirtualClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={}.{:03}s", self.millis / 1000, self.millis % 1000)
     }
 }
 
@@ -112,11 +40,11 @@ mod tests {
 
     #[test]
     fn advances_monotonically() {
-        let mut clock = VirtualClock::new();
+        let clock = SharedClock::new();
         assert_eq!(clock.now_millis(), 0);
         clock.advance_millis(1500);
-        assert_eq!(clock.now_secs(), 1);
-        clock.advance_secs(2);
+        assert_eq!(clock.now_millis(), 1500);
+        clock.advance_millis(2000);
         assert_eq!(clock.now_millis(), 3500);
     }
 
@@ -125,17 +53,8 @@ mod tests {
         let clock = SharedClock::new();
         let other = clock.clone();
         clock.advance_millis(250);
-        other.advance_secs(1);
+        other.advance_millis(1000);
         assert_eq!(clock.now_millis(), 1250);
         assert_eq!(other.now_millis(), 1250);
-        assert_eq!(clock.snapshot().now_millis(), 1250);
-        assert_eq!(SharedClock::starting_at(500).now_millis(), 500);
-    }
-
-    #[test]
-    fn display_formats_millis() {
-        let mut clock = VirtualClock::new();
-        clock.advance_millis(12_345);
-        assert_eq!(clock.to_string(), "t=12.345s");
     }
 }

@@ -9,12 +9,7 @@
 //! deterministic RNG, so the same seed always yields the same fault
 //! sequence and therefore byte-identical meters.
 
-use std::sync::Arc;
-
 use parking_lot::Mutex;
-
-use crate::segment::Segment;
-use rangeamp_http::{Request, Response};
 
 /// One kind of injected fault, parameterized where the paper's failure
 /// taxonomy needs it.
@@ -233,88 +228,9 @@ impl FaultPlan {
     }
 }
 
-/// What actually crossed the wire when a response was sent through a
-/// [`FaultySegment`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// The whole response arrived.
-    Full,
-    /// The transfer died mid-flight; `delivered` wire bytes arrived.
-    Truncated {
-        /// Wire bytes that crossed before the failure.
-        delivered: u64,
-    },
-    /// Nothing arrived; the fetch timed out.
-    TimedOut,
-}
-
-/// A [`Segment`] wrapper that meters traffic under a [`FaultPlan`]:
-/// requests always cross, responses may be cut short or lost entirely
-/// according to the plan's schedule.
-#[derive(Debug, Clone)]
-pub struct FaultySegment {
-    segment: Segment,
-    plan: Arc<FaultPlan>,
-}
-
-impl FaultySegment {
-    /// Wraps `segment` with `plan`.
-    pub fn new(segment: Segment, plan: Arc<FaultPlan>) -> FaultySegment {
-        FaultySegment { segment, plan }
-    }
-
-    /// The underlying metered segment.
-    pub fn segment(&self) -> &Segment {
-        &self.segment
-    }
-
-    /// The fault schedule.
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
-    /// Meters a request crossing the segment.
-    pub fn send_request(&self, req: &Request) {
-        self.segment.send_request(req);
-    }
-
-    /// Meters a response under the fault schedule and reports what was
-    /// delivered.
-    pub fn send_response(&self, resp: &Response) -> Delivery {
-        match self.plan.next_for_transfer(resp.wire_len()) {
-            None
-            | Some(FaultEvent {
-                kind: FaultKind::Origin5xx { .. } | FaultKind::SlowLink { .. },
-                ..
-            }) => {
-                // 5xx still crosses the wire in full; slow links change
-                // timing, not bytes.
-                self.segment.send_response(resp);
-                Delivery::Full
-            }
-            Some(FaultEvent {
-                kind:
-                    FaultKind::ConnectionReset { after_bytes: kept }
-                    | FaultKind::Truncation { keep_bytes: kept },
-                ..
-            }) => {
-                let delivered = kept.min(resp.wire_len());
-                self.segment.send_response_truncated(resp, delivered);
-                Delivery::Truncated { delivered }
-            }
-            Some(FaultEvent {
-                kind: FaultKind::Timeout,
-                ..
-            }) => Delivery::TimedOut,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::SegmentName;
-    use rangeamp_http::StatusCode;
 
     #[test]
     fn healthy_plan_never_draws() {
@@ -364,45 +280,5 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn faulty_segment_meters_truncated_bytes() {
-        let plan = Arc::new(FaultPlan::with_rates(
-            11,
-            FaultRates {
-                truncation: 1.0,
-                ..FaultRates::HEALTHY
-            },
-        ));
-        let faulty = FaultySegment::new(Segment::new(SegmentName::CdnOrigin), plan);
-        let resp = Response::builder(StatusCode::OK)
-            .sized_body(vec![0u8; 2048])
-            .build();
-        match faulty.send_response(&resp) {
-            Delivery::Truncated { delivered } => {
-                assert!(delivered < resp.wire_len());
-                assert_eq!(faulty.segment().stats().response_bytes, delivered);
-            }
-            other => panic!("expected truncation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn timeout_delivers_nothing() {
-        let plan = Arc::new(FaultPlan::with_rates(
-            5,
-            FaultRates {
-                timeout: 1.0,
-                ..FaultRates::HEALTHY
-            },
-        ));
-        let faulty = FaultySegment::new(Segment::new(SegmentName::CdnOrigin), plan);
-        let resp = Response::builder(StatusCode::OK)
-            .sized_body(vec![0u8; 64])
-            .build();
-        assert_eq!(faulty.send_response(&resp), Delivery::TimedOut);
-        assert_eq!(faulty.segment().stats().response_bytes, 0);
-        assert_eq!(faulty.segment().stats().responses, 0);
     }
 }

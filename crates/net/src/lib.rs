@@ -12,7 +12,12 @@
 //! * [`flowsim::FlowSim`] — a discrete-time max-min-fair bandwidth
 //!   simulator used by the Fig 7 experiment (outgoing bandwidth of the
 //!   origin under m concurrent SBR request streams).
-//! * [`clock::VirtualClock`] — deterministic virtual time.
+//! * [`clock::SharedClock`] — deterministic virtual time, one handle
+//!   shared by every component of a testbed.
+//! * [`fault::FaultPlan`] — a seeded schedule of link and origin faults
+//!   (5xx, timeout, reset, truncation, slow link). The CDN crate's
+//!   `FaultyUpstream` draws from it on the origin link; this crate only
+//!   decides *what* fails, never meters it.
 //! * [`telemetry::Tracer`] / [`metrics::MetricsRegistry`] — deterministic
 //!   hop-span tracing and a metrics registry, exportable as Chrome
 //!   trace-event JSON and JSONL (see DESIGN.md § Observability).
@@ -45,8 +50,8 @@ mod segment;
 pub mod telemetry;
 
 pub use capture::{CaptureEntry, CaptureLog, Direction, StartLine};
-pub use clock::{SharedClock, VirtualClock};
-pub use fault::{Delivery, FaultEvent, FaultKind, FaultPlan, FaultRates, FaultySegment};
+pub use clock::SharedClock;
+pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRates};
 pub use flowsim::{FlowId, FlowSim, LinkId};
 pub use metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use segment::{Segment, SegmentName, SegmentStats};

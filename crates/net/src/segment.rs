@@ -72,7 +72,6 @@ impl SegmentStats {
 struct SegmentInner {
     stats: SegmentStats,
     capture: CaptureLog,
-    aborted: bool,
     clock: Option<SharedClock>,
 }
 
@@ -156,22 +155,9 @@ impl Segment {
         inner.stats.response_bytes += resp.wire_len().min(received_bytes);
         inner.stats.h2_response_bytes +=
             rangeamp_http::h2frame::response_wire_len(resp).min(received_bytes);
-        inner.capture.push(CaptureEntry::of_response_truncated_at(
-            resp,
-            received_bytes,
-            now,
-        ));
-        inner.aborted = true;
-    }
-
-    /// Marks the segment's front-end connection as aborted by the client.
-    pub fn abort(&self) {
-        self.inner.lock().aborted = true;
-    }
-
-    /// Whether the client aborted this connection.
-    pub fn is_aborted(&self) -> bool {
-        self.inner.lock().aborted
+        inner
+            .capture
+            .push(CaptureEntry::truncated_response(resp, received_bytes, now));
     }
 
     /// Snapshot of the byte counters.
@@ -233,7 +219,6 @@ mod tests {
             .build();
         segment.send_response_truncated(&resp, 512);
         assert_eq!(segment.stats().response_bytes, 512);
-        assert!(segment.is_aborted());
         // Capture still records the full message for analysis, plus the
         // fact that only 512 bytes of it were delivered.
         let capture = segment.capture();
@@ -256,10 +241,8 @@ mod tests {
     fn reset_zeroes_everything() {
         let segment = Segment::new(SegmentName::ClientCdn);
         segment.send_request(&Request::get("/f").build());
-        segment.abort();
         segment.reset();
         assert_eq!(segment.stats(), SegmentStats::default());
-        assert!(!segment.is_aborted());
         assert!(segment.capture().is_empty());
     }
 

@@ -11,10 +11,11 @@
 //!   origin replies 200 with the full body — §IV-C), and multi-range
 //!   hardening can be toggled (Apache's post-CVE-2011-3192 behaviour),
 //! * [`RateLimiter`] — the "enforce local DoS defense" server-side
-//!   mitigation of §VI-C,
-//! * [`OverloadShedder`] — a concurrent-transfer budget; past it the
-//!   origin sheds with `503` + `Retry-After`, the failure the edge
-//!   resilience layer (retry, circuit breaker, serve-stale) reacts to.
+//!   mitigation of §VI-C.
+//!
+//! The origin is always healthy: origin failures (5xx, timeouts, resets,
+//! truncation) are injected on the link in front of it by the CDN
+//! crate's `FaultyUpstream`, drawing from a seeded `rangeamp_net::FaultPlan`.
 //!
 //! # Example
 //!
@@ -37,13 +38,11 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod config;
-mod overload;
 mod ratelimit;
 mod resource;
 mod server;
 
 pub use config::{MultiRangeBehavior, OriginConfig};
-pub use overload::{OverloadPolicy, OverloadShedder};
 pub use ratelimit::RateLimiter;
 pub use resource::{Resource, ResourceStore};
 pub use server::OriginServer;

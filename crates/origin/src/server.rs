@@ -3,7 +3,7 @@ use rangeamp_http::range::RangeHeader;
 use rangeamp_http::{Method, Request, Response, ResponseBuilder, StatusCode};
 use rangeamp_net::{SpanKind, Telemetry};
 
-use crate::{MultiRangeBehavior, OriginConfig, OverloadShedder, Resource, ResourceStore};
+use crate::{MultiRangeBehavior, OriginConfig, Resource, ResourceStore};
 
 /// The origin web server.
 ///
@@ -22,7 +22,6 @@ use crate::{MultiRangeBehavior, OriginConfig, OverloadShedder, Resource, Resourc
 pub struct OriginServer {
     store: ResourceStore,
     config: OriginConfig,
-    overload: Option<OverloadShedder>,
     telemetry: Option<Telemetry>,
 }
 
@@ -38,24 +37,8 @@ impl OriginServer {
         OriginServer {
             store,
             config,
-            overload: None,
             telemetry: None,
         }
-    }
-
-    /// Attaches an overload shedder: body-bearing responses occupy
-    /// transfer slots, and past the budget [`handle_at`] answers `503`
-    /// with `Retry-After` instead.
-    ///
-    /// [`handle_at`]: OriginServer::handle_at
-    pub fn with_overload(mut self, shedder: OverloadShedder) -> OriginServer {
-        self.overload = Some(shedder);
-        self
-    }
-
-    /// The overload shedder, if one is attached.
-    pub fn overload(&self) -> Option<&OverloadShedder> {
-        self.overload.as_ref()
     }
 
     /// Attaches a telemetry bundle: every handled request records a
@@ -82,12 +65,8 @@ impl OriginServer {
         &self.store
     }
 
-    /// Handles one request at virtual time zero.
-    ///
-    /// Identical to [`handle_at`](OriginServer::handle_at) with
-    /// `now_ms == 0`; kept as the simple entry point for callers that do
-    /// not model time (the overload budget never frees at a frozen
-    /// clock, so attach a shedder only through `handle_at` callers).
+    /// Handles one request at virtual time zero; the same as
+    /// [`handle_at`](OriginServer::handle_at) with `now_ms == 0`.
     pub fn handle(&self, req: &Request) -> Response {
         self.handle_at(req, 0)
     }
@@ -97,9 +76,8 @@ impl OriginServer {
     ///
     /// `HEAD` requests receive the `GET` response's headers with an empty
     /// payload; `If-None-Match` hits are answered `304 Not Modified`.
-    /// With an [`OverloadShedder`] attached, successful body-bearing
-    /// responses must win a transfer slot first — otherwise the request
-    /// is shed with `503 Service Unavailable` and a `Retry-After` header.
+    /// The response does not depend on time: `now_ms` only stamps the
+    /// origin's telemetry span.
     pub fn handle_at(&self, req: &Request, now_ms: u64) -> Response {
         let span = self.telemetry.as_ref().map(|tel| {
             let mut span = tel
@@ -112,7 +90,7 @@ impl OriginServer {
             span.add_bytes_in(req.wire_len());
             span
         });
-        let resp = self.handle_at_core(req, now_ms);
+        let resp = self.respond(req);
         if let Some(mut span) = span {
             let tel = self.telemetry.as_ref().expect("span implies telemetry");
             let status = resp.status().as_u16().to_string();
@@ -121,22 +99,6 @@ impl OriginServer {
             span.finish(now_ms);
             tel.metrics()
                 .counter_add("origin_requests_total", &[("status", &status)], 1);
-        }
-        resp
-    }
-
-    fn handle_at_core(&self, req: &Request, now_ms: u64) -> Response {
-        let resp = self.respond(req);
-        if let Some(shedder) = &self.overload {
-            if resp.status().is_success() && !resp.body().is_empty() {
-                if let Err(retry_after_secs) = shedder.try_admit(now_ms, resp.body().len()) {
-                    return self
-                        .base_response(StatusCode::SERVICE_UNAVAILABLE)
-                        .header("Retry-After", retry_after_secs.to_string())
-                        .sized_body("origin transfer budget exhausted")
-                        .build();
-                }
-            }
         }
         resp
     }
@@ -550,46 +512,6 @@ mod tests {
             .build();
         let resp = server.handle(&req);
         assert_eq!(resp.status(), StatusCode::OK);
-    }
-
-    #[test]
-    fn overloaded_origin_sheds_with_retry_after() {
-        use crate::{OverloadPolicy, OverloadShedder};
-        let mut store = ResourceStore::new();
-        store.add_synthetic("/f.bin", 1_000_000, "x/y");
-        let server =
-            OriginServer::new(store).with_overload(OverloadShedder::new(OverloadPolicy::strict(1)));
-        assert_eq!(
-            server.handle_at(&get("/f.bin", None), 0).status(),
-            StatusCode::OK
-        );
-        // Second request at the same instant: budget of one is occupied.
-        let shed = server.handle_at(&get("/f.bin", None), 0);
-        assert_eq!(shed.status(), StatusCode::SERVICE_UNAVAILABLE);
-        assert_eq!(shed.headers().get("retry-after"), Some("1"));
-        // 1 MB drains in 80 ms at the default rate; afterwards we're
-        // admitted again.
-        let later = server.handle_at(&get("/f.bin", None), 100);
-        assert_eq!(later.status(), StatusCode::OK);
-    }
-
-    #[test]
-    fn shedding_ignores_bodyless_responses() {
-        use crate::{OverloadPolicy, OverloadShedder};
-        let mut store = ResourceStore::new();
-        store.add_synthetic("/f.bin", 1000, "x/y");
-        let server =
-            OriginServer::new(store).with_overload(OverloadShedder::new(OverloadPolicy::strict(1)));
-        let etag = server.store().get("/f.bin").unwrap().etag().to_string();
-        let conditional = Request::get("/f.bin").header("If-None-Match", etag).build();
-        // 304s carry no payload, so they never occupy a transfer slot.
-        for _ in 0..5 {
-            assert_eq!(
-                server.handle_at(&conditional, 0).status(),
-                StatusCode::NOT_MODIFIED
-            );
-        }
-        assert_eq!(server.overload().unwrap().in_flight(0), 0);
     }
 
     #[test]

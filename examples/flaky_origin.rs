@@ -14,8 +14,7 @@ fn main() {
     let bed = Testbed::builder()
         .vendor(Vendor::Cloudflare)
         .resource(TARGET_PATH, 1024 * 1024)
-        .fault_plan(FaultPlan::flaky_origin(0xF1A2))
-        .breaker(BreakerConfig::default())
+        .faults(FaultPlan::flaky_origin(0xF1A2), BreakerConfig::default())
         .cache_ttl_ms(5_000) // short TTL so serve-stale has expired entries
         .build();
 
