@@ -89,17 +89,21 @@ pub(crate) fn single_206(
     .build()
 }
 
-/// A multipart/byteranges 206 with one part per given range, in order.
-pub(crate) fn multipart_206(
-    full_body: &Body,
+/// A multipart/byteranges 206 with one part per given range, in order,
+/// sliced from `body`, which holds the representation from byte `offset`
+/// on (0 for a full copy, the window start for a partial). Consecutive
+/// equal ranges share one framing head and one body slice.
+fn multipart_206(
+    body: &Body,
+    offset: u64,
     ranges: &[ResolvedRange],
     complete_length: u64,
     meta: &ReprMeta<'_>,
 ) -> Response {
-    let mut builder = MultipartBuilder::new(meta.content_type.as_str(), complete_length);
-    for range in ranges {
-        builder = builder.part(*range, full_body.slice(range.first, range.last + 1));
-    }
+    let builder = MultipartBuilder::new(meta.content_type.as_str(), complete_length)
+        .ranges(ranges, |r| {
+            body.slice(r.first - offset, r.last + 1 - offset)
+        });
     let content_type = builder.content_type_header();
     meta.apply(
         Response::builder(StatusCode::PARTIAL_CONTENT)
@@ -143,30 +147,8 @@ pub(crate) fn serve_from_full(
     if resolved.is_empty() {
         return not_satisfiable(complete);
     }
-    if resolved.len() == 1 {
-        let r = resolved[0];
-        return single_206(body.slice(r.first, r.last + 1), r, complete, &meta);
-    }
-    match multi_reply {
-        MultiReplyPolicy::NPartNoOverlapCheck => multipart_206(body, &resolved, complete, &meta),
-        MultiReplyPolicy::Coalesce => {
-            let merged = coalesce(&resolved);
-            if merged.len() == 1 {
-                let r = merged[0];
-                single_206(body.slice(r.first, r.last + 1), r, complete, &meta)
-            } else {
-                multipart_206(body, &merged, complete, &meta)
-            }
-        }
-        MultiReplyPolicy::RejectOverlapping => {
-            if has_overlap(&resolved) {
-                not_satisfiable(complete)
-            } else {
-                multipart_206(body, &resolved, complete, &meta)
-            }
-        }
-        MultiReplyPolicy::Full200 => full_200(body.clone(), &meta),
-    }
+    ranges_reply(body, 0, &resolved, complete, &meta, multi_reply)
+        .unwrap_or_else(|| full_200(body.clone(), &meta))
 }
 
 /// Serves a (possibly multi) range request from an upstream *partial*
@@ -204,48 +186,49 @@ pub(crate) fn serve_from_partial(
         return None;
     }
     let meta = ReprMeta::of(partial);
-    let slice_of = |r: &ResolvedRange| -> Body {
-        let offset = r.first - window.first;
-        partial.body().slice(offset, offset + r.len())
+    ranges_reply(
+        partial.body(),
+        window.first,
+        &resolved,
+        complete_length,
+        &meta,
+        multi_reply,
+    )
+}
+
+/// Answers the satisfiable ranges `resolved` (at least one) from `body`,
+/// which holds the representation from byte `offset` on, under
+/// `multi_reply`. Returns `None` for [`MultiReplyPolicy::Full200`] on a
+/// multi-range request: only the caller knows whether it holds the full
+/// representation that policy sends.
+fn ranges_reply(
+    body: &Body,
+    offset: u64,
+    resolved: &[ResolvedRange],
+    complete_length: u64,
+    meta: &ReprMeta<'_>,
+    multi_reply: MultiReplyPolicy,
+) -> Option<Response> {
+    let single = |r: ResolvedRange| {
+        let slice = body.slice(r.first - offset, r.last + 1 - offset);
+        single_206(slice, r, complete_length, meta)
     };
-    if resolved.len() == 1 {
-        return Some(single_206(
-            slice_of(&resolved[0]),
-            resolved[0],
-            complete_length,
-            &meta,
-        ));
+    if let [r] = resolved {
+        return Some(single(*r));
     }
-    let build_multipart = |ranges: &[ResolvedRange]| -> Response {
-        let mut builder = MultipartBuilder::new(meta.content_type.as_str(), complete_length);
-        for r in ranges {
-            builder = builder.part(*r, slice_of(r));
-        }
-        let content_type = builder.content_type_header();
-        meta.apply(
-            Response::builder(StatusCode::PARTIAL_CONTENT)
-                .header(HeaderName::DATE, CDN_DATE)
-                .header(HeaderName::ACCEPT_RANGES, BYTES)
-                .header(HeaderName::CONTENT_TYPE, content_type),
-        )
-        .sized_body(builder.build())
-        .build()
-    };
+    let multipart =
+        |ranges: &[ResolvedRange]| multipart_206(body, offset, ranges, complete_length, meta);
     Some(match multi_reply {
-        MultiReplyPolicy::NPartNoOverlapCheck => build_multipart(&resolved),
-        MultiReplyPolicy::Coalesce => {
-            let merged = coalesce(&resolved);
-            if merged.len() == 1 {
-                single_206(slice_of(&merged[0]), merged[0], complete_length, &meta)
-            } else {
-                build_multipart(&merged)
-            }
-        }
+        MultiReplyPolicy::NPartNoOverlapCheck => multipart(resolved),
+        MultiReplyPolicy::Coalesce => match coalesce(resolved).as_slice() {
+            [r] => single(*r),
+            merged => multipart(merged),
+        },
         MultiReplyPolicy::RejectOverlapping => {
-            if has_overlap(&resolved) {
+            if has_overlap(resolved) {
                 not_satisfiable(complete_length)
             } else {
-                build_multipart(&resolved)
+                multipart(resolved)
             }
         }
         MultiReplyPolicy::Full200 => return None,

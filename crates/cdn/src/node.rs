@@ -230,8 +230,14 @@ impl EdgeNode {
             );
         }
 
+        // The client's Range header, parsed once for every step below.
+        let range = req
+            .headers()
+            .get_value("range")
+            .and_then(|v| RangeHeader::parse_value(v).ok());
+
         // 1. Request-header size limits (§V-C).
-        if !self.profile.limits.admits(req) {
+        if !self.profile.limits.admits(req, range.as_ref()) {
             return self.finish(
                 Response::builder(StatusCode::REQUEST_HEADER_FIELDS_TOO_LARGE)
                     .header("Date", assemble::CDN_DATE)
@@ -246,7 +252,7 @@ impl EdgeNode {
         //     run the pipeline under the (possibly hardened) mitigation
         //     config it implies, then report the byte-level outcome back.
         let Some(hook) = self.defense.clone() else {
-            return self.handle_admitted(req, backend_truncate, self.profile.mitigation);
+            return self.handle_admitted(req, range, backend_truncate, self.profile.mitigation);
         };
         let client = client_key(req);
         let now_ms = self.resilience.clock().now_millis();
@@ -264,7 +270,7 @@ impl EdgeNode {
             )
         } else {
             let mitigation = action.effective_mitigation(self.profile.mitigation);
-            self.handle_admitted(req, backend_truncate, mitigation)
+            self.handle_admitted(req, range, backend_truncate, mitigation)
         };
         if let Some(tel) = &self.telemetry {
             let vendor = self.profile.vendor.to_string();
@@ -298,13 +304,10 @@ impl EdgeNode {
     fn handle_admitted(
         &self,
         req: &Request,
+        mut range: Option<RangeHeader>,
         backend_truncate: Option<u64>,
         mitigation: MitigationConfig,
     ) -> Response {
-        let mut range = req
-            .headers()
-            .get("range")
-            .and_then(|v| RangeHeader::parse(v).ok());
         let size_hint = self.upstream.resource_size(req.uri().path());
 
         // 2. Mitigation pre-checks (§VI-C).
@@ -359,10 +362,10 @@ impl EdgeNode {
         }
 
         // 4. Cache miss: mitigation overrides, then the vendor mechanics.
-        let mut ctx = MissCtx {
+        let ctx = MissCtx {
             req,
             profile: &self.profile,
-            range: range.clone(),
+            range: range.as_ref(),
             resource_size: size_hint,
             upstream: self.upstream.as_ref(),
             segment: &self.segment,
@@ -373,7 +376,7 @@ impl EdgeNode {
             resilience: &self.resilience,
             telemetry: self.telemetry.as_ref(),
         };
-        let outcome = self.handle_miss_with_mitigation(&mut ctx, mitigation);
+        let outcome = self.handle_miss_with_mitigation(&ctx, mitigation);
 
         // 5. Assemble the client-facing response. An upstream failure
         //    that survived the retry policy becomes a 502/504.
@@ -457,15 +460,15 @@ impl EdgeNode {
 
     fn handle_miss_with_mitigation(
         &self,
-        ctx: &mut MissCtx<'_>,
+        ctx: &MissCtx<'_>,
         mitigation: MitigationConfig,
     ) -> Result<MissResult, UpstreamError> {
         if mitigation.force_laziness {
             return vendor::laziness(ctx);
         }
-        if let (Some(cap), Some(header)) = (mitigation.expansion_cap, ctx.range.clone()) {
+        if let (Some(cap), Some(header)) = (mitigation.expansion_cap, ctx.range) {
             if !header.is_multi() {
-                return self.capped_expansion(ctx, &header, cap);
+                return self.capped_expansion(ctx, header, cap);
             }
             // Multi-range under a capped-expansion regime: never hand the
             // set to the vendor's (unbounded) expansion logic; coalesce
@@ -639,6 +642,33 @@ mod tests {
         assert_eq!(miss.headers().get("x-cache"), Some("MISS from Akamai"));
         assert_eq!(miss.status(), StatusCode::RANGE_NOT_SATISFIABLE);
         assert_eq!(miss.status(), hit.status());
+    }
+
+    #[test]
+    fn laziness_forwards_the_client_range_value_itself() {
+        // CDN77 relays a multi-range set unchanged (Table II).
+        let (edge, segment) = testbed(Vendor::Cdn77, MB);
+        let canonical = HeaderValue::from_static("bytes=0-,0-,0-");
+        let req = Request::get("/target.bin?rnd=1")
+            .header("Host", "victim.example")
+            .header("Range", &canonical)
+            .build();
+        edge.handle(&req);
+        // Non-canonical text goes upstream in canonical form.
+        edge.handle(&sbr_request("bytes=00-, 0-,,\t0- ", 2));
+        let capture = segment.capture();
+        let forwarded: Vec<&HeaderValue> = capture
+            .entries()
+            .iter()
+            .filter_map(|e| e.range_header.as_ref())
+            .filter(|v| v.as_str().starts_with("bytes="))
+            .collect();
+        assert_eq!(forwarded.len(), 2);
+        assert!(
+            std::ptr::eq(forwarded[0].as_str(), canonical.as_str()),
+            "the client's value is shared, not rewritten"
+        );
+        assert_eq!(forwarded[1].as_str(), "bytes=0-,0-,0-");
     }
 
     #[test]

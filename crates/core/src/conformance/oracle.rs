@@ -240,7 +240,7 @@ fn check_vendor(
     env: &ConformanceEnv,
     out: &mut CaseReport,
 ) -> String {
-    let admits = profile.limits.admits(req);
+    let admits = profile.limits.admits(req, parsed);
     let probe = match run_probe(bed, profile, req) {
         Ok(probe) => probe,
         Err(panic_msg) => {
@@ -588,7 +588,8 @@ fn check_if_range_equivalence(
     // The validator line changes header totals; only compare beds where
     // both requests pass the vendor's limits.
     let profile = vendor.profile();
-    if !profile.limits.admits(&baseline_req) {
+    let parsed = RangeHeader::parse(&baseline_case.range).ok();
+    if !profile.limits.admits(&baseline_req, parsed.as_ref()) {
         return;
     }
     let baseline = match run_probe(bed, profile, &baseline_req) {
@@ -654,7 +655,9 @@ pub fn check_monotonicity(env: &ConformanceEnv, case: &FuzzCase) -> CaseReport {
 
     for vendor in Vendor::ALL {
         let profile = vendor.profile();
-        if !profile.limits.admits(&small_req) || !profile.limits.admits(&large_req) {
+        if !profile.limits.admits(&small_req, Some(&header))
+            || !profile.limits.admits(&large_req, Some(&header))
+        {
             continue;
         }
         let shape_small = expected_forwarding(vendor, Some(&header), case.size, honors);

@@ -249,6 +249,13 @@ impl HeaderValue {
         HeaderValue(Text::Shared(Arc::from(text.as_str())))
     }
 
+    /// Shares text this crate wrote from ASCII digits and punctuation,
+    /// copied once and not re-validated.
+    pub(crate) fn from_written(text: &str) -> HeaderValue {
+        debug_assert!(is_field_value(text), "written header text is valid");
+        HeaderValue(Text::Shared(Arc::from(text)))
+    }
+
     /// The `Display` text of `value`, formatted on the stack and then
     /// copied once into the shared value (text longer than the stack
     /// buffer goes through a `String`).

@@ -10,6 +10,7 @@
 
 use bytes::Bytes;
 
+use crate::body::RopeBuilder;
 use crate::range::{ContentRange, ResolvedRange};
 use crate::{decimal, Body, Error, Result};
 
@@ -32,8 +33,16 @@ pub struct Part {
 pub struct MultipartBuilder {
     boundary: String,
     content_type: String,
-    parts: Vec<(ResolvedRange, Body)>,
+    runs: Vec<PartRun>,
     complete_length: u64,
+}
+
+/// `times` consecutive parts with the same range and body.
+#[derive(Debug, Clone)]
+struct PartRun {
+    range: ResolvedRange,
+    body: Body,
+    times: u64,
 }
 
 impl MultipartBuilder {
@@ -43,7 +52,7 @@ impl MultipartBuilder {
         MultipartBuilder {
             boundary: DEFAULT_BOUNDARY.to_string(),
             content_type: content_type.to_string(),
-            parts: Vec::new(),
+            runs: Vec::new(),
             complete_length,
         }
     }
@@ -58,13 +67,35 @@ impl MultipartBuilder {
     /// representation. No overlap or ordering checks are performed — that
     /// is precisely the vulnerable behaviour of Table III BCDNs.
     pub fn part(mut self, range: ResolvedRange, body: Body) -> MultipartBuilder {
-        self.parts.push((range, body));
+        self.runs.push(PartRun {
+            range,
+            body,
+            times: 1,
+        });
+        self
+    }
+
+    /// Appends one part per range, in order, taking each part's body from
+    /// `body_of`. Consecutive equal ranges (the OBR shape `0-,0-,...`)
+    /// become one run: `body_of` is called once for the group, and the
+    /// built payload holds the group's framing once.
+    pub fn ranges(
+        mut self,
+        ranges: &[ResolvedRange],
+        mut body_of: impl FnMut(&ResolvedRange) -> Body,
+    ) -> MultipartBuilder {
+        self.runs
+            .extend(ranges.chunk_by(|a, b| a == b).map(|group| PartRun {
+                range: group[0],
+                body: body_of(&group[0]),
+                times: group.len() as u64,
+            }));
         self
     }
 
     /// Number of parts added so far.
     pub fn part_count(&self) -> usize {
-        self.parts.len()
+        self.runs.iter().map(|run| run.times as usize).sum()
     }
 
     /// Value for the response's `Content-Type` header.
@@ -74,61 +105,72 @@ impl MultipartBuilder {
 
     /// Serializes the multipart payload without copying any part bytes.
     ///
-    /// The framing of every part (delimiter, `Content-Type` and
-    /// `Content-Range` lines) is written into one buffer sized up front;
-    /// the result is a rope that interleaves slices of that buffer with
-    /// the part bodies.
+    /// The framing is written into one buffer sized up front: each run's
+    /// head (CRLF, delimiter, `Content-Type` and `Content-Range` lines)
+    /// once, then the closing delimiter. The result is a rope of slices
+    /// of that buffer and the part bodies, with a repeated part as one
+    /// run, so its cost follows the number of runs, not of parts.
     pub fn build(&self) -> Body {
         let mut framing = Vec::with_capacity(self.framing_len());
-        let mut prefix = 0..0;
-        for (index, (range, _)) in self.parts.iter().enumerate() {
-            if index == 0 {
-                let start = framing.len();
-                framing.extend_from_slice(b"--");
-                framing.extend_from_slice(self.boundary.as_bytes());
-                framing.extend_from_slice(b"\r\nContent-Type: ");
-                framing.extend_from_slice(self.content_type.as_bytes());
-                framing.extend_from_slice(b"\r\nContent-Range: bytes ");
-                prefix = start..framing.len();
-            } else {
-                // Every part repeats the first part's prefix.
-                framing.extend_from_slice(b"\r\n");
-                framing.extend_from_within(prefix.clone());
-            }
-            decimal::push(&mut framing, range.first);
+        for run in &self.runs {
+            // Every head starts with the CRLF that ends the part before
+            // it; the first part's head is sliced past it.
+            framing.extend_from_slice(b"\r\n--");
+            framing.extend_from_slice(self.boundary.as_bytes());
+            framing.extend_from_slice(b"\r\nContent-Type: ");
+            framing.extend_from_slice(self.content_type.as_bytes());
+            framing.extend_from_slice(b"\r\nContent-Range: bytes ");
+            decimal::push(&mut framing, run.range.first);
             framing.push(b'-');
-            decimal::push(&mut framing, range.last);
+            decimal::push(&mut framing, run.range.last);
             framing.push(b'/');
             decimal::push(&mut framing, self.complete_length);
             framing.extend_from_slice(b"\r\n\r\n");
         }
-        if !self.parts.is_empty() {
-            framing.extend_from_slice(b"\r\n");
-        }
-        framing.extend_from_slice(b"--");
+        // The closing delimiter, after the CRLF ending the last part.
+        framing.extend_from_slice(b"\r\n--");
         framing.extend_from_slice(self.boundary.as_bytes());
         framing.extend_from_slice(b"--\r\n");
         debug_assert_eq!(framing.len(), self.framing_len());
 
         let framing = Bytes::from(framing);
-        let fixed = self.fixed_head_len();
-        let mut chunks = Vec::with_capacity(2 * self.parts.len() + 1);
+        let mut rope = RopeBuilder::with_capacity(2 * self.runs.len() + 1);
+        // Where the current run's head starts, its leading CRLF included.
         let mut at = 0;
-        for (index, (range, body)) in self.parts.iter().enumerate() {
-            let head = fixed + part_digits(range) + if index == 0 { 0 } else { 2 };
-            chunks.push(framing.slice(at..at + head));
-            chunks.extend(body.chunks().cloned());
-            at += head;
+        for (index, run) in self.runs.iter().enumerate() {
+            let end = at + 2 + self.head_len(&run.range);
+            let mut times = run.times;
+            if index == 0 {
+                // The payload starts past the buffer's leading CRLF.
+                push_part(&mut rope, framing.slice(at + 2..end), &run.body);
+                times -= 1;
+            }
+            let head = framing.slice(at..end);
+            match times {
+                0 => {}
+                1 => push_part(&mut rope, head, &run.body),
+                _ => {
+                    let pass = std::iter::once(head).chain(run.body.chunks().cloned());
+                    rope.push_run(pass.collect(), times);
+                }
+            }
+            at = end;
         }
-        chunks.push(framing.slice(at..));
-        Body::from_chunks(chunks)
+        // The closing delimiter; with no parts, past its CRLF too.
+        let closing = if self.runs.is_empty() { 2 } else { at };
+        rope.push(framing.slice(closing..));
+        rope.build()
     }
 
     /// Exact length of [`MultipartBuilder::build`]'s output without
     /// materializing it (used for traffic projections in the max-n solver).
     pub fn encoded_len(&self) -> u64 {
-        let bodies: u64 = self.parts.iter().map(|(_, body)| body.len()).sum();
-        self.framing_len() as u64 + bodies
+        let parts: u64 = self
+            .runs
+            .iter()
+            .map(|run| run.times * (self.head_len(&run.range) as u64 + 2 + run.body.len()))
+            .sum();
+        parts + self.closing_len() as u64
     }
 
     /// Length of one part's framing up to its body, less the digits of
@@ -142,12 +184,33 @@ impl MultipartBuilder {
         boundary + content_type + content_range + 2
     }
 
-    /// Length of all framing: every part's head, the CRLF closing each
-    /// part body, and the closing delimiter `--boundary--CRLF`.
+    /// Length of a part's framing up to its body.
+    fn head_len(&self, range: &ResolvedRange) -> usize {
+        self.fixed_head_len() + part_digits(range)
+    }
+
+    /// Length of the closing delimiter `--boundary--CRLF`.
+    fn closing_len(&self) -> usize {
+        2 + self.boundary.len() + 4
+    }
+
+    /// Length of the framing buffer: each run's head with its leading
+    /// CRLF, then the closing delimiter with its own.
     fn framing_len(&self) -> usize {
-        let per_part = self.fixed_head_len() + 2;
-        let digits: usize = self.parts.iter().map(|(range, _)| part_digits(range)).sum();
-        self.parts.len() * per_part + digits + 2 + self.boundary.len() + 4
+        let heads: usize = self
+            .runs
+            .iter()
+            .map(|run| 2 + self.head_len(&run.range))
+            .sum();
+        heads + 2 + self.closing_len()
+    }
+}
+
+/// Appends one part: its head, then its body.
+fn push_part(rope: &mut RopeBuilder, head: Bytes, body: &Body) {
+    rope.push(head);
+    for chunk in body.chunks() {
+        rope.push(chunk.clone());
     }
 }
 
@@ -213,7 +276,12 @@ pub fn parse(body: &[u8], boundary: &str) -> Result<Vec<Part>> {
                 return Err(text_err("part with unsatisfied Content-Range"))
             }
         };
-        if ((body.len() - offset) as u64) < part_len + 2 {
+        // A hostile Content-Range can claim up to u64::MAX bytes.
+        let available = (body.len() - offset) as u64;
+        if part_len
+            .checked_add(2)
+            .is_none_or(|needed| available < needed)
+        {
             return Err(text_err("part body truncated"));
         }
         let data = Body::from_bytes(Bytes::copy_from_slice(
@@ -240,7 +308,11 @@ mod model {
 
     pub(super) fn build(builder: &MultipartBuilder) -> Vec<u8> {
         let mut out = Vec::new();
-        for (range, body) in &builder.parts {
+        let parts = builder
+            .runs
+            .iter()
+            .flat_map(|run| (0..run.times).map(move |_| (&run.range, &run.body)));
+        for (range, body) in parts {
             out.extend_from_slice(b"--");
             out.extend_from_slice(builder.boundary.as_bytes());
             out.extend_from_slice(b"\r\n");
@@ -343,6 +415,49 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_a_content_range_longer_than_the_payload() {
+        // A part length near u64::MAX must not overflow the bounds check.
+        let raw = b"--B\r\nContent-Type: a/b\r\nContent-Range: bytes 0-18446744073709551613/18446744073709551615\r\n\r\nxx\r\n--B--\r\n";
+        let err = parse(raw, "B").unwrap_err();
+        assert_eq!(
+            err,
+            Error::InvalidMultipart("part body truncated".to_string())
+        );
+    }
+
+    #[test]
+    fn repeated_ranges_build_one_run() {
+        let full = Body::from((0..=255u8).collect::<Vec<_>>());
+        let ranges = [r(1, 1), r(0, 99), r(0, 99), r(0, 99), r(5, 6)];
+        let mut calls = 0;
+        let builder = MultipartBuilder::new("a/b", 256).ranges(&ranges, |range| {
+            calls += 1;
+            full.slice(range.first, range.last + 1)
+        });
+        assert_eq!(calls, 3, "one body per group of equal ranges");
+        assert_eq!(builder.part_count(), 5);
+        let payload = builder.build();
+        // Per part a head and a body, then the closing delimiter.
+        assert_eq!(payload.chunks().len(), 11);
+        let bodies: Vec<&Bytes> = payload.chunks().skip(3).step_by(2).take(3).collect();
+        assert!(bodies
+            .iter()
+            .all(|b| b.as_ptr() == full.as_bytes().as_ptr()));
+        assert_eq!(payload.as_bytes(), model::build(&builder));
+        assert_eq!(builder.encoded_len(), payload.len());
+        let parts = parse(payload.as_bytes(), DEFAULT_BOUNDARY).unwrap();
+        let parsed: Vec<ContentRange> = parts.iter().map(|p| p.content_range).collect();
+        let expected: Vec<ContentRange> = ranges
+            .iter()
+            .map(|&range| ContentRange::Satisfied {
+                range,
+                complete_length: 256,
+            })
+            .collect();
+        assert_eq!(parsed, expected);
+    }
+
+    #[test]
     fn custom_boundary_respected() {
         let builder = MultipartBuilder::new("a/b", 10)
             .boundary("xyz")
@@ -410,6 +525,7 @@ mod tests {
             boundary in "[A-Za-z0-9'()+_,./:=?-]{0,24}",
             content_type in "[a-z]{1,8}/[a-z0-9.+-]{1,12}",
             split in 0usize..40,
+            repeats in proptest::collection::vec(1usize..5, 0..65),
         ) {
             let data: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37)).collect();
             let complete = position(complete.0, complete.1);
@@ -447,6 +563,49 @@ mod tests {
                 prop_assert_eq!(built.len(), expected.len() as u64);
                 prop_assert_eq!(builder.encoded_len(), built.len());
                 prop_assert!(built == Body::from(expected));
+            }
+
+            // The same parts, with each range repeated, through `ranges`:
+            // one run per group of equal ranges, and the same bytes as
+            // adding every part on its own.
+            let body_of = |range: &ResolvedRange| -> Body {
+                let len = (range.first % 41) as usize;
+                let cut = split.min(len);
+                Body::from_chunks([
+                    Bytes::copy_from_slice(&data[..cut]),
+                    Bytes::copy_from_slice(&data[cut..len]),
+                ])
+            };
+            let ranges: Vec<ResolvedRange> = parts
+                .iter()
+                .zip(repeats.iter().chain(std::iter::repeat(&1)))
+                .flat_map(|((range, _), &times)| std::iter::repeat_n(*range, times))
+                .collect();
+            let runs = MultipartBuilder::new(&content_type, complete).ranges(&ranges, body_of);
+            let each = ranges
+                .iter()
+                .fold(MultipartBuilder::new(&content_type, complete), |b, range| {
+                    b.part(*range, body_of(range))
+                });
+            let (built, expected) = (runs.build(), each.build());
+            prop_assert_eq!(runs.part_count(), ranges.len());
+            let modelled = model::build(&each);
+            prop_assert_eq!(built.as_bytes(), modelled.as_slice());
+            prop_assert!(built == expected);
+            prop_assert_eq!(runs.encoded_len(), built.len());
+            prop_assert_eq!(built.chunks().len(), expected.chunks().len());
+            let joined: Vec<u8> = built.chunks().flat_map(|c| c.iter().copied()).collect();
+            prop_assert_eq!(joined.as_slice(), expected.as_bytes());
+            // Slices across run boundaries agree with the flat payload.
+            let len = built.len();
+            for (start, end) in [(0, len), (len / 3, len - len / 5), (len / 2, len / 2 + 7)] {
+                let end = end.min(len);
+                let start = start.min(end);
+                let slice = built.slice(start, end);
+                prop_assert_eq!(
+                    slice.as_bytes(),
+                    &expected.as_bytes()[start as usize..end as usize]
+                );
             }
         }
     }

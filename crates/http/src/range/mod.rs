@@ -19,7 +19,7 @@ pub use satisfy::{coalesce, has_overlap, total_span, RangeSet};
 
 use std::fmt;
 
-use crate::{decimal, Error, Result};
+use crate::{decimal, Error, HeaderValue, Result};
 
 /// One element of a `Range: bytes=...` header, before resolution against a
 /// concrete representation length.
@@ -176,9 +176,30 @@ impl ResolvedRange {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two headers are equal when their specs are.
+#[derive(Clone)]
 pub struct RangeHeader {
     specs: Vec<ByteRangeSpec>,
+    /// The value this header was parsed from, kept when it is exactly
+    /// the canonical text, so forwarding the header shares it.
+    text: Option<HeaderValue>,
+}
+
+impl PartialEq for RangeHeader {
+    fn eq(&self, other: &RangeHeader) -> bool {
+        self.specs == other.specs
+    }
+}
+
+impl Eq for RangeHeader {}
+
+impl fmt::Debug for RangeHeader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RangeHeader")
+            .field("specs", &self.specs)
+            .finish()
+    }
 }
 
 impl RangeHeader {
@@ -195,7 +216,12 @@ impl RangeHeader {
         if let Some(bad) = specs.iter().find(|s| !s.is_syntactically_valid()) {
             return Err(Error::InvalidRange(format!("last < first in {bad}")));
         }
-        Ok(RangeHeader { specs })
+        Ok(RangeHeader::of(specs))
+    }
+
+    /// A header of specs already known to be valid.
+    fn of(specs: Vec<ByteRangeSpec>) -> RangeHeader {
+        RangeHeader { specs, text: None }
     }
 
     /// Parses a `Range` header value such as `bytes=0-0,-1`.
@@ -205,31 +231,43 @@ impl RangeHeader {
     /// Returns [`Error::InvalidRange`] when the value does not match the
     /// RFC 7233 ABNF.
     pub fn parse(value: &str) -> Result<RangeHeader> {
-        parse::parse_range_header(value)
+        let (specs, _) = parse::parse_range_header(value)?;
+        Ok(RangeHeader::of(specs))
+    }
+
+    /// Parses a `Range` header field value, as [`RangeHeader::parse`]
+    /// does. When the value is exactly the canonical text,
+    /// [`RangeHeader::header_value`] returns it, shared, instead of
+    /// writing the text again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidRange`] when the value does not match the
+    /// RFC 7233 ABNF.
+    pub fn parse_value(value: &HeaderValue) -> Result<RangeHeader> {
+        let (specs, canonical) = parse::parse_range_header(value.as_str())?;
+        Ok(RangeHeader {
+            specs,
+            text: canonical.then(|| value.clone()),
+        })
     }
 
     /// Convenience constructor for the single-range `bytes=first-last`.
     pub fn from_to(first: u64, last: u64) -> RangeHeader {
-        RangeHeader {
-            specs: vec![ByteRangeSpec::FromTo {
-                first: first.min(last),
-                last: last.max(first),
-            }],
-        }
+        RangeHeader::of(vec![ByteRangeSpec::FromTo {
+            first: first.min(last),
+            last: last.max(first),
+        }])
     }
 
     /// Convenience constructor for the single-range `bytes=first-`.
     pub fn from_first(first: u64) -> RangeHeader {
-        RangeHeader {
-            specs: vec![ByteRangeSpec::From { first }],
-        }
+        RangeHeader::of(vec![ByteRangeSpec::From { first }])
     }
 
     /// Convenience constructor for the single-range `bytes=-len`.
     pub fn suffix(len: u64) -> RangeHeader {
-        RangeHeader {
-            specs: vec![ByteRangeSpec::Suffix { len }],
-        }
+        RangeHeader::of(vec![ByteRangeSpec::Suffix { len }])
     }
 
     /// Builds the header that requests exactly `ranges`, resolved against
@@ -268,9 +306,7 @@ impl RangeHeader {
     /// Panics if `n == 0`.
     pub fn overlapping(n: usize) -> RangeHeader {
         assert!(n > 0, "need at least one range");
-        RangeHeader {
-            specs: vec![ByteRangeSpec::From { first: 0 }; n],
-        }
+        RangeHeader::of(vec![ByteRangeSpec::From { first: 0 }; n])
     }
 
     /// The specs in header order.
@@ -284,12 +320,11 @@ impl RangeHeader {
     }
 
     /// Resolves every spec against `complete_length`, dropping
-    /// unsatisfiable ones.
+    /// unsatisfiable ones. One allocation, sized for every spec.
     pub fn resolve(&self, complete_length: u64) -> Vec<ResolvedRange> {
-        self.specs
-            .iter()
-            .filter_map(|s| s.resolve(complete_length))
-            .collect()
+        let mut resolved = Vec::with_capacity(self.specs.len());
+        resolved.extend(self.specs.iter().filter_map(|s| s.resolve(complete_length)));
+        resolved
     }
 
     /// Number of pairs of specs that would overlap for a representation of
@@ -331,13 +366,17 @@ impl RangeHeader {
         (6 + specs + self.specs.len().saturating_sub(1)) as u64
     }
 
-    /// The header value (`bytes=...`), written into one pre-sized
-    /// `String`. Same text as the `Display` form.
-    pub fn header_value(&self) -> String {
+    /// The header value (`bytes=...`), the same text as the `Display`
+    /// form: the parsed value itself when [`RangeHeader::parse_value`]
+    /// kept it, else written once into a pre-sized buffer.
+    pub fn header_value(&self) -> HeaderValue {
+        if let Some(text) = &self.text {
+            return text.clone();
+        }
         let mut out = String::with_capacity(self.value_len() as usize);
         self.write_value(&mut out)
             .expect("writing to a String cannot fail");
-        out
+        HeaderValue::from_written(&out)
     }
 
     /// Writes the header value to `out`, which is either a pre-sized

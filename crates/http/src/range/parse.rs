@@ -12,47 +12,116 @@
 //! around commas and empty list elements; real CDN parsers accept those, so
 //! this parser does too (the generator exercises them).
 
-use super::{ByteRangeSpec, ContentRange, RangeHeader, ResolvedRange};
+use super::{ByteRangeSpec, ContentRange, ResolvedRange};
 use crate::{Error, Result};
 
-pub(super) fn parse_range_header(value: &str) -> Result<RangeHeader> {
-    let err = || Error::InvalidRange(value.to_string());
-
-    let rest = value.strip_prefix("bytes").ok_or_else(err)?;
-    let rest = rest.trim_start_matches(' ');
-    let set = rest.strip_prefix('=').ok_or_else(err)?;
-
-    let mut specs = Vec::new();
-    for element in set.split(',') {
-        let element = element.trim_matches(|c| c == ' ' || c == '\t');
-        if element.is_empty() {
-            // Empty list elements are tolerated by the list extension.
-            continue;
-        }
-        specs.push(parse_spec(element).ok_or_else(err)?);
-    }
-    if specs.is_empty() {
-        return Err(err());
-    }
-    RangeHeader::new(specs).map_err(|_| err())
+/// Parses a `Range` header value in one pass over its bytes, and reports
+/// whether the value is exactly the canonical text of the parsed header:
+/// no space before `=`, no whitespace or empty list elements, no leading
+/// zeros. Equivalent to the `split(',')` parser kept as `model` below.
+pub(super) fn parse_range_header(value: &str) -> Result<(Vec<ByteRangeSpec>, bool)> {
+    Scanner::new(value.as_bytes())
+        .byte_range_set()
+        .ok_or_else(|| Error::InvalidRange(value.to_string()))
 }
 
-fn parse_spec(element: &str) -> Option<ByteRangeSpec> {
-    if let Some(suffix) = element.strip_prefix('-') {
-        // suffix-byte-range-spec
-        let len = parse_decimal(suffix)?;
-        return Some(ByteRangeSpec::Suffix { len });
+/// Cursor over a `Range` value, tracking whether everything consumed so
+/// far is canonical.
+struct Scanner<'a> {
+    rest: &'a [u8],
+    canonical: bool,
+}
+
+impl Scanner<'_> {
+    fn new(bytes: &[u8]) -> Scanner<'_> {
+        Scanner {
+            rest: bytes,
+            canonical: true,
+        }
     }
-    let (first, last) = element.split_once('-')?;
-    let first = parse_decimal(first)?;
-    if last.is_empty() {
-        Some(ByteRangeSpec::From { first })
-    } else {
-        let last = parse_decimal(last)?;
-        if last < first {
+
+    fn byte_range_set(mut self) -> Option<(Vec<ByteRangeSpec>, bool)> {
+        self.rest = self.rest.strip_prefix(b"bytes")?;
+        while let [b' ', rest @ ..] = self.rest {
+            self.rest = rest;
+            self.canonical = false;
+        }
+        self.rest = self.rest.strip_prefix(b"=")?;
+        // A spec takes at least two bytes and a separating comma, which
+        // bounds the count (exactly, for `0-,0-,...,0-`).
+        let mut specs = Vec::with_capacity((self.rest.len() + 1) / 3);
+        loop {
+            self.skip_ows();
+            match self.rest {
+                // The set is empty or ends in an empty element.
+                [] => {
+                    self.canonical = false;
+                    break;
+                }
+                // Empty list elements are tolerated by the list extension.
+                [b',', rest @ ..] => {
+                    self.rest = rest;
+                    self.canonical = false;
+                    continue;
+                }
+                _ => specs.push(self.spec()?),
+            }
+            self.skip_ows();
+            match self.rest {
+                [] => break,
+                [b',', rest @ ..] => self.rest = rest,
+                _ => return None,
+            }
+        }
+        if specs.is_empty() {
             return None;
         }
-        Some(ByteRangeSpec::FromTo { first, last })
+        Some((specs, self.canonical))
+    }
+
+    /// Optional whitespace around a list element (RFC 7230 §7).
+    fn skip_ows(&mut self) {
+        while let [b' ' | b'\t', rest @ ..] = self.rest {
+            self.rest = rest;
+            self.canonical = false;
+        }
+    }
+
+    fn spec(&mut self) -> Option<ByteRangeSpec> {
+        if let [b'-', rest @ ..] = self.rest {
+            // suffix-byte-range-spec
+            self.rest = rest;
+            return Some(ByteRangeSpec::Suffix {
+                len: self.number()?,
+            });
+        }
+        let first = self.number()?;
+        self.rest = self.rest.strip_prefix(b"-")?;
+        if !self.rest.first().is_some_and(u8::is_ascii_digit) {
+            return Some(ByteRangeSpec::From { first });
+        }
+        let last = self.number()?;
+        (last >= first).then_some(ByteRangeSpec::FromTo { first, last })
+    }
+
+    /// Strict `1*DIGIT` that fits a `u64`.
+    fn number(&mut self) -> Option<u64> {
+        let len = self
+            .rest
+            .iter()
+            .position(|b| !b.is_ascii_digit())
+            .unwrap_or(self.rest.len());
+        let (digits, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        if let [b'0', _, ..] = digits {
+            self.canonical = false;
+        }
+        if digits.is_empty() {
+            return None;
+        }
+        digits.iter().try_fold(0u64, |n, d| {
+            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })
     }
 }
 
@@ -92,9 +161,153 @@ pub(super) fn parse_content_range(value: &str) -> Result<ContentRange> {
     })
 }
 
+/// The `split(',')` parser the scanner replaced, kept as the reference
+/// it is checked against.
+#[cfg(test)]
+mod model {
+    use super::*;
+
+    pub(super) fn parse_range_header(value: &str) -> Result<Vec<ByteRangeSpec>> {
+        let err = || Error::InvalidRange(value.to_string());
+
+        let rest = value.strip_prefix("bytes").ok_or_else(err)?;
+        let rest = rest.trim_start_matches(' ');
+        let set = rest.strip_prefix('=').ok_or_else(err)?;
+
+        let mut specs = Vec::new();
+        for element in set.split(',') {
+            let element = element.trim_matches(|c| c == ' ' || c == '\t');
+            if element.is_empty() {
+                continue;
+            }
+            specs.push(parse_spec(element).ok_or_else(err)?);
+        }
+        if specs.is_empty() {
+            return Err(err());
+        }
+        Ok(specs)
+    }
+
+    fn parse_spec(element: &str) -> Option<ByteRangeSpec> {
+        if let Some(suffix) = element.strip_prefix('-') {
+            let len = parse_decimal(suffix)?;
+            return Some(ByteRangeSpec::Suffix { len });
+        }
+        let (first, last) = element.split_once('-')?;
+        let first = parse_decimal(first)?;
+        if last.is_empty() {
+            Some(ByteRangeSpec::From { first })
+        } else {
+            let last = parse_decimal(last)?;
+            if last < first {
+                return None;
+            }
+            Some(ByteRangeSpec::FromTo { first, last })
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::range::{RangeHeader, RangeRequestGenerator, RawRangeFamily};
+    use proptest::prelude::*;
+
+    fn parse_range_header(value: &str) -> Result<RangeHeader> {
+        RangeHeader::parse(value)
+    }
+
+    /// The scanner and the model agree on `value`: the same error, or the
+    /// same specs, with `canonical` set exactly when `value` is the
+    /// header's canonical text.
+    fn agrees_with_model(value: &str) -> std::result::Result<(), TestCaseError> {
+        let scanned = super::parse_range_header(value);
+        let modelled = model::parse_range_header(value);
+        match (scanned, modelled) {
+            (Ok((specs, canonical)), Ok(expected)) => {
+                prop_assert_eq!(&specs, &expected, "{:?}", value);
+                let text = RangeHeader::new(specs)
+                    .expect("parsed specs are valid")
+                    .to_string();
+                prop_assert_eq!(canonical, text == value, "{:?}", value);
+            }
+            (scanned, modelled) => prop_assert_eq!(scanned.map(|(specs, _)| specs), modelled),
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn scanner_matches_the_model_on_every_raw_family() {
+        let mut gen = RangeRequestGenerator::new(15, 1 << 20);
+        for family in RawRangeFamily::ALL {
+            for _ in 0..200 {
+                let case = gen.raw_case_of_family(family);
+                agrees_with_model(&case.value).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn scanner_matches_the_model_at_the_edges() {
+        for value in [
+            "bytes=0-,0-,0-",
+            "bytes=00-1",
+            "bytes=0-01",
+            "bytes=-0",
+            "bytes=-00",
+            "bytes=0-",
+            "bytes=0-,",
+            "bytes=,0-",
+            "bytes= 0-",
+            "bytes=0- ",
+            "bytes=\t0-0\t",
+            "bytes  =0-0",
+            "bytes\t=0-0",
+            "bytes=0-0\r",
+            "bytes=0-0,\n1-1",
+            "bytes=18446744073709551615-",
+            "bytes=018446744073709551615-",
+            "bytes=18446744073709551616-",
+            "bytes=-18446744073709551615",
+            "bytes=0-18446744073709551615",
+            "bytes=1-0",
+            "bytes=5-5",
+            "bytes=é",
+            "bytesé=0-0",
+            "bytes=0-é",
+        ] {
+            agrees_with_model(value).unwrap();
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn scanner_matches_the_model_on_byteish_strings(
+            unit in 0usize..6,
+            body in "[0-9 ,\t=-]{0,40}",
+        ) {
+            let unit = ["bytes=", "bytes", "bytes ", "bytes =", "bytes  =", ""][unit];
+            agrees_with_model(&format!("{unit}{body}"))?;
+        }
+
+        #[test]
+        fn scanner_matches_the_model_on_long_numbers(
+            specs in proptest::collection::vec((0u8..4, "[0-9]{1,22}", "[0-9]{1,22}"), 1..6),
+            sep in 0usize..4,
+        ) {
+            let sep = [",", ", ", " ,\t", ",,"][sep];
+            let elements: Vec<String> = specs
+                .iter()
+                .map(|(kind, a, b)| match kind {
+                    0 => format!("{a}-{b}"),
+                    1 => format!("{a}-"),
+                    2 => format!("-{b}"),
+                    _ => format!("{a}-{a}"),
+                })
+                .collect();
+            agrees_with_model(&format!("bytes={}", elements.join(sep)))?;
+        }
+    }
 
     #[test]
     fn parses_all_three_spec_forms() {

@@ -22,7 +22,11 @@ use super::ResolvedRange;
 /// assert_eq!(merged, vec![ResolvedRange { first: 0, last: 1500 }]);
 /// ```
 pub fn coalesce(ranges: &[ResolvedRange]) -> Vec<ResolvedRange> {
-    let mut sorted: Vec<ResolvedRange> = ranges.to_vec();
+    // Consecutive duplicates (the OBR shape `0-,0-,...`) would merge
+    // anyway; dropping them first sorts one range per run.
+    let runs = ranges.chunk_by(|a, b| a == b);
+    let mut sorted: Vec<ResolvedRange> = Vec::with_capacity(runs.clone().count());
+    sorted.extend(runs.map(|run| run[0]));
     sorted.sort();
     let mut merged: Vec<ResolvedRange> = Vec::with_capacity(sorted.len());
     for range in sorted {

@@ -37,9 +37,29 @@ proptest! {
             .collect();
         let header = RangeHeader::new(specs).expect("valid specs");
         let value = header.header_value();
-        prop_assert_eq!(&value, &header.to_string());
+        prop_assert_eq!(value.as_str(), &header.to_string());
         prop_assert_eq!(header.value_len(), value.len() as u64);
-        prop_assert_eq!(RangeHeader::parse(&value).expect("reparses"), header);
+        prop_assert_eq!(RangeHeader::parse(value.as_str()).expect("reparses"), header);
+    }
+
+    #[test]
+    fn parse_value_shares_only_canonical_text(
+        unit in 0usize..3,
+        body in "[0-9 ,\t-]{0,40}",
+    ) {
+        let text = format!("{}{body}", ["bytes=", "bytes =", "bytes"][unit]);
+        let value = HeaderValue::new(text.clone()).expect("valid field text");
+        let parsed = RangeHeader::parse_value(&value);
+        prop_assert_eq!(parsed.clone(), RangeHeader::parse(&text));
+        if let Ok(header) = parsed {
+            let canonical = header.to_string();
+            let forwarded = header.header_value();
+            prop_assert_eq!(forwarded.as_str(), canonical.as_str());
+            prop_assert_eq!(header.value_len(), canonical.len() as u64);
+            // The client's value is shared exactly when it is canonical.
+            let shared = std::ptr::eq(forwarded.as_str(), value.as_str());
+            prop_assert_eq!(shared, text == canonical);
+        }
     }
 
     #[test]
@@ -134,7 +154,7 @@ proptest! {
         match RangeHeader::from_resolved(&merged, complete_length) {
             None => prop_assert!(merged.is_empty()),
             Some(header) => {
-                let reparsed = RangeHeader::parse(&header.header_value()).expect("reparses");
+                let reparsed = RangeHeader::parse_value(&header.header_value()).expect("reparses");
                 prop_assert_eq!(reparsed.resolve(complete_length), merged);
             }
         }
@@ -161,7 +181,7 @@ proptest! {
             None => prop_assert!(!in_bounds),
             Some(header) => {
                 prop_assert!(in_bounds);
-                let reparsed = RangeHeader::parse(&header.header_value()).expect("reparses");
+                let reparsed = RangeHeader::parse_value(&header.header_value()).expect("reparses");
                 prop_assert_eq!(reparsed.resolve(complete_length), ranges);
             }
         }

@@ -205,10 +205,8 @@ impl OriginServer {
                     .build()
             }
             _ => {
-                let mut builder = MultipartBuilder::new(resource.content_type(), resource.len());
-                for range in &resolved {
-                    builder = builder.part(*range, resource.slice(range.first, range.last));
-                }
+                let builder = MultipartBuilder::new(resource.content_type(), resource.len())
+                    .ranges(&resolved, |range| resource.slice(range.first, range.last));
                 let content_type = builder.content_type_header();
                 self.base_response(StatusCode::PARTIAL_CONTENT)
                     .header("Last-Modified", self.config.date_header.clone())
