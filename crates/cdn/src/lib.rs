@@ -70,5 +70,5 @@ pub use limits::{
 pub use node::EdgeNode;
 pub use policy::{MitigationConfig, MultiReplyPolicy, RangePolicy};
 pub use resilience::{BreakerConfig, CircuitBreaker, Resilience, ResilienceStats, RetryPolicy};
-pub use upstream::{ClockedOrigin, FaultyUpstream, UpstreamError, UpstreamService};
+pub use upstream::{FaultyUpstream, UpstreamError, UpstreamService};
 pub use vendor::{Vendor, VendorProfile};

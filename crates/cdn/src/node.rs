@@ -601,7 +601,7 @@ mod tests {
     use super::*;
     use crate::vendor::Vendor;
     use crate::MitigationConfig;
-    use rangeamp_net::SegmentName;
+    use rangeamp_net::{CaptureLog, SegmentName};
     use rangeamp_origin::{OriginServer, ResourceStore};
 
     const MB: u64 = 1024 * 1024;
@@ -656,19 +656,20 @@ mod tests {
         edge.handle(&req);
         // Non-canonical text goes upstream in canonical form.
         edge.handle(&sbr_request("bytes=00-, 0-,,\t0- ", 2));
-        let capture = segment.capture();
-        let forwarded: Vec<&HeaderValue> = capture
-            .entries()
-            .iter()
-            .filter_map(|e| e.range_header.as_ref())
-            .filter(|v| v.as_str().starts_with("bytes="))
-            .collect();
-        assert_eq!(forwarded.len(), 2);
-        assert!(
-            std::ptr::eq(forwarded[0].as_str(), canonical.as_str()),
-            "the client's value is shared, not rewritten"
-        );
-        assert_eq!(forwarded[1].as_str(), "bytes=0-,0-,0-");
+        segment.with_capture(|log| {
+            let forwarded: Vec<&HeaderValue> = log
+                .entries()
+                .iter()
+                .filter_map(|e| e.range_header.as_ref())
+                .filter(|v| v.as_str().starts_with("bytes="))
+                .collect();
+            assert_eq!(forwarded.len(), 2);
+            assert!(
+                std::ptr::eq(forwarded[0].as_str(), canonical.as_str()),
+                "the client's value is shared, not rewritten"
+            );
+            assert_eq!(forwarded[1].as_str(), "bytes=0-,0-,0-");
+        });
     }
 
     #[test]
@@ -680,7 +681,7 @@ mod tests {
         // Origin shipped the whole 1 MB because the Range was deleted.
         assert!(segment.stats().response_bytes > MB);
         assert_eq!(
-            segment.capture().forwarded_ranges(),
+            segment.with_capture(CaptureLog::forwarded_ranges),
             vec![None],
             "Akamai deletes the Range header"
         );
@@ -771,7 +772,7 @@ mod tests {
         // Origin only shipped the one requested byte (plus headers).
         assert!(segment.stats().response_bytes < 1024);
         assert_eq!(
-            segment.capture().forwarded_ranges(),
+            segment.with_capture(CaptureLog::forwarded_ranges),
             vec![Some("bytes=0-0".to_string())]
         );
     }
@@ -791,7 +792,7 @@ mod tests {
             "8 KB cap exceeded: {origin_bytes} bytes from origin"
         );
         assert_eq!(
-            segment.capture().forwarded_ranges(),
+            segment.with_capture(CaptureLog::forwarded_ranges),
             vec![Some("bytes=0-8192".to_string())]
         );
     }
@@ -892,13 +893,15 @@ mod tests {
             .header("Host", "victim.example")
             .build();
         edge.handle(&req);
-        let capture = segment.capture();
-        let upstream = capture.in_direction(rangeamp_net::Direction::Upstream);
-        assert_eq!(upstream.len(), 1);
-        // The captured summary doesn't carry Via, but a second edge of the
-        // same vendor downstream would reject it — covered by the cascade
-        // integration tests; here we check the request grew by the header.
-        assert!(upstream[0].wire_len > req.wire_len());
+        segment.with_capture(|log| {
+            let upstream = log.in_direction(rangeamp_net::Direction::Upstream);
+            assert_eq!(upstream.len(), 1);
+            // The captured summary doesn't carry Via, but a second edge of
+            // the same vendor downstream would reject it — covered by the
+            // cascade integration tests; here we check the request grew
+            // by the header.
+            assert!(upstream[0].wire_len > req.wire_len());
+        });
     }
 
     #[test]
@@ -924,7 +927,7 @@ mod tests {
         assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
         assert_eq!(resp.body().len(), 1024, "client gets what they asked");
         assert_eq!(
-            segment.capture().forwarded_ranges(),
+            segment.with_capture(CaptureLog::forwarded_ranges),
             vec![Some("bytes=4096-13311".to_string())],
             "5119 + 8192 = 13311: requested span + exactly 8 KB"
         );

@@ -6,7 +6,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use rangeamp_http::{Request, Response, StatusCode};
-use rangeamp_net::{FaultKind, FaultPlan, SharedClock};
+use rangeamp_net::{FaultKind, FaultPlan};
 use rangeamp_origin::OriginServer;
 
 /// How a back-to-origin exchange can fail before a usable response
@@ -118,44 +118,6 @@ impl<T: UpstreamService + ?Sized> UpstreamService for Arc<T> {
     }
 }
 
-/// An origin driven through [`OriginServer::handle_at`] on a shared
-/// virtual clock, so its telemetry spans line up with the edge's
-/// retries, breaker windows and cache TTLs. Every testbed puts its
-/// origin behind one of these; the response bytes are the bare
-/// origin's.
-#[derive(Debug, Clone)]
-pub struct ClockedOrigin {
-    origin: Arc<OriginServer>,
-    clock: SharedClock,
-}
-
-impl ClockedOrigin {
-    /// Wraps an origin server and the clock supplying its `now`.
-    pub fn new(origin: Arc<OriginServer>, clock: SharedClock) -> ClockedOrigin {
-        ClockedOrigin { origin, clock }
-    }
-
-    /// Shared access to the wrapped server.
-    pub fn origin(&self) -> &Arc<OriginServer> {
-        &self.origin
-    }
-
-    /// The clock supplying the origin's `now`.
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
-    }
-}
-
-impl UpstreamService for ClockedOrigin {
-    fn handle(&self, req: &Request) -> Result<Response, UpstreamError> {
-        Ok(self.origin.handle_at(req, self.clock.now_millis()))
-    }
-
-    fn resource_size(&self, path: &str) -> Option<u64> {
-        self.origin.store().get(path).map(|r| r.len())
-    }
-}
-
 /// An upstream whose transfers fail on a seeded [`FaultPlan`] schedule.
 ///
 /// Each successful inner exchange consumes one draw from the plan:
@@ -234,7 +196,7 @@ impl UpstreamService for FaultyUpstream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rangeamp_net::FaultRates;
+    use rangeamp_net::{FaultRates, SharedClock};
     use rangeamp_origin::ResourceStore;
 
     fn origin() -> OriginServer {
@@ -331,19 +293,21 @@ mod tests {
         use rangeamp_net::Telemetry;
         let tel = Telemetry::seeded(1);
         let clock = SharedClock::new();
-        let bare = Arc::new(origin().with_telemetry(tel.clone()));
-        let upstream = ClockedOrigin::new(bare.clone(), clock.clone());
+        let clocked = Arc::new(origin().with_telemetry(tel.clone(), clock.clone()));
+        let upstream: Arc<dyn UpstreamService> = clocked.clone();
         let req = Request::get("/f.bin").build();
         clock.advance_millis(1_250);
         let via = upstream.handle(&req).unwrap();
-        assert_eq!(via, OriginServer::handle(&bare, &req));
+        assert_eq!(via, origin().handle(&req));
+        clock.advance_millis(250);
+        OriginServer::handle(&clocked, &req);
         let stamps: Vec<u64> = tel
             .tracer()
             .finished_spans()
             .iter()
             .map(|span| span.start_ms)
             .collect();
-        assert_eq!(stamps, vec![1_250, 0], "clocked, then bare");
+        assert_eq!(stamps, vec![1_250, 1_500], "upstream, then direct");
         assert_eq!(upstream.resource_size("/f.bin"), Some(1234));
     }
 

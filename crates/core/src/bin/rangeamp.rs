@@ -20,6 +20,7 @@ use rangeamp::report::TextTable;
 use rangeamp::scanner::Scanner;
 use rangeamp::Testbed;
 use rangeamp_cdn::Vendor;
+use rangeamp_net::CaptureLog;
 
 const MB: u64 = 1024 * 1024;
 
@@ -119,10 +120,13 @@ fn cmd_sbr(args: &[String]) -> Result<(), String> {
     let attack = SbrAttack::new(vendor, size);
     println!("SBR against {vendor}, {size_mb} MB resource");
     println!("exploited case: {}", attack.exploited_case().description);
-    let bed = Testbed::builder()
+    let mut builder = Testbed::builder()
         .vendor(vendor)
-        .resource(rangeamp::TARGET_PATH, size)
-        .build();
+        .resource(rangeamp::TARGET_PATH, size);
+    if trace {
+        builder = builder.capture();
+    }
+    let bed = builder.build();
     for round in 1..=rounds {
         let report = attack.run_on(&bed, round);
         println!(
@@ -133,9 +137,9 @@ fn cmd_sbr(args: &[String]) -> Result<(), String> {
         );
         if trace {
             println!("-- client-cdn --");
-            print!("{}", bed.client_segment().capture().render());
+            print!("{}", bed.client_segment().with_capture(CaptureLog::render));
             println!("-- cdn-origin --");
-            print!("{}", bed.origin_segment().capture().render());
+            print!("{}", bed.origin_segment().with_capture(CaptureLog::render));
         }
     }
     Ok(())

@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 use rangeamp_cdn::{EdgeNode, UpstreamService, Vendor, VendorProfile};
 use rangeamp_http::range::{coalesce, ContentRange, RangeHeader, ResolvedRange};
 use rangeamp_http::{multipart, wire, Body, Request, Response};
-use rangeamp_net::{Segment, SegmentName};
+use rangeamp_net::{CaptureLog, Segment, SegmentName};
 use rangeamp_origin::{OriginConfig, OriginServer, ResourceStore};
 
 use super::case::{CorpusEntry, FuzzCase, IfRangeKind, WireCase, SIZE_PALETTE};
@@ -764,7 +764,7 @@ fn run_probe(bed: &SizedBed, profile: VendorProfile, req: &Request) -> Result<Pr
     let response = catch_unwind(AssertUnwindSafe(|| edge.handle(req))).map_err(panic_message)?;
     Ok(ProbeResult {
         status: response.status().as_u16(),
-        forwarded: segment.capture().forwarded_ranges(),
+        forwarded: segment.with_capture(CaptureLog::forwarded_ranges),
         origin_bytes: segment.stats().response_bytes,
         response,
     })

@@ -10,6 +10,7 @@
 use rangeamp_cdn::{ObrRangeCase, RangePolicy, Vendor};
 use rangeamp_http::range::{RangeCaseKind, RangeRequestGenerator};
 use rangeamp_http::{Request, StatusCode};
+use rangeamp_net::CaptureLog;
 use serde::Serialize;
 
 use crate::executor::Executor;
@@ -161,6 +162,7 @@ impl Scanner {
         let bed = Testbed::builder()
             .vendor(vendor)
             .resource(TARGET_PATH, file_size)
+            .capture()
             .build();
         let uri = format!("{TARGET_PATH}?scan={:x}", self.seed);
         let first = self.observe(&bed, vendor, &uri, range, file_size);
@@ -186,7 +188,9 @@ impl Scanner {
             vendor: vendor.name().to_string(),
             probe_range: range.to_string(),
             file_size,
-            forwarded: bed.origin_segment().capture().forwarded_ranges(),
+            forwarded: bed
+                .origin_segment()
+                .with_capture(CaptureLog::forwarded_ranges),
             origin_response_bytes: bed.origin_segment().stats().response_bytes,
             client_response_bytes: bed.client_segment().stats().response_bytes,
             client_status: resp.status().as_u16(),
@@ -466,14 +470,17 @@ impl Scanner {
             let bed = Testbed::builder()
                 .profile(vendor.fcdn_profile())
                 .resource(TARGET_PATH, 4096)
+                .capture()
                 .build();
             let req = Request::get(&format!("{TARGET_PATH}?scan={:x}", self.seed))
                 .header("Host", TARGET_HOST)
                 .header("Range", range.clone())
                 .build();
             bed.request(&req);
-            let forwarded = bed.origin_segment().capture().forwarded_ranges();
-            if forwarded.first() == Some(&Some(range)) {
+            let relays = bed
+                .origin_segment()
+                .with_capture(|log| log.forwarded_ranges().first() == Some(&Some(range)));
+            if relays {
                 relayed.push(label);
             }
         }

@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use rangeamp_cdn::{
-    BreakerConfig, Cache, ClockedOrigin, DefenseHook, EdgeNode, FaultyUpstream, Resilience,
-    UpstreamService, Vendor, VendorProfile,
+    BreakerConfig, Cache, DefenseHook, EdgeNode, FaultyUpstream, Resilience, UpstreamService,
+    Vendor, VendorProfile,
 };
 use rangeamp_http::{Request, Response};
 use rangeamp_net::metrics::{FACTOR_BUCKETS, LATENCY_BUCKETS_MS};
@@ -141,6 +141,7 @@ pub struct TestbedBuilder {
     cache_ttl_ms: Option<u64>,
     telemetry: Option<Telemetry>,
     defense: Option<Arc<dyn DefenseHook>>,
+    capture: bool,
 }
 
 impl Default for TestbedBuilder {
@@ -154,6 +155,7 @@ impl Default for TestbedBuilder {
             cache_ttl_ms: None,
             telemetry: None,
             defense: None,
+            capture: false,
         }
     }
 }
@@ -208,9 +210,9 @@ impl TestbedBuilder {
     }
 
     /// Attaches a telemetry bundle: the origin and edge record spans and
-    /// metrics for every request, the segments stamp captures with the
-    /// shared virtual clock, and [`Testbed::request`] roots one trace per
-    /// client request.
+    /// metrics for every request, stamped with the testbed's virtual
+    /// clock, and [`Testbed::request`] roots one trace per client
+    /// request.
     pub fn telemetry(mut self, telemetry: Telemetry) -> TestbedBuilder {
         self.telemetry = Some(telemetry);
         self
@@ -221,6 +223,15 @@ impl TestbedBuilder {
     /// the per-request origin/client byte outcome (DESIGN.md §12).
     pub fn defense(mut self, hook: Arc<dyn DefenseHook>) -> TestbedBuilder {
         self.defense = Some(hook);
+        self
+    }
+
+    /// Makes both segments capture every message (see
+    /// [`Segment::new`]), for callers that read
+    /// [`Segment::with_capture`]. Without it the segments only meter,
+    /// which is all the byte counters and amplification factors need.
+    pub fn capture(mut self) -> TestbedBuilder {
+        self.capture = true;
         self
     }
 
@@ -235,14 +246,14 @@ impl TestbedBuilder {
                 store
             }
         };
-        let origin = origin_server(store, self.origin_config, self.telemetry.as_ref());
         let clock = SharedClock::new();
+        let origin = origin_server(store, self.origin_config, self.telemetry.as_ref(), &clock);
         let (plan, breaker) = self.faults.unzip();
         let breaker = breaker.unwrap_or_default();
         let mut edge = wire_edge(
             self.profile,
-            origin_link(&origin, &clock, plan),
-            SegmentName::CdnOrigin,
+            origin_link(&origin, plan),
+            link(SegmentName::CdnOrigin, self.capture, &clock),
             &clock,
             breaker,
             self.telemetry.as_ref(),
@@ -253,10 +264,8 @@ impl TestbedBuilder {
         if let Some(hook) = self.defense {
             edge = edge.with_defense(hook);
         }
-        let client_segment = Segment::new(SegmentName::ClientCdn);
-        client_segment.attach_clock(clock);
         Testbed {
-            client_segment,
+            client_segment: link(SegmentName::ClientCdn, self.capture, &clock),
             edge,
             origin,
         }
@@ -342,7 +351,8 @@ impl CascadeTestbed {
         &self.client_segment
     }
 
-    /// The victim segment of the OBR attack (`fcdn-bcdn`).
+    /// The victim segment of the OBR attack (`fcdn-bcdn`). Unlike the
+    /// cascade's other two segments, which only meter, it also captures.
     pub fn fcdn_bcdn_segment(&self) -> &Segment {
         self.fcdn.origin_segment()
     }
@@ -428,19 +438,15 @@ impl CascadeBuilder {
     pub fn build(self) -> CascadeTestbed {
         let mut store = ResourceStore::new();
         store.add_synthetic(TARGET_PATH, self.resource_size, "application/octet-stream");
-        let origin = origin_server(
-            store,
-            OriginConfig::ranges_disabled(),
-            self.telemetry.as_ref(),
-        );
         let clock = SharedClock::new();
+        let telemetry = self.telemetry.as_ref();
+        let origin = origin_server(store, OriginConfig::ranges_disabled(), telemetry, &clock);
         let (plan, breaker) = self.faults.unzip();
         let breaker = breaker.unwrap_or_default();
-        let telemetry = self.telemetry.as_ref();
         let bcdn = Arc::new(wire_edge(
             self.bcdn_profile,
-            origin_link(&origin, &clock, plan),
-            SegmentName::BcdnOrigin,
+            origin_link(&origin, plan),
+            link(SegmentName::BcdnOrigin, false, &clock),
             &clock,
             breaker,
             telemetry,
@@ -448,7 +454,9 @@ impl CascadeBuilder {
         let mut fcdn = wire_edge(
             self.fcdn_profile,
             bcdn.clone(),
-            SegmentName::FcdnBcdn,
+            // Captures only for the repository benchmark's untraced OBR
+            // check, which reads the BCDN's last reply on this link.
+            link(SegmentName::FcdnBcdn, true, &clock),
             &clock,
             breaker,
             telemetry,
@@ -456,10 +464,8 @@ impl CascadeBuilder {
         if let Some(hook) = self.defense {
             fcdn = fcdn.with_defense(hook);
         }
-        let client_segment = Segment::new(SegmentName::ClientFcdn);
-        client_segment.attach_clock(clock);
         CascadeTestbed {
-            client_segment,
+            client_segment: link(SegmentName::ClientFcdn, false, &clock),
             fcdn,
             bcdn,
             origin,
@@ -467,49 +473,53 @@ impl CascadeBuilder {
     }
 }
 
-/// The origin server of a testbed, reporting to `telemetry` if given.
+/// The origin server of a testbed, reporting to `telemetry` if given
+/// with its spans stamped off the testbed's `clock`.
 fn origin_server(
     store: ResourceStore,
     config: OriginConfig,
     telemetry: Option<&Telemetry>,
+    clock: &SharedClock,
 ) -> Arc<OriginServer> {
     let origin = OriginServer::with_config(store, config);
     Arc::new(match telemetry {
-        Some(tel) => origin.with_telemetry(tel.clone()),
+        Some(tel) => origin.with_telemetry(tel.clone(), clock.clone()),
         None => origin,
     })
 }
 
-/// The link from the last CDN tier to the origin: the origin answers on
-/// the testbed's clock, and a fault plan, when given, is drawn per
-/// transfer on top. Without a plan the bytes are the bare origin's,
-/// since its responses do not depend on time.
-fn origin_link(
-    origin: &Arc<OriginServer>,
-    clock: &SharedClock,
-    plan: Option<FaultPlan>,
-) -> Arc<dyn UpstreamService> {
-    let clocked = Arc::new(ClockedOrigin::new(origin.clone(), clock.clone()));
+/// The link from the last CDN tier to the origin: the origin itself, or
+/// the origin behind a fault plan drawn per transfer.
+fn origin_link(origin: &Arc<OriginServer>, plan: Option<FaultPlan>) -> Arc<dyn UpstreamService> {
     match plan {
-        Some(plan) => Arc::new(FaultyUpstream::new(clocked, Arc::new(plan))),
-        None => clocked,
+        Some(plan) => Arc::new(FaultyUpstream::new(origin.clone(), Arc::new(plan))),
+        None => origin.clone(),
     }
+}
+
+/// A fresh segment of a testbed: capturing, with its captures stamped
+/// off the testbed's `clock`, when `capture` is set, else metering only.
+fn link(name: SegmentName, capture: bool, clock: &SharedClock) -> Segment {
+    if !capture {
+        return Segment::metered(name);
+    }
+    let segment = Segment::new(name);
+    segment.attach_clock(clock.clone());
+    segment
 }
 
 /// Builds one edge of a testbed, the single wiring path of both
 /// builders: `profile` in front of `upstream`, its back-end traffic
-/// metered on a fresh `segment`, and its retries, breaker, cache TTLs
-/// and captures all on the testbed's one `clock`.
+/// metered on `segment`, and its retries, breaker and cache TTLs all on
+/// the testbed's one `clock`.
 fn wire_edge(
     profile: VendorProfile,
     upstream: Arc<dyn UpstreamService>,
-    segment: SegmentName,
+    segment: Segment,
     clock: &SharedClock,
     breaker: BreakerConfig,
     telemetry: Option<&Telemetry>,
 ) -> EdgeNode {
-    let segment = Segment::new(segment);
-    segment.attach_clock(clock.clone());
     let resilience = Resilience::new(profile.retry, breaker, clock.clone());
     let edge = EdgeNode::new(profile, upstream, segment).with_resilience(resilience);
     match telemetry {

@@ -4,11 +4,17 @@
 //! segments of Fig 1/Fig 3 (`client-cdn`, `cdn-origin`, `fcdn-bcdn`,
 //! `bcdn-origin`). This crate provides:
 //!
-//! * [`Segment`] — a metered, capturable connection between two roles.
-//!   Every HTTP message that crosses it is serialized to wire bytes and
-//!   counted per direction, exactly like the paper's tcpdump captures.
-//! * [`capture::CaptureLog`] — a per-segment record of the messages that
-//!   crossed, used by the vulnerability scanner for differential analysis.
+//! * [`Segment`] — a metered connection between two roles. *Metering* is
+//!   what every segment does: each HTTP message that crosses it is counted
+//!   per direction in its wire bytes (HTTP/1.1 and HTTP/2) on atomic
+//!   counters, without a lock, and read back as a [`SegmentStats`]
+//!   snapshot — all an amplification factor needs.
+//! * [`capture::CaptureLog`] — *capture*, the opt-in second layer: a
+//!   per-segment record of the messages that crossed, like the paper's
+//!   tcpdump, used by the vulnerability scanner for differential analysis.
+//!   [`Segment::new`] captures; [`Segment::metered`] only counts, and
+//!   sending on it neither locks nor allocates. Read a capture with
+//!   [`Segment::with_capture`]; reading a metered segment's panics.
 //! * [`flowsim::FlowSim`] — a discrete-time max-min-fair bandwidth
 //!   simulator used by the Fig 7 experiment (outgoing bandwidth of the
 //!   origin under m concurrent SBR request streams).
@@ -36,6 +42,13 @@
 //! let stats = segment.stats();
 //! assert_eq!(stats.request_bytes, req.wire_len());
 //! assert_eq!(stats.response_bytes, resp.wire_len());
+//! assert_eq!(segment.with_capture(|log| log.len()), 2);
+//!
+//! // A metered segment counts the same bytes and keeps no log.
+//! let metered = Segment::metered(SegmentName::ClientCdn);
+//! metered.send_request(&req);
+//! metered.send_response(&resp);
+//! assert_eq!(metered.stats(), stats);
 //! ```
 
 #![forbid(unsafe_code)]

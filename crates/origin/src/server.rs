@@ -1,7 +1,7 @@
 use rangeamp_http::multipart::MultipartBuilder;
 use rangeamp_http::range::RangeHeader;
 use rangeamp_http::{Method, Request, Response, ResponseBuilder, StatusCode};
-use rangeamp_net::{SpanKind, Telemetry};
+use rangeamp_net::{SharedClock, SpanKind, Telemetry};
 
 use crate::{MultiRangeBehavior, OriginConfig, Resource, ResourceStore};
 
@@ -22,7 +22,7 @@ use crate::{MultiRangeBehavior, OriginConfig, Resource, ResourceStore};
 pub struct OriginServer {
     store: ResourceStore,
     config: OriginConfig,
-    telemetry: Option<Telemetry>,
+    telemetry: Option<(Telemetry, SharedClock)>,
 }
 
 impl OriginServer {
@@ -42,10 +42,12 @@ impl OriginServer {
     }
 
     /// Attaches a telemetry bundle: every handled request records a
-    /// server-side span (virtual start/end, request/response wire bytes,
-    /// path, status) nested under whatever edge span is in flight.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> OriginServer {
-        self.telemetry = Some(telemetry);
+    /// server-side span (request/response wire bytes, path, status)
+    /// nested under whatever edge span is in flight, stamped with
+    /// `clock`'s virtual time so it lines up with the edge's retries,
+    /// breaker windows and cache TTLs.
+    pub fn with_telemetry(mut self, telemetry: Telemetry, clock: SharedClock) -> OriginServer {
+        self.telemetry = Some((telemetry, clock));
         self
     }
 
@@ -65,21 +67,15 @@ impl OriginServer {
         &self.store
     }
 
-    /// Handles one request at virtual time zero; the same as
-    /// [`handle_at`](OriginServer::handle_at) with `now_ms == 0`.
-    pub fn handle(&self, req: &Request) -> Response {
-        self.handle_at(req, 0)
-    }
-
-    /// Handles one request at virtual time `now_ms`, producing the
-    /// complete response.
+    /// Handles one request, producing the complete response.
     ///
     /// `HEAD` requests receive the `GET` response's headers with an empty
     /// payload; `If-None-Match` hits are answered `304 Not Modified`.
-    /// The response does not depend on time: `now_ms` only stamps the
-    /// origin's telemetry span.
-    pub fn handle_at(&self, req: &Request, now_ms: u64) -> Response {
-        let span = self.telemetry.as_ref().map(|tel| {
+    /// The response does not depend on time; the telemetry clock, when
+    /// attached, only stamps the origin's span.
+    pub fn handle(&self, req: &Request) -> Response {
+        let span = self.telemetry.as_ref().map(|(tel, clock)| {
+            let now_ms = clock.now_millis();
             let mut span = tel
                 .tracer()
                 .start_span("origin-handle", SpanKind::Origin, now_ms);
@@ -88,11 +84,10 @@ impl OriginServer {
                 span.attr("range", range);
             }
             span.add_bytes_in(req.wire_len());
-            span
+            (tel, span, now_ms)
         });
         let resp = self.respond(req);
-        if let Some(mut span) = span {
-            let tel = self.telemetry.as_ref().expect("span implies telemetry");
+        if let Some((tel, mut span, now_ms)) = span {
             let status = resp.status().as_u16().to_string();
             span.add_bytes_out(resp.wire_len());
             span.attr("status", status.clone());

@@ -6,8 +6,9 @@
 //! budget: a warm cache hit allocates only for what is unique to its
 //! response (the range `Vec`s, the header `Vec`, and the `Content-Range`
 //! and `Content-Length` values), metering a message allocates only when
-//! the capture log grows, and an OBR request through a warm cascade makes
-//! as many allocations at max n as at n = 1,000.
+//! a capturing segment's log grows and never on a metered segment, and an
+//! OBR request through a warm cascade makes as many allocations at max n
+//! as at n = 1,000.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -151,6 +152,26 @@ fn metering_allocates_only_for_capture_growth() {
         "{average} allocations per metered request/response pair"
     );
     assert_eq!(segment.capture().len(), 2 * CALLS);
+}
+
+#[test]
+fn metered_segment_never_allocates() {
+    let bed = warm_testbed();
+    let requests = requests(BenignClient::MediaSeek);
+    let responses: Vec<_> = requests.iter().map(|req| bed.request(req)).collect();
+    let pairs: Vec<_> = requests.iter().zip(&responses).collect();
+    let segment = Segment::metered(SegmentName::ClientCdn);
+    let average = average_allocations(&pairs, |(req, resp)| {
+        segment.send_request(req);
+        segment.send_response(resp);
+    });
+    // Zero allocations over every pair also shows that no log grew.
+    assert_eq!(
+        average, 0.0,
+        "allocations per metered request/response pair"
+    );
+    assert_eq!(segment.stats().requests, CALLS as u64);
+    assert_eq!(segment.stats().responses, CALLS as u64);
 }
 
 /// OBR requests measured per range count.

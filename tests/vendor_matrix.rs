@@ -6,6 +6,7 @@
 use rangeamp::{Testbed, TARGET_HOST, TARGET_PATH};
 use rangeamp_cdn::Vendor;
 use rangeamp_http::Request;
+use rangeamp_net::CaptureLog;
 
 const MB: u64 = 1024 * 1024;
 
@@ -90,6 +91,7 @@ fn forwarded_range_matrix_is_locked() {
         let bed = Testbed::builder()
             .vendor(vendor)
             .resource(TARGET_PATH, size)
+            .capture()
             .build();
         let req = Request::get(&format!("{TARGET_PATH}?matrix=1"))
             .header("Host", TARGET_HOST)
@@ -98,8 +100,7 @@ fn forwarded_range_matrix_is_locked() {
         bed.request(&req);
         let forwarded: Vec<String> = bed
             .origin_segment()
-            .capture()
-            .forwarded_ranges()
+            .with_capture(CaptureLog::forwarded_ranges)
             .into_iter()
             .map(|f| match f {
                 None => "<none>".to_string(),
