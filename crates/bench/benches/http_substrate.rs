@@ -104,7 +104,7 @@ fn bench_wire_round_trip(c: &mut Criterion) {
     group.finish();
 }
 
-/// `get_at` on the least-recently-used key of a full 4096-entry cache.
+/// `Cache::get` on the least-recently-used key of a full 4096-entry cache.
 /// Keys are looked up in insertion order, so each hit refreshes the
 /// current LRU key and leaves the next one at the LRU end.
 fn bench_cache_hit(c: &mut Criterion) {
@@ -121,14 +121,14 @@ fn bench_cache_hit(c: &mut Criterion) {
             .header("ETag", "\"bench\"")
             .sized_body(vec![0u8; 1024])
             .build();
-        cache.put(key, resp);
+        cache.put(key, resp, 0);
     }
     let mut next = 0;
     c.bench_function("cache_hit_4096", |b| {
         b.iter(|| {
             let key = keys[next];
             next = (next + 1) % capacity;
-            cache.get_at(black_box(key), 0).expect("cached")
+            cache.get(black_box(key), 0).expect("cached")
         });
     });
 }

@@ -2,7 +2,7 @@
 //! miss handlers.
 
 use rangeamp_http::multipart::MultipartBuilder;
-use rangeamp_http::range::{coalesce, has_overlap, ContentRange, RangeHeader, ResolvedRange};
+use rangeamp_http::range::{coalesce, ContentRange, RangeHeader, ResolvedRange};
 use rangeamp_http::{Body, HeaderName, HeaderValue, Response, ResponseBuilder, StatusCode};
 
 use crate::MultiReplyPolicy;
@@ -148,7 +148,6 @@ pub(crate) fn serve_from_full(
         return not_satisfiable(complete);
     }
     ranges_reply(body, 0, &resolved, complete, &meta, multi_reply)
-        .unwrap_or_else(|| full_200(body.clone(), &meta))
 }
 
 /// Serves a (possibly multi) range request from an upstream *partial*
@@ -186,21 +185,19 @@ pub(crate) fn serve_from_partial(
         return None;
     }
     let meta = ReprMeta::of(partial);
-    ranges_reply(
+    Some(ranges_reply(
         partial.body(),
         window.first,
         &resolved,
         complete_length,
         &meta,
         multi_reply,
-    )
+    ))
 }
 
 /// Answers the satisfiable ranges `resolved` (at least one) from `body`,
 /// which holds the representation from byte `offset` on, under
-/// `multi_reply`. Returns `None` for [`MultiReplyPolicy::Full200`] on a
-/// multi-range request: only the caller knows whether it holds the full
-/// representation that policy sends.
+/// `multi_reply`.
 fn ranges_reply(
     body: &Body,
     offset: u64,
@@ -208,31 +205,23 @@ fn ranges_reply(
     complete_length: u64,
     meta: &ReprMeta<'_>,
     multi_reply: MultiReplyPolicy,
-) -> Option<Response> {
+) -> Response {
     let single = |r: ResolvedRange| {
         let slice = body.slice(r.first - offset, r.last + 1 - offset);
         single_206(slice, r, complete_length, meta)
     };
     if let [r] = resolved {
-        return Some(single(*r));
+        return single(*r);
     }
     let multipart =
         |ranges: &[ResolvedRange]| multipart_206(body, offset, ranges, complete_length, meta);
-    Some(match multi_reply {
+    match multi_reply {
         MultiReplyPolicy::NPartNoOverlapCheck => multipart(resolved),
         MultiReplyPolicy::Coalesce => match coalesce(resolved).as_slice() {
             [r] => single(*r),
             merged => multipart(merged),
         },
-        MultiReplyPolicy::RejectOverlapping => {
-            if has_overlap(resolved) {
-                not_satisfiable(complete_length)
-            } else {
-                multipart(resolved)
-            }
-        }
-        MultiReplyPolicy::Full200 => return None,
-    })
+    }
 }
 
 /// Serves a single requested range from an upstream *partial* (206)
@@ -333,33 +322,16 @@ mod tests {
     }
 
     #[test]
-    fn reject_policy_416s_overlaps_but_allows_disjoint() {
+    fn coalesce_policy_keeps_disjoint_ranges_multipart() {
         let full = full_of(100);
-        let overlapping = RangeHeader::parse("bytes=0-,0-").unwrap();
-        let resp = serve_from_full(
-            Some(&overlapping),
-            &full,
-            MultiReplyPolicy::RejectOverlapping,
-        );
-        assert_eq!(resp.status(), StatusCode::RANGE_NOT_SATISFIABLE);
-
         let disjoint = RangeHeader::parse("bytes=0-4,90-94").unwrap();
-        let resp = serve_from_full(Some(&disjoint), &full, MultiReplyPolicy::RejectOverlapping);
+        let resp = serve_from_full(Some(&disjoint), &full, MultiReplyPolicy::Coalesce);
         assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
         assert!(resp
             .headers()
             .get("content-type")
             .unwrap()
             .starts_with("multipart/byteranges"));
-    }
-
-    #[test]
-    fn full200_policy_ignores_ranges() {
-        let full = full_of(100);
-        let header = RangeHeader::parse("bytes=0-,0-").unwrap();
-        let resp = serve_from_full(Some(&header), &full, MultiReplyPolicy::Full200);
-        assert_eq!(resp.status(), StatusCode::OK);
-        assert_eq!(resp.body().len(), 100);
     }
 
     #[test]

@@ -284,7 +284,7 @@ impl CacheInner {
 /// entry is evicted — which is how an SBR attacker's cache-busted
 /// requests also *pollute* the edge cache as a side effect.
 ///
-/// Every operation is O(1): lookups ([`Cache::get_at`],
+/// Every operation is O(1): lookups ([`Cache::get`],
 /// [`Cache::get_stale`]) hash the key once and hand out a shared
 /// `Arc<CachedEntry>` without copying the response; a fresh hit and a
 /// store move the entry to the most-recently-used end of an intrusive
@@ -298,10 +298,10 @@ impl CacheInner {
 ///
 /// let cache = Cache::with_capacity(2);
 /// let key = CacheKey::new("victim", "/f.bin", Some("rnd=1"));
-/// cache.put(key, Response::builder(StatusCode::OK).build());
-/// assert!(cache.get(key).is_some());
+/// cache.put(key, Response::builder(StatusCode::OK).build(), 0);
+/// assert!(cache.get(key, 0).is_some());
 /// // A cache-busted URL is a distinct key:
-/// assert!(cache.get(CacheKey::new("victim", "/f.bin", Some("rnd=2"))).is_none());
+/// assert!(cache.get(CacheKey::new("victim", "/f.bin", Some("rnd=2")), 0).is_none());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Cache {
@@ -333,18 +333,11 @@ impl Cache {
         self
     }
 
-    /// Looks up a full representation at virtual instant zero (for
-    /// callers that don't track time; equivalent to [`Cache::get_at`]
-    /// with `now_ms = 0`).
-    pub fn get(&self, key: CacheKey<'_>) -> Option<Arc<CachedEntry>> {
-        self.get_at(key, 0)
-    }
-
     /// Looks up a *fresh* representation at `now_ms`, counting hit/miss
     /// statistics and refreshing recency. An expired entry counts as a
     /// miss, keeps its recency, and is retained for
     /// [`Cache::get_stale`]. The returned entry is shared with the cache.
-    pub fn get_at(&self, key: CacheKey<'_>, now_ms: u64) -> Option<Arc<CachedEntry>> {
+    pub fn get(&self, key: CacheKey<'_>, now_ms: u64) -> Option<Arc<CachedEntry>> {
         let mut inner = self.inner.lock();
         let ttl_ms = inner.ttl_ms;
         let fresh = inner
@@ -379,17 +372,11 @@ impl Cache {
         Some(Arc::clone(&inner.slots[i].entry))
     }
 
-    /// Stores a full representation at virtual instant zero (see
-    /// [`Cache::put_at`]).
-    pub fn put(&self, key: CacheKey<'_>, response: Response) {
-        self.put_at(key, response, 0);
-    }
-
     /// Stores a full representation stamped at `now_ms` and marks it most
     /// recently used. Storing over an existing key replaces the entry in
     /// place; storing a new key into a full cache first evicts the least
     /// recently used entry.
-    pub fn put_at(&self, key: CacheKey<'_>, response: Response, now_ms: u64) {
+    pub fn put(&self, key: CacheKey<'_>, response: Response, now_ms: u64) {
         let entry = Arc::new(CachedEntry {
             response,
             stored_at_ms: now_ms,
@@ -586,9 +573,9 @@ mod tests {
     fn put_then_get() {
         let cache = Cache::new();
         let key = CacheKey::new("victim", "/f.bin", None);
-        assert!(cache.get(key).is_none());
-        cache.put(key, response_of(10));
-        assert_eq!(cache.get(key).unwrap().response.body().len(), 10);
+        assert!(cache.get(key, 0).is_none());
+        cache.put(key, response_of(10), 0);
+        assert_eq!(cache.get(key, 0).unwrap().response.body().len(), 10);
         assert_eq!(cache.stats(), (1, 1));
     }
 
@@ -596,20 +583,20 @@ mod tests {
     fn query_string_changes_the_key() {
         // The cache-busting property the attacks rely on.
         let cache = Cache::new();
-        cache.put(CacheKey::new("victim", "/f.bin", None), response_of(10));
+        cache.put(CacheKey::new("victim", "/f.bin", None), response_of(10), 0);
         assert!(cache
-            .get(CacheKey::new("victim", "/f.bin", Some("rnd=1")))
+            .get(CacheKey::new("victim", "/f.bin", Some("rnd=1")), 0)
             .is_none());
         assert!(cache
-            .get(CacheKey::new("victim", "/f.bin", Some("rnd=2")))
+            .get(CacheKey::new("victim", "/f.bin", Some("rnd=2")), 0)
             .is_none());
     }
 
     #[test]
     fn host_changes_the_key() {
         let cache = Cache::new();
-        cache.put(CacheKey::new("a", "/f", None), response_of(1));
-        assert!(cache.get(CacheKey::new("b", "/f", None)).is_none());
+        cache.put(CacheKey::new("a", "/f", None), response_of(1), 0);
+        assert!(cache.get(CacheKey::new("b", "/f", None), 0).is_none());
     }
 
     #[test]
@@ -617,13 +604,13 @@ mod tests {
         // `a` + `/x|/y` and `a|/x` + `/y` both joined to `a|/x|/y` when
         // keys were `host|target` strings.
         let cache = Cache::new();
-        cache.put(CacheKey::new("a", "/x|/y", None), response_of(1000));
-        assert!(cache.get(CacheKey::new("a|/x", "/y", None)).is_none());
+        cache.put(CacheKey::new("a", "/x|/y", None), response_of(1000), 0);
+        assert!(cache.get(CacheKey::new("a|/x", "/y", None), 0).is_none());
         // Nor may a query move into the path or the host.
-        cache.put(CacheKey::new("h", "/p", Some("q")), response_of(1));
-        assert!(cache.get(CacheKey::new("h", "/pq", None)).is_none());
-        assert!(cache.get(CacheKey::new("h", "/p", Some(""))).is_none());
-        assert!(cache.get(CacheKey::new("h/p", "", Some("q"))).is_none());
+        cache.put(CacheKey::new("h", "/p", Some("q")), response_of(1), 0);
+        assert!(cache.get(CacheKey::new("h", "/pq", None), 0).is_none());
+        assert!(cache.get(CacheKey::new("h", "/p", Some("")), 0).is_none());
+        assert!(cache.get(CacheKey::new("h/p", "", Some("q")), 0).is_none());
         assert_eq!(cache.len(), 2);
     }
 
@@ -650,42 +637,42 @@ mod tests {
     fn clones_share_state() {
         let a = Cache::new();
         let b = a.clone();
-        a.put(key("k"), response_of(1));
-        assert!(b.get(key("k")).is_some());
+        a.put(key("k"), response_of(1), 0);
+        assert!(b.get(key("k"), 0).is_some());
     }
 
     #[test]
     fn lru_eviction_beyond_capacity() {
         let cache = Cache::with_capacity(2);
-        cache.put(key("a"), response_of(1));
-        cache.put(key("b"), response_of(2));
-        cache.put(key("c"), response_of(3));
+        cache.put(key("a"), response_of(1), 0);
+        cache.put(key("b"), response_of(2), 0);
+        cache.put(key("c"), response_of(3), 0);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.get(key("a")).is_none(), "oldest evicted");
-        assert!(cache.get(key("b")).is_some());
-        assert!(cache.get(key("c")).is_some());
+        assert!(cache.get(key("a"), 0).is_none(), "oldest evicted");
+        assert!(cache.get(key("b"), 0).is_some());
+        assert!(cache.get(key("c"), 0).is_some());
     }
 
     #[test]
     fn get_refreshes_recency() {
         let cache = Cache::with_capacity(2);
-        cache.put(key("a"), response_of(1));
-        cache.put(key("b"), response_of(2));
-        cache.get(key("a")); // a becomes most recent
-        cache.put(key("c"), response_of(3));
-        assert!(cache.get(key("a")).is_some(), "recently used survives");
-        assert!(cache.get(key("b")).is_none(), "LRU victim");
+        cache.put(key("a"), response_of(1), 0);
+        cache.put(key("b"), response_of(2), 0);
+        cache.get(key("a"), 0); // a becomes most recent
+        cache.put(key("c"), response_of(3), 0);
+        assert!(cache.get(key("a"), 0).is_some(), "recently used survives");
+        assert!(cache.get(key("b"), 0).is_none(), "LRU victim");
     }
 
     #[test]
     fn reinsert_updates_without_duplicate_lru_entry() {
         let cache = Cache::with_capacity(2);
-        cache.put(key("a"), response_of(1));
-        cache.put(key("a"), response_of(9));
-        cache.put(key("b"), response_of(2));
+        cache.put(key("a"), response_of(1), 0);
+        cache.put(key("a"), response_of(9), 0);
+        cache.put(key("b"), response_of(2), 0);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(key("a")).unwrap().response.body().len(), 9);
+        assert_eq!(cache.get(key("a"), 0).unwrap().response.body().len(), 9);
         assert_eq!(cache.evictions(), 0);
     }
 
@@ -697,16 +684,18 @@ mod tests {
         cache.put(
             CacheKey::new("victim", "/popular.bin", None),
             response_of(10),
+            0,
         );
         for i in 0..16 {
             let rnd = format!("rnd={i}");
             cache.put(
                 CacheKey::new("victim", "/f.bin", Some(&rnd)),
                 response_of(1),
+                0,
             );
         }
         assert!(cache
-            .get(CacheKey::new("victim", "/popular.bin", None))
+            .get(CacheKey::new("victim", "/popular.bin", None), 0)
             .is_none());
         assert!(cache.evictions() >= 12);
     }
@@ -714,7 +703,7 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let cache = Cache::new();
-        cache.put(key("k"), response_of(1));
+        cache.put(key("k"), response_of(1), 0);
         cache.mark_seen(key("k"));
         cache.clear();
         assert!(cache.is_empty());
@@ -725,12 +714,12 @@ mod tests {
     #[test]
     fn expired_get_is_a_miss_and_keeps_recency() {
         let cache = Cache::with_capacity(2).with_ttl(10);
-        cache.put_at(key("a"), response_of(1), 0);
-        cache.put_at(key("b"), response_of(2), 5);
-        assert!(cache.get_at(key("a"), 12).is_none(), "a expired at 10");
+        cache.put(key("a"), response_of(1), 0);
+        cache.put(key("b"), response_of(2), 5);
+        assert!(cache.get(key("a"), 12).is_none(), "a expired at 10");
         assert_eq!(cache.stats(), (0, 1));
         assert_eq!(cache.keys_by_recency(), ["a", "b"]);
-        cache.put_at(key("c"), response_of(3), 12);
+        cache.put(key("c"), response_of(3), 12);
         assert!(
             cache.get_stale(key("a")).is_none(),
             "a stayed LRU and was evicted"
@@ -741,13 +730,13 @@ mod tests {
     #[test]
     fn get_stale_keeps_recency_and_counters() {
         let cache = Cache::with_capacity(2).with_ttl(10);
-        cache.put_at(key("a"), response_of(1), 0);
-        cache.put_at(key("b"), response_of(2), 0);
+        cache.put(key("a"), response_of(1), 0);
+        cache.put(key("b"), response_of(2), 0);
         assert_eq!(cache.get_stale(key("a")).unwrap().response.body().len(), 1);
         assert!(cache.get_stale(key("missing")).is_none());
         assert_eq!(cache.stats(), (0, 0));
         assert_eq!(cache.keys_by_recency(), ["a", "b"]);
-        cache.put(key("c"), response_of(3));
+        cache.put(key("c"), response_of(3), 0);
         assert!(
             cache.get_stale(key("a")).is_none(),
             "a was still the LRU victim"
@@ -757,14 +746,14 @@ mod tests {
     #[test]
     fn put_over_existing_key_restamps_and_refreshes() {
         let cache = Cache::with_capacity(2).with_ttl(10);
-        cache.put_at(key("a"), response_of(1), 0);
-        cache.put_at(key("b"), response_of(2), 0);
-        cache.put_at(key("a"), response_of(7), 8);
+        cache.put(key("a"), response_of(1), 0);
+        cache.put(key("b"), response_of(2), 0);
+        cache.put(key("a"), response_of(7), 8);
         assert_eq!(cache.keys_by_recency(), ["b", "a"]);
-        cache.put_at(key("c"), response_of(3), 15);
+        cache.put(key("c"), response_of(3), 15);
         assert_eq!(cache.keys_by_recency(), ["a", "c"], "b was the LRU victim");
         assert_eq!(cache.evictions(), 1);
-        let entry = cache.get_at(key("a"), 15).expect("fresh until 18");
+        let entry = cache.get(key("a"), 15).expect("fresh until 18");
         assert_eq!(entry.stored_at_ms, 8);
         assert_eq!(entry.response.body().len(), 7);
     }
@@ -772,9 +761,9 @@ mod tests {
     #[test]
     fn returned_entry_outlives_its_eviction() {
         let cache = Cache::with_capacity(1);
-        cache.put(key("a"), response_of(5));
-        let held = cache.get(key("a")).unwrap();
-        cache.put(key("b"), response_of(6));
+        cache.put(key("a"), response_of(5), 0);
+        let held = cache.get(key("a"), 0).unwrap();
+        cache.put(key("b"), response_of(6), 0);
         assert!(cache.get_stale(key("a")).is_none());
         assert_eq!(held.response.body().len(), 5);
         assert_eq!(held.stored_at_ms, 0);
@@ -783,8 +772,8 @@ mod tests {
     #[test]
     fn hits_share_the_stored_entry() {
         let cache = Cache::new();
-        cache.put(key("a"), response_of(5));
-        let first = cache.get(key("a")).unwrap();
+        cache.put(key("a"), response_of(5), 0);
+        let first = cache.get(key("a"), 0).unwrap();
         let second = cache.get_stale(key("a")).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
     }
@@ -821,19 +810,19 @@ mod tests {
                 let name = format!("k{id}");
                 let key = key(&name);
                 match op {
-                    // put_at: the body length tags which store wrote it.
+                    // put: the body length tags which store wrote it.
                     0..=6 => {
                         let before = cache.keys_by_recency();
                         let expected = model.put_at(&name, response_of(index), now_ms);
-                        cache.put_at(key, response_of(index), now_ms);
+                        cache.put(key, response_of(index), now_ms);
                         let after = cache.keys_by_recency();
                         let evicted: Vec<String> =
                             before.into_iter().filter(|k| !after.contains(k)).collect();
                         prop_assert_eq!(evicted, expected, "evicted keys at {:?}", step);
                     }
                     7..=12 => prop_assert!(
-                        same_entry(cache.get_at(key, now_ms), model.get_at(&name, now_ms)),
-                        "get_at differs at {:?}", step
+                        same_entry(cache.get(key, now_ms), model.get_at(&name, now_ms)),
+                        "get differs at {:?}", step
                     ),
                     13..=14 => prop_assert!(
                         same_entry(cache.get_stale(key), model.get_stale(&name)),

@@ -64,9 +64,7 @@ pub mod vendor;
 pub use cache::{Cache, CacheKey, CachedEntry};
 pub use defense::{client_key, DefenseAction, DefenseHook, RequestOutcome, CLIENT_ID_HEADER};
 pub use fleet::{CdnFleet, IngressStrategy};
-pub use limits::{
-    max_overlapping_ranges, max_overlapping_ranges_with_hop, HeaderLimits, ObrRangeCase,
-};
+pub use limits::{max_overlapping_ranges, HeaderLimits, ObrRangeCase};
 pub use node::EdgeNode;
 pub use policy::{MitigationConfig, MultiReplyPolicy, RangePolicy};
 pub use resilience::{BreakerConfig, CircuitBreaker, Resilience, ResilienceStats, RetryPolicy};

@@ -138,7 +138,7 @@ impl ObrRangeCase {
 /// `forwarded_extra_headers` are the headers the FCDN adds on the
 /// forwarded hop (at least its `Via` line), which consume part of the
 /// BCDN's budget.
-pub fn max_overlapping_ranges_with_hop(
+pub fn max_overlapping_ranges(
     case: ObrRangeCase,
     path: &str,
     host: &str,
@@ -183,17 +183,6 @@ pub fn max_overlapping_ranges_with_hop(
         }
     }
     lo
-}
-
-/// [`max_overlapping_ranges_with_hop`] without forwarded-hop headers.
-pub fn max_overlapping_ranges(
-    case: ObrRangeCase,
-    path: &str,
-    host: &str,
-    fcdn: &HeaderLimits,
-    bcdn: &HeaderLimits,
-) -> usize {
-    max_overlapping_ranges_with_hop(case, path, host, fcdn, bcdn, &[])
 }
 
 #[cfg(test)]
@@ -300,6 +289,7 @@ mod tests {
             "victim.example",
             &cdn77,
             &HeaderLimits::unlimited(),
+            &[],
         );
         assert_eq!(n, 5455);
     }
@@ -320,6 +310,7 @@ mod tests {
             "victim.example",
             &loose,
             &azure,
+            &[],
         );
         assert_eq!(n, 64);
     }
@@ -336,6 +327,7 @@ mod tests {
             "victim.example",
             &tiny,
             &HeaderLimits::unlimited(),
+            &[],
         );
         assert_eq!(n, 0);
     }

@@ -336,7 +336,7 @@ impl EdgeNode {
         let cache_key = CacheKey::of(host, req.uri());
         if self.profile.cache_enabled {
             let now_ms = self.resilience.clock().now_millis();
-            let looked_up = self.cache.get_at(cache_key, now_ms);
+            let looked_up = self.cache.get(cache_key, now_ms);
             if let Some(tel) = &self.telemetry {
                 let result = if looked_up.is_some() { "hit" } else { "miss" };
                 let vendor = self.profile.vendor.to_string();
@@ -418,10 +418,6 @@ impl EdgeNode {
                         }
                     }
                     MissReply::Direct(resp) => resp,
-                    MissReply::Reject(status) => Response::builder(status)
-                        .header("Date", assemble::CDN_DATE)
-                        .sized_body("rejected by edge policy")
-                        .build(),
                 };
                 (resp, extra)
             }
@@ -539,7 +535,7 @@ impl EdgeNode {
     fn store(&self, key: CacheKey<'_>, resp: &Response) {
         if self.profile.cache_enabled {
             self.cache
-                .put_at(key, resp.clone(), self.resilience.clock().now_millis());
+                .put(key, resp.clone(), self.resilience.clock().now_millis());
         }
     }
 
@@ -627,10 +623,13 @@ mod tests {
 
     #[test]
     fn miss_and_hit_reply_under_the_node_profile() {
-        // A multi-range miss is coalesced and forwarded; its reply must
-        // follow the profile the node was built with, as a hit does.
+        // Akamai deletes the Range and replies from the full copy; its
+        // stock profile answers overlapping ranges with one part each.
+        // Under a Coalesce profile a miss must merge them into one
+        // single-part 206, as a hit does.
         let mut profile = Vendor::Akamai.profile();
-        profile.multi_reply = MultiReplyPolicy::RejectOverlapping;
+        assert_eq!(profile.multi_reply, MultiReplyPolicy::NPartNoOverlapCheck);
+        profile.multi_reply = MultiReplyPolicy::Coalesce;
         let (edge, _segment) = testbed_with_profile(profile, MB);
         let miss = edge.handle(&sbr_request("bytes=0-10,5-20", 1));
         let warm = Request::get("/target.bin?rnd=2")
@@ -640,8 +639,14 @@ mod tests {
         let hit = edge.handle(&sbr_request("bytes=0-10,5-20", 2));
         assert_eq!(hit.headers().get("x-cache"), Some("HIT from Akamai"));
         assert_eq!(miss.headers().get("x-cache"), Some("MISS from Akamai"));
-        assert_eq!(miss.status(), StatusCode::RANGE_NOT_SATISFIABLE);
-        assert_eq!(miss.status(), hit.status());
+        for resp in [&miss, &hit] {
+            assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
+            assert_eq!(
+                resp.headers().get("content-range"),
+                Some(format!("bytes 0-20/{MB}").as_str())
+            );
+            assert_eq!(resp.body().len(), 21);
+        }
     }
 
     #[test]

@@ -39,12 +39,6 @@ pub enum MultiReplyPolicy {
     /// Coalesce overlapping/adjacent ranges first (RFC 7233 §6.1
     /// suggestion); a single surviving range degrades to a plain 206.
     Coalesce,
-    /// Reject requests containing overlapping ranges with 416 (CDN77's
-    /// post-disclosure fix, §VII-A).
-    RejectOverlapping,
-    /// Ignore the multi-range request and return the whole representation
-    /// as a 200.
-    Full200,
 }
 
 /// The CDN-side mitigations of paper §VI-C, applicable over any vendor

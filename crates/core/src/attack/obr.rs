@@ -8,11 +8,10 @@
 //! resource once. The attacker caps their own cost with a small receive
 //! window.
 
-use rangeamp_cdn::{max_overlapping_ranges_with_hop, ObrRangeCase, Vendor};
+use rangeamp_cdn::{max_overlapping_ranges, ObrRangeCase, Vendor};
 use rangeamp_http::Request;
 use serde::Serialize;
 
-use crate::amplification::{AmplificationMeasurement, TrafficBreakdown};
 use crate::testbed::{CascadeTestbed, TARGET_HOST, TARGET_PATH};
 
 /// The 11 cascaded combinations of Table V (4 FCDNs × 3 BCDNs minus the
@@ -65,25 +64,6 @@ impl ObrMeasurement {
             return 0.0;
         }
         self.bcdn_to_fcdn_bytes as f64 / self.server_to_bcdn_bytes as f64
-    }
-
-    /// View as a generic measurement (attacker = `bcdn-origin` side).
-    pub fn as_amplification(&self) -> AmplificationMeasurement {
-        AmplificationMeasurement {
-            target: format!("{} → {}", self.fcdn, self.bcdn),
-            exploited_case: self.exploited_case.clone(),
-            resource_size: 0,
-            traffic: TrafficBreakdown {
-                attacker_requests: 1,
-                attacker_request_bytes: 0,
-                attacker_response_bytes: self.server_to_bcdn_bytes,
-                victim_requests: 1,
-                victim_request_bytes: 0,
-                victim_response_bytes: self.bcdn_to_fcdn_bytes,
-                attacker_h2_response_bytes: self.server_to_bcdn_bytes,
-                victim_h2_response_bytes: self.bcdn_to_fcdn_bytes,
-            },
-        }
     }
 }
 
@@ -157,7 +137,7 @@ impl ObrAttack {
     pub fn max_n(&self) -> usize {
         let fcdn_profile = self.fcdn.fcdn_profile();
         let via_value = format!("1.1 {}", fcdn_profile.via_token());
-        max_overlapping_ranges_with_hop(
+        max_overlapping_ranges(
             self.range_case(),
             TARGET_PATH,
             TARGET_HOST,

@@ -34,7 +34,7 @@ use rangeamp_cdn::{EdgeNode, UpstreamService, Vendor, VendorProfile};
 use rangeamp_http::range::{coalesce, ContentRange, RangeHeader, ResolvedRange};
 use rangeamp_http::{multipart, wire, Body, Request, Response};
 use rangeamp_net::{CaptureLog, Segment, SegmentName};
-use rangeamp_origin::{OriginConfig, OriginServer, ResourceStore};
+use rangeamp_origin::{OriginServer, ResourceStore};
 
 use super::case::{CorpusEntry, FuzzCase, IfRangeKind, WireCase, SIZE_PALETTE};
 use super::model::{expected_forwarding, Fwd};
@@ -85,14 +85,12 @@ struct SizedBed {
 /// size, safe to share across executor shards.
 pub struct ConformanceEnv {
     beds: Mutex<HashMap<u64, Arc<SizedBed>>>,
-    date: String,
 }
 
 impl std::fmt::Debug for ConformanceEnv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConformanceEnv")
             .field("beds", &self.beds.lock().keys().collect::<Vec<_>>())
-            .field("date", &self.date)
             .finish()
     }
 }
@@ -108,7 +106,6 @@ impl ConformanceEnv {
     pub fn new() -> ConformanceEnv {
         ConformanceEnv {
             beds: Mutex::new(HashMap::new()),
-            date: OriginConfig::default().date_header,
         }
     }
 
@@ -188,7 +185,7 @@ pub fn check_pipeline_with_override(
     let canonical = parsed.as_ref().map(ToString::to_string);
 
     let bed = env.bed(case.size);
-    let Some(req) = build_request(case, &bed.etag, &env.date) else {
+    let Some(req) = build_request(case, &bed.etag) else {
         // The Range value cannot even be carried in a header field; the
         // wire-mutation cases cover those byte sequences instead.
         out.summary = format!("unrepresentable:{:?}", case.range);
@@ -216,7 +213,6 @@ pub fn check_pipeline_with_override(
             parsed.as_ref(),
             canonical.as_deref(),
             &bed,
-            env,
             &mut out,
         );
         summary.push_str(&segment);
@@ -237,7 +233,6 @@ fn check_vendor(
     parsed: Option<&RangeHeader>,
     canonical: Option<&str>,
     bed: &SizedBed,
-    env: &ConformanceEnv,
     out: &mut CaseReport,
 ) -> String {
     let admits = profile.limits.admits(req, parsed);
@@ -313,7 +308,7 @@ fn check_vendor(
         case.if_range,
         IfRangeKind::MatchingEtag | IfRangeKind::MatchingDate
     ) {
-        check_if_range_equivalence(case, vendor, bed, env, &probe, out);
+        check_if_range_equivalence(case, vendor, bed, &probe, out);
     }
     summary
 }
@@ -576,13 +571,12 @@ fn check_if_range_equivalence(
     case: &FuzzCase,
     vendor: Vendor,
     bed: &SizedBed,
-    env: &ConformanceEnv,
     with_validator: &ProbeResult,
     out: &mut CaseReport,
 ) {
     let mut baseline_case = case.clone();
     baseline_case.if_range = IfRangeKind::None;
-    let Some(baseline_req) = build_request(&baseline_case, &bed.etag, &env.date) else {
+    let Some(baseline_req) = build_request(&baseline_case, &bed.etag) else {
         return;
     };
     // The validator line changes header totals; only compare beds where
@@ -647,8 +641,8 @@ pub fn check_monotonicity(env: &ConformanceEnv, case: &FuzzCase) -> CaseReport {
     let mut large_case = case.clone();
     large_case.size = larger;
     let (Some(small_req), Some(large_req)) = (
-        build_request(case, &small_bed.etag, &env.date),
-        build_request(&large_case, &large_bed.etag, &env.date),
+        build_request(case, &small_bed.etag),
+        build_request(&large_case, &large_bed.etag),
     ) else {
         return out;
     };
@@ -780,7 +774,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn build_request(case: &FuzzCase, etag: &str, date: &str) -> Option<Request> {
+fn build_request(case: &FuzzCase, etag: &str) -> Option<Request> {
     let mut req = Request::get(TARGET_PATH).build();
     req.headers_mut().try_append("Host", TARGET_HOST).ok()?;
     req.headers_mut()
@@ -791,7 +785,7 @@ fn build_request(case: &FuzzCase, etag: &str, date: &str) -> Option<Request> {
         IfRangeKind::MatchingEtag => Some(etag.to_string()),
         IfRangeKind::StaleEtag => Some("\"deadbeef-0\"".to_string()),
         IfRangeKind::WeakEtag => Some(format!("W/{etag}")),
-        IfRangeKind::MatchingDate => Some(date.to_string()),
+        IfRangeKind::MatchingDate => Some(OriginServer::DATE.to_string()),
         IfRangeKind::StaleDate => Some("Wed, 01 Jan 2020 00:00:00 GMT".to_string()),
         IfRangeKind::Malformed => Some("W/not-a-validator".to_string()),
     };

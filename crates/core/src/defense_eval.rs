@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use rangeamp_cdn::{DefenseAction, Vendor};
-use rangeamp_defense::{DefenseLayer, EnforceConfig};
+use rangeamp_defense::DefenseLayer;
 use rangeamp_http::Request;
 use serde::Serialize;
 
@@ -88,8 +88,6 @@ pub struct DefenseEvalConfig {
     pub attack_interval_ms: u64,
     /// Overlapping ranges per OBR round (capped by the header solver).
     pub obr_ranges: usize,
-    /// Enforcement configuration for the defended run.
-    pub enforce: EnforceConfig,
 }
 
 impl Default for DefenseEvalConfig {
@@ -103,7 +101,6 @@ impl Default for DefenseEvalConfig {
             benign_interval_ms: 1_000,
             attack_interval_ms: 500,
             obr_ranges: 32,
-            enforce: EnforceConfig::default(),
         }
     }
 }
@@ -159,17 +156,6 @@ pub struct DefenseScenarioReport {
     pub residual_amplification: f64,
     /// Attacker request counts per action.
     pub actions: ActionCounts,
-}
-
-impl DefenseScenarioReport {
-    /// `defended / undefended` victim bytes (1.0 when undefended is 0).
-    pub fn victim_byte_ratio(&self) -> f64 {
-        if self.undefended_victim_bytes == 0 {
-            1.0
-        } else {
-            self.defended_victim_bytes as f64 / self.undefended_victim_bytes as f64
-        }
-    }
 }
 
 /// The attacker's client id in every scenario.
@@ -385,7 +371,7 @@ pub fn run_scenario(
     let (_, _, undefended_victim_bytes) =
         drive_schedule(&undefended_bed, scenario, config, seed, &mut generator);
 
-    let layer = Arc::new(DefenseLayer::new(config.enforce));
+    let layer = Arc::new(DefenseLayer::default());
     let defended_bed = build_bed(scenario, config, Some(layer.clone()));
     let mut generator = WorkloadGenerator::new(seed, resource_size);
     let (attack_requests, benign_requests, defended_victim_bytes) =

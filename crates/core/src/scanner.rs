@@ -46,11 +46,6 @@ impl ProbeObservation {
             && self.origin_response_bytes > 3 * self.client_response_bytes
     }
 
-    /// Whether the origin shipped at least one complete copy.
-    pub fn fetched_full_copy(&self) -> bool {
-        self.origin_response_bytes >= self.file_size
-    }
-
     /// The observed forwarding policy of the *first* back-to-origin
     /// request (§III-B vocabulary).
     pub fn policy(&self) -> Option<RangePolicy> {
@@ -559,14 +554,6 @@ impl Scanner {
             observations.push(first);
         }
         observations
-    }
-
-    /// Convenience: fuzz kinds only (used in property tests).
-    pub fn fuzz_kind(&self, vendor: Vendor, kind: RangeCaseKind) -> ProbeObservation {
-        let size = 4 * MB;
-        let mut generator = RangeRequestGenerator::new(self.seed, size);
-        let case = generator.case_of_kind(kind);
-        self.probe(vendor, size, &case.header.to_string()).0
     }
 
     /// Runs a fuzz campaign of `per_kind` random probes per structural

@@ -669,9 +669,7 @@ mod tests {
 
     #[test]
     fn cascade_edges_share_one_clock() {
-        let defense = Arc::new(rangeamp_defense::DefenseLayer::new(
-            rangeamp_defense::EnforceConfig::default(),
-        ));
+        let defense = Arc::new(rangeamp_defense::DefenseLayer::default());
         let beds = [
             (
                 "new",

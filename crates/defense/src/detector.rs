@@ -19,7 +19,7 @@
 //! timestamps — no wall clock, no randomness — so verdict streams are
 //! reproducible byte for byte (golden fixtures under `tests/corpus/`).
 
-use crate::features::{ClientFeatures, FeatureConfig, RequestSample, WindowFeatures};
+use crate::features::{ClientFeatures, RequestSample, WindowFeatures};
 
 /// Classification of a client's current traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,38 +62,26 @@ pub struct Verdict {
     pub at_ms: u64,
 }
 
-/// Detector thresholds. The defaults are pinned by the golden fixtures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Feature-extraction parameters.
-    pub features: FeatureConfig,
-    /// Tiny + cache-busted requests within one window that trip the SBR
-    /// shape rule.
-    pub sbr_tiny_busting: u64,
-    /// Per-request overlapping pairs that trip the OBR shape rule
-    /// (RFC 7233 §6.1 calls more than two overlapping ranges egregious).
-    pub obr_overlap_pairs: u64,
-    /// CUSUM slack: log2 amplification tolerated per request before
-    /// evidence accumulates (2.0 ⇒ up to 4× looks normal).
-    pub cusum_k: f64,
-    /// CUSUM alarm threshold on the accumulated statistic.
-    pub cusum_h: f64,
-    /// EWMA smoothing factor for the verdict score.
-    pub ewma_alpha: f64,
-}
+// Detector thresholds, pinned by the golden fixtures under
+// `tests/corpus/`.
 
-impl Default for DetectorConfig {
-    fn default() -> DetectorConfig {
-        DetectorConfig {
-            features: FeatureConfig::default(),
-            sbr_tiny_busting: 3,
-            obr_overlap_pairs: 3,
-            cusum_k: 2.0,
-            cusum_h: 16.0,
-            ewma_alpha: 0.3,
-        }
-    }
-}
+/// Tiny + cache-busted requests within one window that trip the SBR
+/// shape rule.
+pub const SBR_TINY_BUSTING: u64 = 3;
+
+/// Per-request overlapping pairs that trip the OBR shape rule (RFC 7233
+/// §6.1 calls more than two overlapping ranges egregious).
+pub const OBR_OVERLAP_PAIRS: u64 = 3;
+
+/// CUSUM slack: log2 amplification tolerated per request before evidence
+/// accumulates (2.0 ⇒ up to 4× looks normal).
+pub const CUSUM_K: f64 = 2.0;
+
+/// CUSUM alarm threshold on the accumulated statistic.
+pub const CUSUM_H: f64 = 16.0;
+
+/// EWMA smoothing factor for the verdict score.
+pub const EWMA_ALPHA: f64 = 0.3;
 
 /// Exponentially weighted moving average.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -174,25 +162,24 @@ pub struct Observation {
 /// Streaming per-client detector: features + shape rules + change-points.
 #[derive(Debug, Clone)]
 pub struct ClientDetector {
-    config: DetectorConfig,
     features: ClientFeatures,
     amp_ewma: Ewma,
     amp_cusum: Cusum,
     last: Option<Verdict>,
 }
 
-impl ClientDetector {
-    /// A fresh detector.
-    pub fn new(config: DetectorConfig) -> ClientDetector {
+impl Default for ClientDetector {
+    fn default() -> ClientDetector {
         ClientDetector {
-            config,
-            features: ClientFeatures::new(config.features),
-            amp_ewma: Ewma::new(config.ewma_alpha),
-            amp_cusum: Cusum::new(config.cusum_k, config.cusum_h),
+            features: ClientFeatures::default(),
+            amp_ewma: Ewma::new(EWMA_ALPHA),
+            amp_cusum: Cusum::new(CUSUM_K, CUSUM_H),
             last: None,
         }
     }
+}
 
+impl ClientDetector {
     /// The detector's feature extractor (read-only).
     pub fn features(&self) -> &ClientFeatures {
         &self.features
@@ -238,13 +225,13 @@ impl ClientDetector {
         }
 
         let window = self.features.current();
-        let verdict = if overlap_pairs >= self.config.obr_overlap_pairs {
+        let verdict = if overlap_pairs >= OBR_OVERLAP_PAIRS {
             Verdict {
                 class: TrafficClass::ObrSuspect,
                 score: overlap_pairs as f64,
                 at_ms: now_ms,
             }
-        } else if window.tiny_busting >= self.config.sbr_tiny_busting {
+        } else if window.tiny_busting >= SBR_TINY_BUSTING {
             Verdict {
                 class: TrafficClass::SbrSuspect,
                 score: window.tiny_busting as f64,
@@ -277,6 +264,7 @@ impl ClientDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::WINDOW_MS;
     use rangeamp_http::Request;
 
     fn sample(target: &str, range: Option<&str>) -> RequestSample {
@@ -289,7 +277,7 @@ mod tests {
 
     #[test]
     fn benign_full_downloads_stay_benign() {
-        let mut det = ClientDetector::new(DetectorConfig::default());
+        let mut det = ClientDetector::default();
         for i in 0..50u64 {
             let obs = det.observe(&sample("/t.bin", None), 1_000_000, 1_000_000, i * 200);
             assert_eq!(obs.verdict.class, TrafficClass::Benign, "request {i}");
@@ -298,7 +286,7 @@ mod tests {
 
     #[test]
     fn sbr_shape_rule_fires_within_a_handful_of_requests() {
-        let mut det = ClientDetector::new(DetectorConfig::default());
+        let mut det = ClientDetector::default();
         let mut flagged_at = None;
         for i in 0..10u64 {
             let s = sample(&format!("/t.bin?rnd={i}"), Some("bytes=0-0"));
@@ -316,7 +304,7 @@ mod tests {
     fn cusum_fires_on_amplification_without_tiny_shape() {
         // A hypothetical attack using mid-size ranges (not tiny) against
         // a deletion vendor: only the byte-ratio change-point can see it.
-        let mut det = ClientDetector::new(DetectorConfig::default());
+        let mut det = ClientDetector::default();
         let mut flagged_at = None;
         for i in 0..10u64 {
             let s = sample(&format!("/t.bin?rnd={i}"), Some("bytes=0-9999"));
@@ -331,7 +319,7 @@ mod tests {
 
     #[test]
     fn obr_shape_rule_fires_on_first_request() {
-        let mut det = ClientDetector::new(DetectorConfig::default());
+        let mut det = ClientDetector::default();
         let s = sample("/t.bin?rnd=0", Some("bytes=0-,0-,0-"));
         let obs = det.observe(&s, 3_000_000, 3_000_000, 0);
         assert_eq!(obs.verdict.class, TrafficClass::ObrSuspect);
@@ -340,25 +328,19 @@ mod tests {
 
     #[test]
     fn calm_windows_surface_for_deescalation() {
-        let config = DetectorConfig::default();
-        let mut det = ClientDetector::new(config);
+        let mut det = ClientDetector::default();
         det.observe(&sample("/t.bin", None), 1_000, 1_000, 0);
-        let obs = det.observe(
-            &sample("/t.bin", None),
-            1_000,
-            1_000,
-            config.features.window_ms + 1,
-        );
+        let obs = det.observe(&sample("/t.bin", None), 1_000, 1_000, WINDOW_MS + 1);
         let closed = obs.closed_window.expect("first window closed");
         assert_eq!(closed.suspects, 0, "calm window");
     }
 
     #[test]
     fn ewma_and_cusum_are_deterministic() {
-        let mut a = Ewma::new(0.3);
-        let mut b = Ewma::new(0.3);
-        let mut ca = Cusum::new(2.0, 16.0);
-        let mut cb = Cusum::new(2.0, 16.0);
+        let mut a = Ewma::new(EWMA_ALPHA);
+        let mut b = Ewma::new(EWMA_ALPHA);
+        let mut ca = Cusum::new(CUSUM_K, CUSUM_H);
+        let mut cb = Cusum::new(CUSUM_K, CUSUM_H);
         for x in [0.5, 10.7, 0.1, 9.9, 3.3] {
             assert_eq!(a.update(x).to_bits(), b.update(x).to_bits());
             ca.update(x);

@@ -9,12 +9,12 @@
 //! * the **first** suspect verdict lifts the client to *Deflate* —
 //!   requests still flow, but under laziness + coalescing transforms
 //!   the origin ships at most what the client asked for;
-//! * `throttle_after` suspect verdicts arm the per-client **token
+//! * [`THROTTLE_AFTER`] suspect verdicts arm the per-client **token
 //!   bucket** on origin-fetched bytes; a request arriving to an empty
 //!   bucket is blocked;
-//! * `block_after` suspect verdicts pin the client at **Block**;
+//! * [`BLOCK_AFTER`] suspect verdicts pin the client at **Block**;
 //! * windows that close without a single suspect verdict are *calm*;
-//!   `calm_windows` consecutive calm windows walk the client one rung
+//!   [`CALM_WINDOWS`] consecutive calm windows walk the client one rung
 //!   back down and discharge the change-point evidence.
 //!
 //! Determinism: all state advances only on `decide`/`observe` calls
@@ -27,42 +27,26 @@ use parking_lot::Mutex;
 use rangeamp_cdn::{DefenseAction, DefenseHook, RequestOutcome};
 use rangeamp_http::Request;
 
-use crate::detector::{ClientDetector, DetectorConfig, Verdict};
+use crate::detector::{ClientDetector, Verdict};
 use crate::features::RequestSample;
 
-/// Enforcement-ladder parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnforceConfig {
-    /// Detector thresholds.
-    pub detector: DetectorConfig,
-    /// Suspect verdicts after which the token bucket arms (Throttle).
-    pub throttle_after: u64,
-    /// Suspect verdicts after which the client is pinned at Block.
-    pub block_after: u64,
-    /// Token-bucket capacity, in origin-fetched bytes.
-    pub bucket_capacity: u64,
-    /// Token-bucket refill rate, in origin bytes per virtual second.
-    pub bucket_refill_per_sec: u64,
-    /// Consecutive calm windows that earn one rung of de-escalation.
-    pub calm_windows: u64,
-    /// Shadow mode: detect and report but always answer Allow (used to
-    /// measure detection quality without enforcement side effects).
-    pub shadow: bool,
-}
+// Enforcement-ladder parameters, pinned by the golden fixtures under
+// `tests/corpus/`.
 
-impl Default for EnforceConfig {
-    fn default() -> EnforceConfig {
-        EnforceConfig {
-            detector: DetectorConfig::default(),
-            throttle_after: 8,
-            block_after: 16,
-            bucket_capacity: 128 * 1024,
-            bucket_refill_per_sec: 16 * 1024,
-            calm_windows: 2,
-            shadow: false,
-        }
-    }
-}
+/// Suspect verdicts after which the token bucket arms (Throttle).
+pub const THROTTLE_AFTER: u64 = 8;
+
+/// Suspect verdicts after which the client is pinned at Block.
+pub const BLOCK_AFTER: u64 = 16;
+
+/// Token-bucket capacity, in origin-fetched bytes.
+pub const BUCKET_CAPACITY: u64 = 128 * 1024;
+
+/// Token-bucket refill rate, in origin bytes per virtual second.
+pub const BUCKET_REFILL_PER_SEC: u64 = 16 * 1024;
+
+/// Consecutive calm windows that earn one rung of de-escalation.
+pub const CALM_WINDOWS: u64 = 2;
 
 /// Deterministic token bucket over virtual time (integer arithmetic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,9 +144,9 @@ struct ClientState {
 }
 
 impl ClientState {
-    fn new(config: &EnforceConfig, client: &str) -> ClientState {
+    fn new(client: &str) -> ClientState {
         ClientState {
-            detector: ClientDetector::new(config.detector),
+            detector: ClientDetector::default(),
             rung: DefenseAction::Allow,
             bucket: None,
             calm_streak: 0,
@@ -181,41 +165,12 @@ impl ClientState {
 /// One layer instance per campaign unit — state is per-layer, and the
 /// determinism contract of [`DefenseHook`] forbids sharing a layer
 /// across concurrently-driven testbeds.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DefenseLayer {
-    config: EnforceConfig,
     clients: Mutex<BTreeMap<String, ClientState>>,
 }
 
-impl Default for DefenseLayer {
-    fn default() -> DefenseLayer {
-        DefenseLayer::new(EnforceConfig::default())
-    }
-}
-
 impl DefenseLayer {
-    /// A fresh layer.
-    pub fn new(config: EnforceConfig) -> DefenseLayer {
-        DefenseLayer {
-            config,
-            clients: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// A detect-only layer: verdicts and reports accumulate but every
-    /// decision is Allow.
-    pub fn shadow() -> DefenseLayer {
-        DefenseLayer::new(EnforceConfig {
-            shadow: true,
-            ..EnforceConfig::default()
-        })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> EnforceConfig {
-        self.config
-    }
-
     /// Snapshot of every client's report, ordered by client key.
     pub fn report(&self) -> Vec<ClientReport> {
         self.clients
@@ -241,12 +196,12 @@ impl DefenseLayer {
             .map_or(DefenseAction::Allow, |state| state.rung)
     }
 
-    fn escalate(state: &mut ClientState, config: &EnforceConfig, now_ms: u64) {
+    fn escalate(state: &mut ClientState, now_ms: u64) {
         state.calm_streak = 0;
         let suspects = state.report.suspects;
-        let target = if suspects >= config.block_after {
+        let target = if suspects >= BLOCK_AFTER {
             DefenseAction::Block
-        } else if suspects >= config.throttle_after {
+        } else if suspects >= THROTTLE_AFTER {
             DefenseAction::Throttle
         } else {
             DefenseAction::Deflate
@@ -256,8 +211,8 @@ impl DefenseLayer {
         }
         if state.rung == DefenseAction::Throttle && state.bucket.is_none() {
             state.bucket = Some(TokenBucket::new(
-                config.bucket_capacity,
-                config.bucket_refill_per_sec,
+                BUCKET_CAPACITY,
+                BUCKET_REFILL_PER_SEC,
                 now_ms,
             ));
         }
@@ -284,10 +239,7 @@ impl DefenseHook for DefenseLayer {
         let mut clients = self.clients.lock();
         let state = clients
             .entry(client.to_string())
-            .or_insert_with(|| ClientState::new(&self.config, client));
-        if self.config.shadow {
-            return DefenseAction::Allow;
-        }
+            .or_insert_with(|| ClientState::new(client));
         match state.rung {
             DefenseAction::Throttle => {
                 let empty = state
@@ -316,7 +268,7 @@ impl DefenseHook for DefenseLayer {
         let mut clients = self.clients.lock();
         let state = clients
             .entry(client.to_string())
-            .or_insert_with(|| ClientState::new(&self.config, client));
+            .or_insert_with(|| ClientState::new(client));
 
         state.report.requests += 1;
         match action {
@@ -349,7 +301,7 @@ impl DefenseHook for DefenseLayer {
         if let Some(window) = observation.closed_window {
             if window.suspects == 0 {
                 state.calm_streak += 1;
-                if state.calm_streak >= self.config.calm_windows {
+                if state.calm_streak >= CALM_WINDOWS {
                     Self::deescalate(state);
                 }
             } else {
@@ -362,9 +314,7 @@ impl DefenseHook for DefenseLayer {
             if state.report.first_flag_ms.is_none() {
                 state.report.first_flag_ms = Some(now_ms);
             }
-            if !self.config.shadow {
-                Self::escalate(state, &self.config, now_ms);
-            }
+            Self::escalate(state, now_ms);
         }
     }
 }
@@ -431,9 +381,8 @@ mod tests {
 
     #[test]
     fn calm_windows_deescalate_one_rung_at_a_time() {
-        let config = EnforceConfig::default();
-        let window = config.detector.features.window_ms;
-        let layer = DefenseLayer::new(config);
+        let window = crate::features::WINDOW_MS;
+        let layer = DefenseLayer::default();
         // Burst to Deflate…
         for i in 0..4u64 {
             drive(&layer, &attack_request(i), 1_000_000, 700, i * 10);
@@ -448,18 +397,6 @@ mod tests {
             drive(&layer, &benign_as_mallory, 0, 1_000, w * window + 1);
         }
         assert_eq!(layer.client_rung("mallory"), DefenseAction::Allow);
-    }
-
-    #[test]
-    fn shadow_mode_reports_without_enforcing() {
-        let layer = DefenseLayer::shadow();
-        for i in 0..20u64 {
-            drive(&layer, &attack_request(i), 1_000_000, 700, i * 100);
-        }
-        let report = layer.client_report("mallory").expect("tracked");
-        assert_eq!(report.allowed, 20, "shadow never enforces");
-        assert!(report.suspects > 0, "…but it still detects");
-        assert!(report.first_flag_ms.is_some());
     }
 
     #[test]

@@ -23,23 +23,11 @@ use std::collections::BTreeSet;
 use rangeamp_http::range::{ByteRangeSpec, RangeHeader};
 use rangeamp_http::Request;
 
-/// Sliding-window parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeatureConfig {
-    /// Window width in virtual milliseconds.
-    pub window_ms: u64,
-    /// A range spec covering at most this many bytes counts as *tiny*.
-    pub tiny_threshold_bytes: u64,
-}
+/// Window width in virtual milliseconds.
+pub const WINDOW_MS: u64 = 5_000;
 
-impl Default for FeatureConfig {
-    fn default() -> FeatureConfig {
-        FeatureConfig {
-            window_ms: 5_000,
-            tiny_threshold_bytes: 64,
-        }
-    }
-}
+/// A range spec covering at most this many bytes counts as *tiny*.
+pub const TINY_RANGE_BYTES: u64 = 64;
 
 /// The per-request observables extracted from one HTTP request.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,9 +70,11 @@ impl RequestSample {
             .min()
     }
 
-    /// Whether the request asks for a tiny range under `threshold`.
-    pub fn is_tiny(&self, threshold: u64) -> bool {
-        self.smallest_span().is_some_and(|span| span <= threshold)
+    /// Whether the request asks for a range of at most
+    /// [`TINY_RANGE_BYTES`].
+    pub fn is_tiny(&self) -> bool {
+        self.smallest_span()
+            .is_some_and(|span| span <= TINY_RANGE_BYTES)
     }
 
     /// Overlapping spec pairs in the range header, resolved against an
@@ -101,7 +91,7 @@ impl RequestSample {
 /// Aggregated features of one closed (or in-progress) window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowFeatures {
-    /// Window ordinal: `floor(t / window_ms)`.
+    /// Window ordinal: `floor(t / WINDOW_MS)`.
     pub index: u64,
     /// Requests observed.
     pub requests: u64,
@@ -126,15 +116,6 @@ pub struct WindowFeatures {
 }
 
 impl WindowFeatures {
-    /// Fraction of requests with a tiny range (0 when empty).
-    pub fn tiny_ratio(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.tiny as f64 / self.requests as f64
-        }
-    }
-
     /// Window-level amplification: origin bytes per client response byte.
     pub fn amp_ratio(&self) -> f64 {
         self.origin_bytes as f64 / (self.client_bytes.max(1)) as f64
@@ -146,9 +127,8 @@ impl WindowFeatures {
 /// The query-string memory is bounded: once `QUERY_MEMORY` distinct
 /// query strings accumulate the set is cleared (wholesale churn *is*
 /// the signal; remembering every attacker nonce would leak memory).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClientFeatures {
-    config: FeatureConfig,
     seen_queries: BTreeSet<String>,
     current: WindowFeatures,
     started: bool,
@@ -160,22 +140,6 @@ pub struct ClientFeatures {
 const QUERY_MEMORY: usize = 1024;
 
 impl ClientFeatures {
-    /// A fresh extractor.
-    pub fn new(config: FeatureConfig) -> ClientFeatures {
-        ClientFeatures {
-            config,
-            seen_queries: BTreeSet::new(),
-            current: WindowFeatures::default(),
-            started: false,
-            windows_closed: 0,
-        }
-    }
-
-    /// The configured window parameters.
-    pub fn config(&self) -> FeatureConfig {
-        self.config
-    }
-
     /// The in-progress window.
     pub fn current(&self) -> &WindowFeatures {
         &self.current
@@ -192,7 +156,7 @@ impl ClientFeatures {
     /// window, if any. Idle gaps close at most one window — windows in
     /// which the client sent nothing produce no feature rows.
     pub fn roll_to(&mut self, now_ms: u64) -> Option<WindowFeatures> {
-        let index = now_ms / self.config.window_ms.max(1);
+        let index = now_ms / WINDOW_MS;
         if !self.started {
             self.started = true;
             self.current.index = index;
@@ -216,7 +180,7 @@ impl ClientFeatures {
     pub fn on_request(&mut self, sample: &RequestSample) -> (bool, u64) {
         self.current.requests += 1;
         self.current.request_bytes += sample.request_bytes;
-        let tiny = sample.is_tiny(self.config.tiny_threshold_bytes);
+        let tiny = sample.is_tiny();
         if tiny {
             self.current.tiny += 1;
         }
@@ -268,7 +232,7 @@ mod tests {
 
     #[test]
     fn sbr_shape_is_tiny_and_busting() {
-        let mut features = ClientFeatures::new(FeatureConfig::default());
+        let mut features = ClientFeatures::default();
         let (flag, pairs) = features.on_request(&sample("/t.bin?rnd=1", Some("bytes=0-0")));
         assert!(flag, "tiny + fresh query");
         assert_eq!(pairs, 0);
@@ -284,9 +248,9 @@ mod tests {
     fn open_ended_ranges_are_not_tiny() {
         let s = sample("/t.bin", Some("bytes=1000-"));
         assert_eq!(s.smallest_span(), None);
-        assert!(!s.is_tiny(64));
+        assert!(!s.is_tiny());
         // But a suffix is bounded.
-        assert!(sample("/t.bin", Some("bytes=-1")).is_tiny(64));
+        assert!(sample("/t.bin", Some("bytes=-1")).is_tiny());
     }
 
     #[test]
@@ -299,15 +263,13 @@ mod tests {
 
     #[test]
     fn windows_roll_on_the_virtual_clock() {
-        let mut features = ClientFeatures::new(FeatureConfig {
-            window_ms: 1_000,
-            ..FeatureConfig::default()
-        });
+        assert_eq!(WINDOW_MS, 5_000);
+        let mut features = ClientFeatures::default();
         assert!(features.roll_to(100).is_none(), "first window opens");
         features.on_request(&sample("/t.bin?rnd=1", Some("bytes=0-0")));
         features.on_outcome(1_000_000, 600);
-        assert!(features.roll_to(900).is_none(), "same window");
-        let closed = features.roll_to(2_500).expect("window closed");
+        assert!(features.roll_to(4_999).is_none(), "same window");
+        let closed = features.roll_to(12_500).expect("window closed");
         assert_eq!(closed.index, 0);
         assert_eq!(closed.requests, 1);
         assert!(closed.amp_ratio() > 1_000.0);
@@ -317,7 +279,7 @@ mod tests {
 
     #[test]
     fn query_memory_is_bounded() {
-        let mut features = ClientFeatures::new(FeatureConfig::default());
+        let mut features = ClientFeatures::default();
         for i in 0..(QUERY_MEMORY * 2 + 10) {
             features.on_request(&sample(&format!("/t.bin?rnd={i}"), Some("bytes=0-0")));
         }

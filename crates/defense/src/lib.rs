@@ -62,7 +62,7 @@ pub mod enforce;
 pub mod features;
 pub mod replay;
 
-pub use detector::{ClientDetector, Cusum, DetectorConfig, Ewma, TrafficClass, Verdict};
-pub use enforce::{ClientReport, DefenseLayer, EnforceConfig, TokenBucket};
-pub use features::{ClientFeatures, FeatureConfig, RequestSample, WindowFeatures};
+pub use detector::{ClientDetector, Cusum, Ewma, TrafficClass, Verdict};
+pub use enforce::{ClientReport, DefenseLayer, TokenBucket};
+pub use features::{ClientFeatures, RequestSample, WindowFeatures};
 pub use replay::{check_fixture, parse_fixture, replay, ReplayEvent, VERDICT_SEPARATOR};

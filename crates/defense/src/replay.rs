@@ -22,7 +22,7 @@
 use rangeamp_cdn::{DefenseAction, DefenseHook, RequestOutcome, CLIENT_ID_HEADER};
 use rangeamp_http::Request;
 
-use crate::enforce::{DefenseLayer, EnforceConfig};
+use crate::enforce::DefenseLayer;
 
 /// One traffic event of a replay trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,8 +95,8 @@ pub fn parse_fixture(text: &str) -> Result<(Vec<ReplayEvent>, Vec<String>), Stri
 
 /// Replays events through a fresh [`DefenseLayer`] and renders one
 /// verdict line per event.
-pub fn replay(events: &[ReplayEvent], config: EnforceConfig) -> Vec<String> {
-    let layer = DefenseLayer::new(config);
+pub fn replay(events: &[ReplayEvent]) -> Vec<String> {
+    let layer = DefenseLayer::default();
     let mut lines = Vec::with_capacity(events.len());
     for event in events {
         let mut builder = Request::get(&event.target)
@@ -137,7 +137,7 @@ pub fn replay(events: &[ReplayEvent], config: EnforceConfig) -> Vec<String> {
     lines
 }
 
-/// Parses a fixture, replays its trace under the default config, and
+/// Parses a fixture, replays its trace, and
 /// diffs the verdict stream against the expected section.
 ///
 /// # Errors
@@ -149,7 +149,7 @@ pub fn check_fixture(text: &str) -> Result<(), String> {
     if events.is_empty() {
         return Err("fixture has no events".to_string());
     }
-    let actual = replay(&events, EnforceConfig::default());
+    let actual = replay(&events);
     if actual == expected {
         return Ok(());
     }
@@ -188,7 +188,7 @@ event 100 mallory /t.bin?rnd=1 bytes=0-0 1000000 700
         assert!(expected.is_empty());
         assert_eq!(events[0].range, None);
         assert_eq!(events[1].range.as_deref(), Some("bytes=0-0"));
-        let lines = replay(&events, EnforceConfig::default());
+        let lines = replay(&events);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("t=0 client=alice class=benign action=allow"));
     }
@@ -219,7 +219,7 @@ t=0 client=alice class=benign action=block score=9.99
 event 0 alice /t.bin - 1000 1000
 ";
         let (events, _) = parse_fixture(text).unwrap();
-        let lines = replay(&events, EnforceConfig::default());
+        let lines = replay(&events);
         let full = format!("{text}{VERDICT_SEPARATOR}\n{}\n", lines.join("\n"));
         check_fixture(&full).expect("self-generated fixture is consistent");
     }

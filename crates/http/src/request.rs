@@ -48,11 +48,6 @@ impl Request {
         &self.uri
     }
 
-    /// Replaces the request target (used for cache-busting rewrites).
-    pub fn set_uri(&mut self, uri: Uri) {
-        self.uri = uri;
-    }
-
     /// Protocol version.
     pub fn version(&self) -> Version {
         self.version

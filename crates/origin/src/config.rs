@@ -1,48 +1,21 @@
-/// How the origin treats multi-range requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MultiRangeBehavior {
-    /// Apache's post-CVE-2011-3192 default: egregious multi-range
-    /// requests (per the RFC 7233 §6.1 heuristic) are ignored and the
-    /// whole representation is returned as a 200.
-    #[default]
-    IgnoreEgregious,
-    /// Honor every range as requested, one part per range, no overlap
-    /// checking — pre-fix behaviour, kept for ablations.
-    Honor,
-    /// Reject egregious requests with 416 instead of ignoring them.
-    RejectEgregious,
-}
-
 /// Origin server configuration.
 ///
 /// Defaults mirror the paper's testbed: Apache/2.4.18, default config,
-/// range requests enabled.
+/// range requests enabled. Everything else about the origin (its
+/// multi-range hardening, `MaxRanges`, `Server` and `Date` headers) is
+/// fixed; see the constants on [`OriginServer`](crate::OriginServer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OriginConfig {
     /// Whether byte-range requests are supported at all. The OBR attacker
     /// disables this on their own origin so the BCDN always receives a
     /// 200 with the entire representation (paper §IV-C).
     pub ranges_enabled: bool,
-    /// Multi-range handling when ranges are enabled.
-    pub multi_range: MultiRangeBehavior,
-    /// Maximum number of ranges honored in one request (Apache's
-    /// `MaxRanges` directive; default 200). Requests beyond the limit are
-    /// treated as if they carried no `Range` header.
-    pub max_ranges: usize,
-    /// `Server` response header value.
-    pub server_header: String,
-    /// Fixed `Date` header (virtual time keeps runs deterministic).
-    pub date_header: String,
 }
 
 impl Default for OriginConfig {
     fn default() -> OriginConfig {
         OriginConfig {
             ranges_enabled: true,
-            multi_range: MultiRangeBehavior::IgnoreEgregious,
-            max_ranges: 200,
-            server_header: "Apache/2.4.18 (Ubuntu)".to_string(),
-            date_header: "Thu, 02 Jan 2020 00:00:00 GMT".to_string(),
         }
     }
 }
@@ -58,7 +31,6 @@ impl OriginConfig {
     pub fn ranges_disabled() -> OriginConfig {
         OriginConfig {
             ranges_enabled: false,
-            ..OriginConfig::default()
         }
     }
 }
@@ -69,17 +41,14 @@ mod tests {
 
     #[test]
     fn default_matches_paper_testbed() {
-        let config = OriginConfig::default();
-        assert!(config.ranges_enabled);
-        assert_eq!(config.multi_range, MultiRangeBehavior::IgnoreEgregious);
-        assert_eq!(config.max_ranges, 200);
-        assert!(config.server_header.contains("Apache/2.4.18"));
+        assert!(OriginConfig::default().ranges_enabled);
+        assert_eq!(OriginConfig::apache_default(), OriginConfig::default());
+        assert_eq!(crate::OriginServer::MAX_RANGES, 200);
+        assert!(crate::OriginServer::SERVER.contains("Apache/2.4.18"));
     }
 
     #[test]
     fn ranges_disabled_preset() {
-        let config = OriginConfig::ranges_disabled();
-        assert!(!config.ranges_enabled);
-        assert_eq!(config.server_header, OriginConfig::default().server_header);
+        assert!(!OriginConfig::ranges_disabled().ranges_enabled);
     }
 }

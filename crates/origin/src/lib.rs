@@ -6,10 +6,10 @@
 //! * [`Resource`] / [`ResourceStore`] — synthetic target resources of
 //!   exact sizes (the experiments sweep 1 KB .. 25 MB),
 //! * [`OriginServer`] — RFC 7233-conformant request handling (200 / 206
-//!   single-part / 206 multipart / 416), with the knobs the attacks turn:
-//!   range support can be disabled (the OBR attacker disables it so the
-//!   origin replies 200 with the full body — §IV-C), and multi-range
-//!   hardening can be toggled (Apache's post-CVE-2011-3192 behaviour),
+//!   single-part / 206 multipart / 416) with Apache's post-CVE-2011-3192
+//!   multi-range hardening; the one knob the attacks turn is range
+//!   support, which the OBR attacker disables so the origin replies 200
+//!   with the full body (§IV-C),
 //! * [`RateLimiter`] — the "enforce local DoS defense" server-side
 //!   mitigation of §VI-C.
 //!
@@ -42,7 +42,7 @@ mod ratelimit;
 mod resource;
 mod server;
 
-pub use config::{MultiRangeBehavior, OriginConfig};
+pub use config::OriginConfig;
 pub use ratelimit::RateLimiter;
 pub use resource::{Resource, ResourceStore};
 pub use server::OriginServer;

@@ -1,9 +1,15 @@
 use rangeamp_http::multipart::MultipartBuilder;
 use rangeamp_http::range::RangeHeader;
-use rangeamp_http::{Method, Request, Response, ResponseBuilder, StatusCode};
+use rangeamp_http::{HeaderValue, Method, Request, Response, ResponseBuilder, StatusCode};
 use rangeamp_net::{SharedClock, SpanKind, Telemetry};
 
-use crate::{MultiRangeBehavior, OriginConfig, Resource, ResourceStore};
+use crate::{OriginConfig, Resource, ResourceStore};
+
+/// The `Date` (and `Last-Modified`) header of every origin response.
+const DATE_VALUE: HeaderValue = HeaderValue::from_static(OriginServer::DATE);
+
+/// The `Server` header of every origin response.
+const SERVER_VALUE: HeaderValue = HeaderValue::from_static(OriginServer::SERVER);
 
 /// The origin web server.
 ///
@@ -14,7 +20,11 @@ use crate::{MultiRangeBehavior, OriginConfig, Resource, ResourceStore};
 ///   the full representation (a malformed `Range` is *ignored*, not
 ///   rejected),
 /// * satisfiable single range → `206` with `Content-Range`,
-/// * satisfiable multiple ranges → `206 multipart/byteranges`,
+/// * satisfiable multiple ranges → `206 multipart/byteranges`, unless
+///   the set is egregious (RFC 7233 §6.1) or longer than
+///   [`OriginServer::MAX_RANGES`]: then, like Apache since
+///   CVE-2011-3192, the `Range` header is ignored and the full
+///   representation is sent as a `200`,
 /// * syntactically valid but unsatisfiable → `416` with
 ///   `Content-Range: bytes */len`,
 /// * ranges disabled → no `Accept-Ranges`, `Range` ignored entirely.
@@ -26,6 +36,18 @@ pub struct OriginServer {
 }
 
 impl OriginServer {
+    /// Apache's `MaxRanges` default: a request with more ranges than this
+    /// is treated as if it carried no `Range` header.
+    pub const MAX_RANGES: usize = 200;
+
+    /// The `Server` header value (the paper's Apache/2.4.18 testbed).
+    pub const SERVER: &'static str = "Apache/2.4.18 (Ubuntu)";
+
+    /// The fixed `Date` and `Last-Modified` header value (virtual time
+    /// keeps runs deterministic). A date `If-Range` validator must equal
+    /// it to keep the range.
+    pub const DATE: &'static str = "Thu, 02 Jan 2020 00:00:00 GMT";
+
     /// Creates a server over `store` with the paper's default Apache
     /// configuration.
     pub fn new(store: ResourceStore) -> OriginServer {
@@ -54,12 +76,6 @@ impl OriginServer {
     /// The active configuration.
     pub fn config(&self) -> &OriginConfig {
         &self.config
-    }
-
-    /// Mutable configuration (the OBR attacker flips `ranges_enabled`
-    /// here).
-    pub fn config_mut(&mut self) -> &mut OriginConfig {
-        &mut self.config
     }
 
     /// The document root.
@@ -155,10 +171,7 @@ impl OriginServer {
         if let Some(if_range) = req.headers().get("if-range") {
             match rangeamp_http::IfRange::parse(if_range) {
                 Ok(validator)
-                    if !validator.matches(
-                        Some(resource.etag()),
-                        Some(self.config.date_header.as_str()),
-                    ) =>
+                    if !validator.matches(Some(resource.etag()), Some(OriginServer::DATE)) =>
                 {
                     return self.full_response(resource, true);
                 }
@@ -167,18 +180,11 @@ impl OriginServer {
             }
         }
 
-        if header.is_multi() {
-            let too_many = header.specs().len() > self.config.max_ranges;
-            let egregious = header.is_egregious(resource.len());
-            match self.config.multi_range {
-                MultiRangeBehavior::IgnoreEgregious if too_many || egregious => {
-                    return self.full_response(resource, true);
-                }
-                MultiRangeBehavior::RejectEgregious if too_many || egregious => {
-                    return self.unsatisfiable_response(resource);
-                }
-                _ => {}
-            }
+        if header.is_multi()
+            && (header.specs().len() > OriginServer::MAX_RANGES
+                || header.is_egregious(resource.len()))
+        {
+            return self.full_response(resource, true);
         }
 
         let resolved = header.resolve(resource.len());
@@ -191,7 +197,7 @@ impl OriginServer {
                     complete_length: resource.len(),
                 };
                 self.base_response(StatusCode::PARTIAL_CONTENT)
-                    .header("Last-Modified", self.config.date_header.clone())
+                    .header("Last-Modified", DATE_VALUE)
                     .header("ETag", resource.etag_value())
                     .header("Accept-Ranges", "bytes")
                     .header("Content-Range", content_range.to_string())
@@ -204,7 +210,7 @@ impl OriginServer {
                     .ranges(&resolved, |range| resource.slice(range.first, range.last));
                 let content_type = builder.content_type_header();
                 self.base_response(StatusCode::PARTIAL_CONTENT)
-                    .header("Last-Modified", self.config.date_header.clone())
+                    .header("Last-Modified", DATE_VALUE)
                     .header("ETag", resource.etag_value())
                     .header("Accept-Ranges", "bytes")
                     .header("Content-Type", content_type)
@@ -216,14 +222,14 @@ impl OriginServer {
 
     fn base_response(&self, status: StatusCode) -> ResponseBuilder {
         Response::builder(status)
-            .header("Date", self.config.date_header.clone())
-            .header("Server", self.config.server_header.clone())
+            .header("Date", DATE_VALUE)
+            .header("Server", SERVER_VALUE)
     }
 
     fn full_response(&self, resource: &Resource, advertise_ranges: bool) -> Response {
         let mut builder = self
             .base_response(StatusCode::OK)
-            .header("Last-Modified", self.config.date_header.clone())
+            .header("Last-Modified", DATE_VALUE)
             .header("ETag", resource.etag_value());
         if advertise_ranges {
             builder = builder.header("Accept-Ranges", "bytes");
@@ -349,51 +355,29 @@ mod tests {
     }
 
     #[test]
-    fn honor_mode_builds_n_overlapping_parts() {
-        let mut store = ResourceStore::new();
-        store.add_synthetic("/f.bin", 1000, "x/y");
-        let config = OriginConfig {
-            multi_range: MultiRangeBehavior::Honor,
-            ..OriginConfig::default()
+    fn max_ranges_bounds_the_multipart_reply() {
+        // Disjoint 100-byte ranges: neither overlapping nor small, so only
+        // the MaxRanges limit can void the set.
+        let server = server_with("/f.bin", 100_000);
+        let range = |n: u64| {
+            let specs: Vec<String> = (0..n)
+                .map(|i| format!("{}-{}", i * 200, i * 200 + 99))
+                .collect();
+            format!("bytes={}", specs.join(","))
         };
-        let server = OriginServer::with_config(store, config);
-        let range = RangeHeader::overlapping(8).to_string();
-        let resp = server.handle(&get("/f.bin", Some(&range)));
-        assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
-        assert!(resp.body().len() > 8 * 1000);
-    }
 
-    #[test]
-    fn reject_mode_returns_416_for_egregious() {
-        let mut store = ResourceStore::new();
-        store.add_synthetic("/f.bin", 1000, "x/y");
-        let config = OriginConfig {
-            multi_range: MultiRangeBehavior::RejectEgregious,
-            ..OriginConfig::default()
-        };
-        let server = OriginServer::with_config(store, config);
-        let range = RangeHeader::overlapping(64).to_string();
-        let resp = server.handle(&get("/f.bin", Some(&range)));
-        assert_eq!(resp.status(), StatusCode::RANGE_NOT_SATISFIABLE);
-    }
-
-    #[test]
-    fn max_ranges_limit_applies() {
-        let mut store = ResourceStore::new();
-        store.add_synthetic("/f.bin", 100_000, "x/y");
-        let config = OriginConfig {
-            multi_range: MultiRangeBehavior::Honor,
-            max_ranges: 4,
-            ..OriginConfig::default()
-        };
-        // Honor mode still enforces MaxRanges? No: limit only consulted in
-        // the hardened modes. Honor is the deliberately-vulnerable mode.
-        let server = OriginServer::with_config(store, config);
-        let specs: Vec<String> = (0..6)
-            .map(|i| format!("{}-{}", i * 10, i * 10 + 1))
-            .collect();
-        let resp = server.handle(&get("/f.bin", Some(&format!("bytes={}", specs.join(",")))));
+        let resp = server.handle(&get("/f.bin", Some(&range(200))));
         assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
+        let content_type = resp.headers().get("content-type").unwrap();
+        let boundary = content_type.split("boundary=").nth(1).unwrap();
+        let parts = multipart::parse(resp.body().as_bytes(), boundary).unwrap();
+        assert_eq!(parts.len(), OriginServer::MAX_RANGES);
+        assert!(parts.iter().all(|part| part.body.len() == 100));
+
+        let resp = server.handle(&get("/f.bin", Some(&range(201))));
+        assert_eq!(resp.status(), StatusCode::OK);
+        assert_eq!(resp.body().len(), 100_000);
+        assert_eq!(resp.headers().get("content-range"), None);
     }
 
     #[test]
@@ -485,10 +469,9 @@ mod tests {
     #[test]
     fn if_range_with_matching_date_honors_the_range() {
         let server = server_with("/f.bin", 1000);
-        let date = server.config().date_header.clone();
         let req = Request::get("/f.bin")
             .header("Range", "bytes=5-9")
-            .header("If-Range", date)
+            .header("If-Range", OriginServer::DATE)
             .build();
         let resp = server.handle(&req);
         assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);

@@ -16,7 +16,7 @@ use rangeamp::executor::splitmix64;
 use rangeamp::workload::{BenignClient, WorkloadGenerator};
 use rangeamp::{CascadeTestbed, Testbed, TARGET_HOST, TARGET_PATH};
 use rangeamp_cdn::{Vendor, CLIENT_ID_HEADER};
-use rangeamp_defense::{DefenseLayer, EnforceConfig};
+use rangeamp_defense::DefenseLayer;
 use rangeamp_http::Request;
 
 const MB: u64 = 1024 * 1024;
@@ -167,7 +167,7 @@ fn assert_never_amplified_more(label: &str, undefended: &SegmentBytes, defended:
 fn defense_never_increases_sbr_amplification_for_any_vendor() {
     for vendor in Vendor::ALL {
         let undefended = drive_sbr(vendor, None, true);
-        let layer = Arc::new(DefenseLayer::new(EnforceConfig::default()));
+        let layer = Arc::new(DefenseLayer::default());
         let defended = drive_sbr(vendor, Some(layer.clone()), true);
         assert_never_amplified_more(&format!("sbr {}", vendor.name()), &undefended, &defended);
         // The attacker must actually be contained, not merely not helped.
@@ -189,7 +189,7 @@ fn defense_never_increases_sbr_amplification_for_any_vendor() {
 fn defense_never_increases_obr_amplification_for_any_cascade() {
     for (fcdn, bcdn) in obr_combos() {
         let undefended = drive_obr(fcdn, bcdn, None, true);
-        let layer = Arc::new(DefenseLayer::new(EnforceConfig::default()));
+        let layer = Arc::new(DefenseLayer::default());
         let defended = drive_obr(fcdn, bcdn, Some(layer.clone()), true);
         let label = format!("obr {} -> {}", fcdn.name(), bcdn.name());
         assert_never_amplified_more(&label, &undefended, &defended);
@@ -214,7 +214,7 @@ fn defense_is_byte_transparent_for_benign_only_streams() {
     // deflated, or blocked (the acceptance bar for §VI-C deployment).
     for &vendor in &[Vendor::Akamai, Vendor::Cloudflare, Vendor::KeyCdn] {
         let undefended = drive_sbr(vendor, None, false);
-        let layer = Arc::new(DefenseLayer::new(EnforceConfig::default()));
+        let layer = Arc::new(DefenseLayer::default());
         let defended = drive_sbr(vendor, Some(layer.clone()), false);
         assert_eq!(
             undefended,
@@ -241,7 +241,7 @@ fn defense_is_byte_transparent_for_benign_only_streams() {
     let defended = drive_obr(
         Vendor::Cdn77,
         Vendor::CdnSun,
-        Some(Arc::new(DefenseLayer::new(EnforceConfig::default()))),
+        Some(Arc::new(DefenseLayer::default())),
         false,
     );
     assert_eq!(
