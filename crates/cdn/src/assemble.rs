@@ -224,40 +224,6 @@ fn ranges_reply(
     }
 }
 
-/// Serves a single requested range from an upstream *partial* (206)
-/// response, used by the Expansion paths (CloudFront, Azure window,
-/// capped-expansion mitigation). Returns `None` when the upstream part
-/// does not cover the requested range.
-pub(crate) fn slice_single_from_partial(
-    requested: ResolvedRange,
-    partial: &Response,
-) -> Option<Response> {
-    let content_range = partial.headers().get("content-range")?;
-    let ContentRange::Satisfied {
-        range: window,
-        complete_length,
-    } = ContentRange::parse(content_range).ok()?
-    else {
-        return None;
-    };
-    if requested.first < window.first || requested.last > window.last {
-        return None;
-    }
-    // Guard against a body shorter than the advertised window (truncated
-    // or malformed upstream responses must not panic the edge).
-    if partial.body().len() < window.len() {
-        return None;
-    }
-    let offset = requested.first - window.first;
-    let slice = partial.body().slice(offset, offset + requested.len());
-    Some(single_206(
-        slice,
-        requested,
-        complete_length,
-        &ReprMeta::of(partial),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,11 +316,8 @@ mod tests {
                 last_modified: None,
             },
         );
-        let requested = ResolvedRange {
-            first: 1500,
-            last: 1501,
-        };
-        let resp = slice_single_from_partial(requested, &partial).unwrap();
+        let requested = RangeHeader::parse("bytes=1500-1501").unwrap();
+        let resp = serve_from_partial(&requested, &partial, MultiReplyPolicy::Coalesce).unwrap();
         assert_eq!(
             resp.headers().get("content-range"),
             Some("bytes 1500-1501/10000")
@@ -379,15 +342,12 @@ mod tests {
                 last_modified: None,
             },
         );
-        let requested = ResolvedRange {
-            first: 500,
-            last: 501,
-        };
-        assert!(slice_single_from_partial(requested, &partial).is_none());
-        let straddling = ResolvedRange {
-            first: 1999,
-            last: 2000,
-        };
-        assert!(slice_single_from_partial(straddling, &partial).is_none());
+        for outside in ["bytes=500-501", "bytes=1999-2000"] {
+            let requested = RangeHeader::parse(outside).unwrap();
+            assert!(
+                serve_from_partial(&requested, &partial, MultiReplyPolicy::Coalesce).is_none(),
+                "{outside}"
+            );
+        }
     }
 }

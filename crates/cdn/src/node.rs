@@ -167,7 +167,7 @@ impl EdgeNode {
         let backend_truncate = if self.profile.keeps_backend_alive_on_abort {
             None
         } else {
-            Some(client_received + ABORT_BUFFER)
+            Some(client_received.saturating_add(ABORT_BUFFER))
         };
         self.handle_inner(req, backend_truncate)
     }
@@ -365,7 +365,6 @@ impl EdgeNode {
         let ctx = MissCtx {
             req,
             profile: &self.profile,
-            range: range.as_ref(),
             resource_size: size_hint,
             upstream: self.upstream.as_ref(),
             segment: &self.segment,
@@ -376,7 +375,7 @@ impl EdgeNode {
             resilience: &self.resilience,
             telemetry: self.telemetry.as_ref(),
         };
-        let outcome = self.handle_miss_with_mitigation(&ctx, mitigation);
+        let outcome = self.handle_miss_with_mitigation(&ctx, range.as_ref(), mitigation);
 
         // 5. Assemble the client-facing response. An upstream failure
         //    that survived the retry policy becomes a 502/504.
@@ -384,40 +383,26 @@ impl EdgeNode {
             Ok(result) => {
                 let extra = result.extra_headers.clone();
                 let resp = match result.reply {
-                    MissReply::Passthrough(upstream_resp) => {
-                        if result.cacheable && upstream_resp.status() == StatusCode::OK {
-                            self.store(cache_key, &upstream_resp);
+                    MissReply::Upstream(full) if full.status() == StatusCode::OK => {
+                        if result.cacheable {
+                            self.store(cache_key, &full);
                         }
-                        if upstream_resp.status() == StatusCode::OK && range.is_some() {
+                        match &range {
                             // RFC 2616 (quoted in the paper's §VI-B): a proxy that
                             // forwarded a range request and "receives an entire
                             // entity ... should only return the requested range to
                             // its client". This is why all 13 CDNs answer 206 even
                             // when the origin ignores ranges (§III-B).
-                            assemble::serve_from_full(
-                                range.as_ref(),
-                                &upstream_resp,
-                                self.effective_multi_reply(mitigation),
-                            )
-                        } else {
-                            upstream_resp
-                        }
-                    }
-                    MissReply::ServeFromFull(full) => {
-                        if result.cacheable && full.status() == StatusCode::OK {
-                            self.store(cache_key, &full);
-                        }
-                        if full.status().is_success() {
-                            assemble::serve_from_full(
-                                range.as_ref(),
+                            Some(header) => assemble::serve_from_full(
+                                Some(header),
                                 &full,
                                 self.effective_multi_reply(mitigation),
-                            )
-                        } else {
-                            full // propagate origin errors (404 etc.)
+                            ),
+                            None => full,
                         }
                     }
-                    MissReply::Direct(resp) => resp,
+                    // Partials and origin errors (404 etc.) are relayed.
+                    MissReply::Upstream(resp) | MissReply::Direct(resp) => resp,
                 };
                 (resp, extra)
             }
@@ -457,21 +442,27 @@ impl EdgeNode {
     fn handle_miss_with_mitigation(
         &self,
         ctx: &MissCtx<'_>,
+        range: Option<&RangeHeader>,
         mitigation: MitigationConfig,
     ) -> Result<MissResult, UpstreamError> {
+        // A range-less miss is forwarded as is, whatever the vendor, and
+        // its 200 is the whole object.
+        let Some(header) = range else {
+            return Ok(MissResult::new(MissReply::Upstream(ctx.fetch(None)?), true));
+        };
         if mitigation.force_laziness {
-            return vendor::laziness(ctx);
+            return vendor::laziness(ctx, header);
         }
-        if let (Some(cap), Some(header)) = (mitigation.expansion_cap, ctx.range) {
+        if let Some(cap) = mitigation.expansion_cap {
             if !header.is_multi() {
                 return self.capped_expansion(ctx, header, cap);
             }
             // Multi-range under a capped-expansion regime: never hand the
             // set to the vendor's (unbounded) expansion logic; coalesce
             // and forward the merged ranges instead.
-            return vendor::coalesced_forward(ctx);
+            return vendor::coalesced_forward(ctx, header);
         }
-        vendor::handle_miss(ctx)
+        vendor::handle_miss(ctx, header)
     }
 
     /// The paper's "better way" (§VI-C): expand the requested range by at
@@ -498,30 +489,11 @@ impl EdgeNode {
         };
         let expanded_header = RangeHeader::new(vec![expanded]).expect("expanded spec is valid");
         let upstream_resp = ctx.fetch(Some(&expanded_header))?;
-        if upstream_resp.status() != StatusCode::PARTIAL_CONTENT {
-            // Origin ignored the range: fall back to a full-copy serve.
-            return Ok(MissResult::new(
-                MissReply::ServeFromFull(upstream_resp),
-                true,
-            ));
-        }
-        let complete = match ctx.resource_size {
-            Some(size) => size,
-            None => {
-                return Ok(MissResult::new(
-                    MissReply::Passthrough(upstream_resp),
-                    false,
-                ))
-            }
-        };
-        Ok(
-            match spec.resolve(complete).and_then(|requested| {
-                assemble::slice_single_from_partial(requested, &upstream_resp)
-            }) {
-                Some(resp) => MissResult::new(MissReply::Direct(resp), false),
-                None => MissResult::new(MissReply::Passthrough(upstream_resp), false),
-            },
-        )
+        Ok(vendor::serve_window(
+            header,
+            upstream_resp,
+            self.profile.multi_reply,
+        ))
     }
 
     fn effective_multi_reply(&self, mitigation: MitigationConfig) -> MultiReplyPolicy {
@@ -855,6 +827,25 @@ mod tests {
         assert!(
             origin < MB,
             "backend transfer should stop shortly after abort, got {origin}"
+        );
+    }
+
+    #[test]
+    fn abort_after_u64_max_bytes_ships_the_whole_object() {
+        // The abort point plus the in-flight allowance must saturate, not
+        // overflow (a debug-build panic) or wrap (a ~128 KB truncation).
+        let (edge, segment) = testbed(Vendor::Akamai, MB);
+        let resp = edge.handle_with_client_abort(&sbr_request("bytes=0-0", 1), u64::MAX);
+        assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
+        assert_eq!(resp.body().len(), 1);
+        assert_eq!(
+            segment.with_capture(CaptureLog::forwarded_ranges),
+            vec![None],
+            "Akamai deletes the Range header"
+        );
+        assert!(
+            segment.stats().response_bytes > MB,
+            "the origin ships the full resource"
         );
     }
 
