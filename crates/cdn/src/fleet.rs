@@ -111,9 +111,8 @@ impl CdnFleet {
             }
             IngressStrategy::Pinned(index) => index % self.nodes.len(),
             IngressStrategy::HashByUri => {
-                let uri = req.uri().to_string();
                 let mut hash = 0xcbf2_9ce4_8422_2325u64;
-                for b in uri.bytes() {
+                for b in req.uri().as_str().bytes() {
                     hash ^= b as u64;
                     hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
                 }
@@ -188,6 +187,27 @@ mod tests {
         for (index, stats) in fleet.per_node_stats().iter().enumerate() {
             assert_eq!(stats.requests, 2, "node {index}");
         }
+    }
+
+    #[test]
+    fn hash_by_uri_routes_are_stable() {
+        // Node indices recorded when the hash still ran over a formatted
+        // copy of the target: hashing the target in place routes alike.
+        let fleet = fleet(Vendor::Akamai, 7, IngressStrategy::HashByUri);
+        let uris = [
+            "/",
+            "/f.bin",
+            "/f.bin?rnd=0",
+            "/f.bin?rnd=1",
+            "/f.bin?rnd=42",
+            "/10MB.bin?x=1&y=2",
+            "/a/b/c.mp4",
+        ];
+        let routes: Vec<usize> = uris
+            .iter()
+            .map(|uri| fleet.route(&Request::get(uri).header("Host", "victim.example").build()))
+            .collect();
+        assert_eq!(routes, vec![6, 6, 3, 0, 5, 0, 3]);
     }
 
     #[test]

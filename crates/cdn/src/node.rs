@@ -251,7 +251,7 @@ impl EdgeNode {
         // 1b. Online defense (DESIGN.md §12): ask the hook for an action,
         //     run the pipeline under the (possibly hardened) mitigation
         //     config it implies, then report the byte-level outcome back.
-        let Some(hook) = self.defense.clone() else {
+        let Some(hook) = self.defense.as_deref() else {
             return self.handle_admitted(req, range, backend_truncate, self.profile.mitigation);
         };
         let client = client_key(req);

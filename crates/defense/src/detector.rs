@@ -83,24 +83,24 @@ pub const CUSUM_H: f64 = 16.0;
 /// EWMA smoothing factor for the verdict score.
 pub const EWMA_ALPHA: f64 = 0.3;
 
-/// Exponentially weighted moving average.
+/// Exponentially weighted moving average with smoothing factor
+/// [`EWMA_ALPHA`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Ewma {
-    alpha: f64,
     value: Option<f64>,
 }
 
 impl Ewma {
-    /// A fresh EWMA with smoothing factor `alpha` in `(0, 1]`.
-    pub fn new(alpha: f64) -> Ewma {
-        Ewma { alpha, value: None }
+    /// A fresh EWMA.
+    pub fn new() -> Ewma {
+        Ewma::default()
     }
 
     /// Folds in one observation and returns the smoothed value.
     pub fn update(&mut self, x: f64) -> f64 {
         let next = match self.value {
             None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
+            Some(prev) => prev + EWMA_ALPHA * (x - prev),
         };
         self.value = Some(next);
         next
@@ -112,24 +112,23 @@ impl Ewma {
     }
 }
 
-/// One-sided (positive-drift) CUSUM change-point statistic.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One-sided (positive-drift) CUSUM change-point statistic with slack
+/// [`CUSUM_K`] and alarm threshold [`CUSUM_H`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Cusum {
-    k: f64,
-    h: f64,
     s: f64,
 }
 
 impl Cusum {
-    /// A fresh CUSUM with slack `k` and alarm threshold `h`.
-    pub fn new(k: f64, h: f64) -> Cusum {
-        Cusum { k, h, s: 0.0 }
+    /// A fresh CUSUM.
+    pub fn new() -> Cusum {
+        Cusum::default()
     }
 
     /// Folds in one observation; returns whether the statistic is in
     /// alarm (`S_t = max(0, S_{t-1} + x - k) > h`).
     pub fn update(&mut self, x: f64) -> bool {
-        self.s = (self.s + x - self.k).max(0.0);
+        self.s = (self.s + x - CUSUM_K).max(0.0);
         self.in_alarm()
     }
 
@@ -140,7 +139,7 @@ impl Cusum {
 
     /// Whether the statistic currently exceeds the alarm threshold.
     pub fn in_alarm(&self) -> bool {
-        self.s > self.h
+        self.s > CUSUM_H
     }
 
     /// Resets accumulated evidence (used when a client de-escalates).
@@ -160,34 +159,17 @@ pub struct Observation {
 }
 
 /// Streaming per-client detector: features + shape rules + change-points.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClientDetector {
     features: ClientFeatures,
     amp_ewma: Ewma,
     amp_cusum: Cusum,
-    last: Option<Verdict>,
-}
-
-impl Default for ClientDetector {
-    fn default() -> ClientDetector {
-        ClientDetector {
-            features: ClientFeatures::default(),
-            amp_ewma: Ewma::new(EWMA_ALPHA),
-            amp_cusum: Cusum::new(CUSUM_K, CUSUM_H),
-            last: None,
-        }
-    }
 }
 
 impl ClientDetector {
     /// The detector's feature extractor (read-only).
     pub fn features(&self) -> &ClientFeatures {
         &self.features
-    }
-
-    /// The most recent verdict, if any request has been observed.
-    pub fn last_verdict(&self) -> Option<Verdict> {
-        self.last
     }
 
     /// Discharges accumulated change-point evidence (called by the
@@ -200,7 +182,7 @@ impl ClientDetector {
     /// `now_ms`, returning the verdict and any closed window.
     pub fn observe(
         &mut self,
-        sample: &RequestSample,
+        sample: &RequestSample<'_>,
         origin_bytes: u64,
         client_bytes: u64,
         now_ms: u64,
@@ -253,7 +235,6 @@ impl ClientDetector {
         if verdict.class.is_suspect() {
             self.features.mark_suspect();
         }
-        self.last = Some(verdict);
         Observation {
             verdict,
             closed_window,
@@ -267,19 +248,21 @@ mod tests {
     use crate::features::WINDOW_MS;
     use rangeamp_http::Request;
 
-    fn sample(target: &str, range: Option<&str>) -> RequestSample {
+    fn request(target: &str, range: Option<&str>) -> Request {
         let mut builder = Request::get(target).header("Host", "victim");
         if let Some(range) = range {
             builder = builder.header("Range", range.to_string());
         }
-        RequestSample::of(&builder.build())
+        builder.build()
     }
 
     #[test]
     fn benign_full_downloads_stay_benign() {
         let mut det = ClientDetector::default();
+        let req = request("/t.bin", None);
+        let s = RequestSample::of(&req);
         for i in 0..50u64 {
-            let obs = det.observe(&sample("/t.bin", None), 1_000_000, 1_000_000, i * 200);
+            let obs = det.observe(&s, 1_000_000, 1_000_000, i * 200);
             assert_eq!(obs.verdict.class, TrafficClass::Benign, "request {i}");
         }
     }
@@ -289,7 +272,8 @@ mod tests {
         let mut det = ClientDetector::default();
         let mut flagged_at = None;
         for i in 0..10u64 {
-            let s = sample(&format!("/t.bin?rnd={i}"), Some("bytes=0-0"));
+            let req = request(&format!("/t.bin?rnd={i}"), Some("bytes=0-0"));
+            let s = RequestSample::of(&req);
             // Laziness vendor: tiny origin cost, tiny response — the
             // amplification rules see nothing, the shape rule must fire.
             let obs = det.observe(&s, 700, 650, i * 100);
@@ -307,7 +291,8 @@ mod tests {
         let mut det = ClientDetector::default();
         let mut flagged_at = None;
         for i in 0..10u64 {
-            let s = sample(&format!("/t.bin?rnd={i}"), Some("bytes=0-9999"));
+            let req = request(&format!("/t.bin?rnd={i}"), Some("bytes=0-9999"));
+            let s = RequestSample::of(&req);
             let obs = det.observe(&s, 10_000_000, 10_600, i * 100);
             if obs.verdict.class.is_suspect() && flagged_at.is_none() {
                 flagged_at = Some(i);
@@ -320,7 +305,8 @@ mod tests {
     #[test]
     fn obr_shape_rule_fires_on_first_request() {
         let mut det = ClientDetector::default();
-        let s = sample("/t.bin?rnd=0", Some("bytes=0-,0-,0-"));
+        let req = request("/t.bin?rnd=0", Some("bytes=0-,0-,0-"));
+        let s = RequestSample::of(&req);
         let obs = det.observe(&s, 3_000_000, 3_000_000, 0);
         assert_eq!(obs.verdict.class, TrafficClass::ObrSuspect);
         assert_eq!(obs.verdict.score, 3.0);
@@ -329,18 +315,20 @@ mod tests {
     #[test]
     fn calm_windows_surface_for_deescalation() {
         let mut det = ClientDetector::default();
-        det.observe(&sample("/t.bin", None), 1_000, 1_000, 0);
-        let obs = det.observe(&sample("/t.bin", None), 1_000, 1_000, WINDOW_MS + 1);
+        let req = request("/t.bin", None);
+        let s = RequestSample::of(&req);
+        det.observe(&s, 1_000, 1_000, 0);
+        let obs = det.observe(&s, 1_000, 1_000, WINDOW_MS + 1);
         let closed = obs.closed_window.expect("first window closed");
         assert_eq!(closed.suspects, 0, "calm window");
     }
 
     #[test]
     fn ewma_and_cusum_are_deterministic() {
-        let mut a = Ewma::new(EWMA_ALPHA);
-        let mut b = Ewma::new(EWMA_ALPHA);
-        let mut ca = Cusum::new(CUSUM_K, CUSUM_H);
-        let mut cb = Cusum::new(CUSUM_K, CUSUM_H);
+        let mut a = Ewma::new();
+        let mut b = Ewma::new();
+        let mut ca = Cusum::new();
+        let mut cb = Cusum::new();
         for x in [0.5, 10.7, 0.1, 9.9, 3.3] {
             assert_eq!(a.update(x).to_bits(), b.update(x).to_bits());
             ca.update(x);

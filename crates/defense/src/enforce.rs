@@ -21,7 +21,9 @@
 //! with caller-provided virtual timestamps. A layer driven twice with
 //! the same request schedule produces identical reports.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use parking_lot::Mutex;
 use rangeamp_cdn::{DefenseAction, DefenseHook, RequestOutcome};
@@ -134,27 +136,173 @@ impl ClientReport {
     }
 }
 
+/// A client's cumulative statistics: a [`ClientReport`] without the
+/// client key, which the table's index already holds.
+#[derive(Debug, Default)]
+struct Tally {
+    requests: u64,
+    allowed: u64,
+    deflated: u64,
+    throttled: u64,
+    blocked: u64,
+    suspects: u64,
+    origin_bytes: u64,
+    client_bytes: u64,
+    request_bytes: u64,
+    enforced_origin_bytes: u64,
+    enforced_request_bytes: u64,
+    first_flag_ms: Option<u64>,
+    peak_action: Option<DefenseAction>,
+    last_verdict: Option<Verdict>,
+}
+
+impl Tally {
+    fn report(&self, client: &str) -> ClientReport {
+        ClientReport {
+            client: client.to_string(),
+            requests: self.requests,
+            allowed: self.allowed,
+            deflated: self.deflated,
+            throttled: self.throttled,
+            blocked: self.blocked,
+            suspects: self.suspects,
+            origin_bytes: self.origin_bytes,
+            client_bytes: self.client_bytes,
+            request_bytes: self.request_bytes,
+            enforced_origin_bytes: self.enforced_origin_bytes,
+            enforced_request_bytes: self.enforced_request_bytes,
+            first_flag_ms: self.first_flag_ms,
+            peak_action: self.peak_action,
+            last_verdict: self.last_verdict,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct ClientState {
     detector: ClientDetector,
     rung: DefenseAction,
     bucket: Option<TokenBucket>,
     calm_streak: u64,
-    report: ClientReport,
+    tally: Tally,
 }
 
 impl ClientState {
-    fn new(client: &str) -> ClientState {
+    fn new() -> ClientState {
         ClientState {
             detector: ClientDetector::default(),
             rung: DefenseAction::Allow,
             bucket: None,
             calm_streak: 0,
-            report: ClientReport {
-                client: client.to_string(),
-                ..ClientReport::default()
-            },
+            tally: Tally::default(),
         }
+    }
+}
+
+/// Longest client key the index stores inline.
+const INLINE_KEY: usize = 22;
+
+/// A client key as the index stores it: inline up to [`INLINE_KEY`]
+/// bytes, boxed beyond. An inline key costs no allocation on insert and
+/// no pointer chase on lookup, and leaves no small heap block per
+/// client between the slab's chunks. It hashes and compares as its
+/// bytes, so the index is probed with `client.as_bytes()`.
+#[derive(Debug)]
+enum ClientKey {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Boxed(Box<[u8]>),
+}
+
+impl ClientKey {
+    fn new(client: &str) -> ClientKey {
+        let key = client.as_bytes();
+        if key.len() > INLINE_KEY {
+            return ClientKey::Boxed(key.into());
+        }
+        let mut bytes = [0; INLINE_KEY];
+        bytes[..key.len()].copy_from_slice(key);
+        let len = u8::try_from(key.len()).expect("INLINE_KEY fits in a u8");
+        ClientKey::Inline { len, bytes }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            ClientKey::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            ClientKey::Boxed(bytes) => bytes,
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("client keys are built from a str")
+    }
+}
+
+impl Borrow<[u8]> for ClientKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl PartialEq for ClientKey {
+    fn eq(&self, other: &ClientKey) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for ClientKey {}
+
+impl Hash for ClientKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+/// Records per slab chunk. A chunk (~22 KB) stays below the allocator's
+/// mmap threshold, so a new layer reuses the heap memory an old one
+/// freed instead of faulting in fresh pages, and growing the slab never
+/// moves a record.
+const CHUNK: usize = 64;
+
+/// Every client's state: the records in a slab, found through an index
+/// from client key to slot. A known client costs one hash probe and no
+/// allocation; a new one allocates only a chunk for every 64th client
+/// and a key longer than [`INLINE_KEY`] bytes.
+#[derive(Debug, Default)]
+struct ClientTable {
+    /// Client key → slot. Client ids are chosen by the sender, so the
+    /// index keeps std's per-process random hash keys: a fixed-key hash
+    /// would let an attacker pick colliding ids.
+    index: HashMap<ClientKey, usize>,
+    /// Slot `s` is `chunks[s / CHUNK][s % CHUNK]`; slots are dense, in
+    /// order of first sighting.
+    chunks: Vec<Vec<ClientState>>,
+}
+
+impl ClientTable {
+    fn record(&self, slot: usize) -> &ClientState {
+        &self.chunks[slot / CHUNK][slot % CHUNK]
+    }
+
+    fn get(&self, client: &str) -> Option<&ClientState> {
+        self.index
+            .get(client.as_bytes())
+            .map(|&slot| self.record(slot))
+    }
+
+    fn get_or_insert(&mut self, client: &str) -> &mut ClientState {
+        let slot = match self.index.get(client.as_bytes()) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.index.len();
+                self.index.insert(ClientKey::new(client), slot);
+                if slot % CHUNK == 0 {
+                    self.chunks.push(Vec::with_capacity(CHUNK));
+                }
+                self.chunks[slot / CHUNK].push(ClientState::new());
+                slot
+            }
+        };
+        &mut self.chunks[slot / CHUNK][slot % CHUNK]
     }
 }
 
@@ -167,16 +315,21 @@ impl ClientState {
 /// across concurrently-driven testbeds.
 #[derive(Debug, Default)]
 pub struct DefenseLayer {
-    clients: Mutex<BTreeMap<String, ClientState>>,
+    clients: Mutex<ClientTable>,
 }
 
 impl DefenseLayer {
     /// Snapshot of every client's report, ordered by client key.
     pub fn report(&self) -> Vec<ClientReport> {
-        self.clients
-            .lock()
-            .values()
-            .map(|state| state.report.clone())
+        let table = self.clients.lock();
+        let mut keys: Vec<(&str, usize)> = table
+            .index
+            .iter()
+            .map(|(client, &slot)| (client.as_str(), slot))
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|(client, slot)| table.record(slot).tally.report(client))
             .collect()
     }
 
@@ -185,7 +338,7 @@ impl DefenseLayer {
         self.clients
             .lock()
             .get(client)
-            .map(|state| state.report.clone())
+            .map(|state| state.tally.report(client))
     }
 
     /// The enforcement rung a client currently sits on.
@@ -198,7 +351,7 @@ impl DefenseLayer {
 
     fn escalate(state: &mut ClientState, now_ms: u64) {
         state.calm_streak = 0;
-        let suspects = state.report.suspects;
+        let suspects = state.tally.suspects;
         let target = if suspects >= BLOCK_AFTER {
             DefenseAction::Block
         } else if suspects >= THROTTLE_AFTER {
@@ -237,9 +390,7 @@ impl DefenseLayer {
 impl DefenseHook for DefenseLayer {
     fn decide(&self, client: &str, _req: &Request, now_ms: u64) -> DefenseAction {
         let mut clients = self.clients.lock();
-        let state = clients
-            .entry(client.to_string())
-            .or_insert_with(|| ClientState::new(client));
+        let state = clients.get_or_insert(client);
         match state.rung {
             DefenseAction::Throttle => {
                 let empty = state
@@ -266,25 +417,23 @@ impl DefenseHook for DefenseLayer {
     ) {
         let sample = RequestSample::of(req);
         let mut clients = self.clients.lock();
-        let state = clients
-            .entry(client.to_string())
-            .or_insert_with(|| ClientState::new(client));
+        let state = clients.get_or_insert(client);
 
-        state.report.requests += 1;
+        state.tally.requests += 1;
         match action {
-            DefenseAction::Allow => state.report.allowed += 1,
-            DefenseAction::Deflate => state.report.deflated += 1,
-            DefenseAction::Throttle => state.report.throttled += 1,
-            DefenseAction::Block => state.report.blocked += 1,
+            DefenseAction::Allow => state.tally.allowed += 1,
+            DefenseAction::Deflate => state.tally.deflated += 1,
+            DefenseAction::Throttle => state.tally.throttled += 1,
+            DefenseAction::Block => state.tally.blocked += 1,
         }
-        state.report.origin_bytes += outcome.origin_bytes;
-        state.report.client_bytes += outcome.client_bytes;
-        state.report.request_bytes += sample.request_bytes;
+        state.tally.origin_bytes += outcome.origin_bytes;
+        state.tally.client_bytes += outcome.client_bytes;
+        state.tally.request_bytes += sample.request_bytes;
         if action.is_enforcing() {
-            state.report.enforced_origin_bytes += outcome.origin_bytes;
-            state.report.enforced_request_bytes += sample.request_bytes;
+            state.tally.enforced_origin_bytes += outcome.origin_bytes;
+            state.tally.enforced_request_bytes += sample.request_bytes;
         }
-        state.report.peak_action = Some(state.report.peak_action.map_or(action, |p| p.max(action)));
+        state.tally.peak_action = Some(state.tally.peak_action.map_or(action, |p| p.max(action)));
 
         if action == DefenseAction::Throttle {
             if let Some(bucket) = state.bucket.as_mut() {
@@ -296,7 +445,7 @@ impl DefenseHook for DefenseLayer {
             state
                 .detector
                 .observe(&sample, outcome.origin_bytes, outcome.client_bytes, now_ms);
-        state.report.last_verdict = Some(observation.verdict);
+        state.tally.last_verdict = Some(observation.verdict);
 
         if let Some(window) = observation.closed_window {
             if window.suspects == 0 {
@@ -310,9 +459,9 @@ impl DefenseHook for DefenseLayer {
         }
 
         if observation.verdict.class.is_suspect() {
-            state.report.suspects += 1;
-            if state.report.first_flag_ms.is_none() {
-                state.report.first_flag_ms = Some(now_ms);
+            state.tally.suspects += 1;
+            if state.tally.first_flag_ms.is_none() {
+                state.tally.first_flag_ms = Some(now_ms);
             }
             Self::escalate(state, now_ms);
         }
@@ -413,7 +562,37 @@ mod tests {
         let layer = DefenseLayer::default();
         drive(&layer, &benign_request(), 0, 1_000, 0);
         drive(&layer, &attack_request(0), 1_000, 700, 0);
-        let clients: Vec<String> = layer.report().into_iter().map(|r| r.client).collect();
-        assert_eq!(clients, vec!["alice".to_string(), "mallory".to_string()]);
+        // 1,000 more ids of 1 to 27 bytes, stored inline and boxed, first
+        // seen in a shuffled order (7,919 is prime to 1,000); client `n`
+        // sends `n % 3 + 1` requests, so each report must also carry its
+        // own client's counts.
+        let mut expected = vec![("alice".to_string(), 1), ("mallory".to_string(), 1)];
+        for i in 0..1_000u64 {
+            let n = i * 7_919 % 1_000;
+            let id = format!("{}{n}", "k".repeat(n as usize % 25));
+            let req = Request::get("/t.bin")
+                .header("Host", "victim")
+                .header("X-Client-Id", id.clone())
+                .build();
+            for _ in 0..=n % 3 {
+                drive(&layer, &req, 0, 1_000, 0);
+            }
+            expected.push((id, n % 3 + 1));
+        }
+        expected.sort();
+        let reports: Vec<(String, u64)> = layer
+            .report()
+            .into_iter()
+            .map(|r| (r.client, r.requests))
+            .collect();
+        assert_eq!(reports, expected);
+    }
+
+    #[test]
+    fn client_record_stays_small() {
+        // The slab holds one record per client ever seen (75,913 per
+        // `defended_mix` round), so its size is the defense's memory.
+        let size = std::mem::size_of::<ClientState>();
+        assert!(size <= 352, "ClientState is {size} B");
     }
 }

@@ -29,22 +29,24 @@ pub const WINDOW_MS: u64 = 5_000;
 /// A range spec covering at most this many bytes counts as *tiny*.
 pub const TINY_RANGE_BYTES: u64 = 64;
 
-/// The per-request observables extracted from one HTTP request.
+/// The per-request observables extracted from one HTTP request. The
+/// query is borrowed from the request, so a sample costs at most the
+/// `Range` parse.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RequestSample {
+pub struct RequestSample<'a> {
     /// The query string of the request target, if any.
-    pub query: Option<String>,
+    pub query: Option<&'a str>,
     /// The parsed `Range` header, if present and well-formed.
     pub range: Option<RangeHeader>,
     /// Wire size of the request.
     pub request_bytes: u64,
 }
 
-impl RequestSample {
+impl<'a> RequestSample<'a> {
     /// Extracts the sample from a request.
-    pub fn of(req: &Request) -> RequestSample {
+    pub fn of(req: &'a Request) -> RequestSample<'a> {
         RequestSample {
-            query: req.uri().query().map(str::to_string),
+            query: req.uri().query(),
             range: req
                 .headers()
                 .get("range")
@@ -177,14 +179,14 @@ impl ClientFeatures {
     /// Folds one request into the current window. Returns the
     /// per-request flags the detectors classify on:
     /// `(tiny_and_busting, overlap_pairs)`.
-    pub fn on_request(&mut self, sample: &RequestSample) -> (bool, u64) {
+    pub fn on_request(&mut self, sample: &RequestSample<'_>) -> (bool, u64) {
         self.current.requests += 1;
         self.current.request_bytes += sample.request_bytes;
         let tiny = sample.is_tiny();
         if tiny {
             self.current.tiny += 1;
         }
-        let busting = match &sample.query {
+        let busting = match sample.query {
             None => false,
             Some(query) => {
                 let fresh = !self.seen_queries.contains(query);
@@ -192,7 +194,7 @@ impl ClientFeatures {
                     if self.seen_queries.len() >= QUERY_MEMORY {
                         self.seen_queries.clear();
                     }
-                    self.seen_queries.insert(query.clone());
+                    self.seen_queries.insert(query.to_string());
                 }
                 fresh
             }
@@ -222,22 +224,26 @@ impl ClientFeatures {
 mod tests {
     use super::*;
 
-    fn sample(target: &str, range: Option<&str>) -> RequestSample {
+    fn request(target: &str, range: Option<&str>) -> Request {
         let mut builder = Request::get(target).header("Host", "victim");
         if let Some(range) = range {
             builder = builder.header("Range", range.to_string());
         }
-        RequestSample::of(&builder.build())
+        builder.build()
+    }
+
+    fn fold(features: &mut ClientFeatures, target: &str, range: Option<&str>) -> (bool, u64) {
+        features.on_request(&RequestSample::of(&request(target, range)))
     }
 
     #[test]
     fn sbr_shape_is_tiny_and_busting() {
         let mut features = ClientFeatures::default();
-        let (flag, pairs) = features.on_request(&sample("/t.bin?rnd=1", Some("bytes=0-0")));
+        let (flag, pairs) = fold(&mut features, "/t.bin?rnd=1", Some("bytes=0-0"));
         assert!(flag, "tiny + fresh query");
         assert_eq!(pairs, 0);
         // Same query again: no longer busting.
-        let (flag, _) = features.on_request(&sample("/t.bin?rnd=1", Some("bytes=0-0")));
+        let (flag, _) = fold(&mut features, "/t.bin?rnd=1", Some("bytes=0-0"));
         assert!(!flag);
         assert_eq!(features.current().tiny, 2);
         assert_eq!(features.current().busting, 1);
@@ -246,18 +252,21 @@ mod tests {
 
     #[test]
     fn open_ended_ranges_are_not_tiny() {
-        let s = sample("/t.bin", Some("bytes=1000-"));
+        let req = request("/t.bin", Some("bytes=1000-"));
+        let s = RequestSample::of(&req);
         assert_eq!(s.smallest_span(), None);
         assert!(!s.is_tiny());
         // But a suffix is bounded.
-        assert!(sample("/t.bin", Some("bytes=-1")).is_tiny());
+        assert!(RequestSample::of(&request("/t.bin", Some("bytes=-1"))).is_tiny());
     }
 
     #[test]
     fn obr_shape_counts_overlap_pairs() {
-        let s = sample("/t.bin?rnd=2", Some("bytes=0-,0-,0-"));
+        let req = request("/t.bin?rnd=2", Some("bytes=0-,0-,0-"));
+        let s = RequestSample::of(&req);
         assert_eq!(s.overlap_pairs(), 3);
-        let disjoint = sample("/t.bin", Some("bytes=0-0,10-10"));
+        let req = request("/t.bin", Some("bytes=0-0,10-10"));
+        let disjoint = RequestSample::of(&req);
         assert_eq!(disjoint.overlap_pairs(), 0);
     }
 
@@ -266,7 +275,7 @@ mod tests {
         assert_eq!(WINDOW_MS, 5_000);
         let mut features = ClientFeatures::default();
         assert!(features.roll_to(100).is_none(), "first window opens");
-        features.on_request(&sample("/t.bin?rnd=1", Some("bytes=0-0")));
+        fold(&mut features, "/t.bin?rnd=1", Some("bytes=0-0"));
         features.on_outcome(1_000_000, 600);
         assert!(features.roll_to(4_999).is_none(), "same window");
         let closed = features.roll_to(12_500).expect("window closed");
@@ -281,7 +290,7 @@ mod tests {
     fn query_memory_is_bounded() {
         let mut features = ClientFeatures::default();
         for i in 0..(QUERY_MEMORY * 2 + 10) {
-            features.on_request(&sample(&format!("/t.bin?rnd={i}"), Some("bytes=0-0")));
+            fold(&mut features, &format!("/t.bin?rnd={i}"), Some("bytes=0-0"));
         }
         assert!(features.seen_queries.len() <= QUERY_MEMORY);
         // Every one of those queries was fresh — churn kept counting.

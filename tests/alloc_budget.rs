@@ -6,15 +6,17 @@
 //! budget: a warm cache hit allocates only for what is unique to its
 //! response (the range `Vec`s, the header `Vec`, and the `Content-Range`
 //! and `Content-Length` values), metering a message allocates only when
-//! a capturing segment's log grows and never on a metered segment, and an
+//! a capturing segment's log grows and never on a metered segment, an
 //! OBR request through a warm cascade makes as many allocations at max n
-//! as at n = 1,000.
+//! as at n = 1,000, and the defense allocates for a known client only to
+//! parse its `Range` header.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rangeamp::attack::ObrAttack;
-use rangeamp::cdn::Vendor;
+use rangeamp::cdn::{DefenseHook, RequestOutcome, Vendor, CLIENT_ID_HEADER};
+use rangeamp::defense::DefenseLayer;
 use rangeamp::http::{Request, StatusCode};
 use rangeamp::net::{Segment, SegmentName};
 use rangeamp::workload::{BenignClient, WorkloadGenerator};
@@ -224,4 +226,39 @@ fn obr_allocations_do_not_grow_with_the_range_count() {
             "{bytes} bytes allocated per OBR request at n = {max_n}"
         );
     }
+}
+
+/// Average allocations of one `decide` + `observe` for a client the
+/// defense already tracks, sending a query it has already seen.
+fn known_client_allocations(range: Option<&str>) -> f64 {
+    let mut builder = Request::get(&format!("{TARGET_PATH}?v=1"))
+        .header("Host", TARGET_HOST)
+        .header(CLIENT_ID_HEADER, "alice");
+    if let Some(range) = range {
+        builder = builder.header("Range", range.to_string());
+    }
+    let req = builder.build();
+    let layer = DefenseLayer::default();
+    let outcome = RequestOutcome {
+        origin_bytes: 0,
+        client_bytes: 1_000,
+        status: 200,
+    };
+    let drive = |now_ms: &u64| {
+        let action = layer.decide("alice", &req, *now_ms);
+        layer.observe("alice", &req, action, &outcome, *now_ms);
+    };
+    drive(&0);
+    let times: Vec<u64> = (1..=CALLS as u64).collect();
+    average_allocations(&times, drive)
+}
+
+#[test]
+fn known_clients_cost_the_defense_no_allocation() {
+    assert_eq!(known_client_allocations(None), 0.0, "without Range");
+    let average = known_client_allocations(Some("bytes=0-1023"));
+    assert!(
+        average <= 1.0,
+        "{average} allocations per decide + observe, budget 1 (the Range parse)"
+    );
 }
