@@ -1,7 +1,9 @@
 //! HTTP/2 applicability check (paper §VI-B): "we find that the RangeAmp
-//! threats in HTTP/1.1 are also applicable to HTTP/2". Every segment is
-//! metered under both framings; this bin prints the SBR amplification
-//! factor side by side.
+//! threats in HTTP/1.1 are also applicable to HTTP/2". Each vendor's SBR
+//! round runs on a capturing testbed: the segment counters give the
+//! HTTP/1.1 factor, and the HTTP/2 length recorded on every captured
+//! response, summed per segment, gives the HTTP/2 factor. This bin prints
+//! the two side by side.
 //!
 //! Accepts the shared harness flags (`--json`, `--threads`); output is
 //! byte-identical at any thread count.

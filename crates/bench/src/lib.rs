@@ -26,6 +26,7 @@ use rangeamp::severity::{project_cost, AttackCost, BillingModel, CostModel};
 use rangeamp::workload::{evaluate_detector, TinyRangeDetector, WorkloadGenerator};
 use rangeamp::{Testbed, TARGET_PATH};
 use rangeamp_cdn::Vendor;
+use rangeamp_net::Segment;
 use rangeamp_origin::ResourceStore;
 use serde::Serialize;
 
@@ -569,15 +570,25 @@ pub struct H2Row {
     pub factor_h2: f64,
 }
 
-/// Runs the HTTP/2 framing comparison (10 MB resource); one vendor per
-/// executor unit.
+/// Runs the HTTP/2 framing comparison (10 MB resource) on a capturing
+/// testbed, whose captured responses carry their HTTP/2 length; one
+/// vendor per executor unit.
 pub fn h2_rows(executor: &Executor) -> Vec<H2Row> {
     executor.map(0, Vendor::ALL.to_vec(), |_, vendor| {
-        let report = SbrAttack::new(vendor, 10 * MB).run();
+        let bed = Testbed::builder()
+            .vendor(vendor)
+            .resource(TARGET_PATH, 10 * MB)
+            .capture()
+            .build();
+        let report = SbrAttack::new(vendor, 10 * MB).run_on(&bed, 1);
+        let h2_bytes = |segment: &Segment| {
+            segment.with_capture(|log| log.entries().iter().filter_map(|e| e.h2_len).sum::<u64>())
+        };
         H2Row {
             vendor: vendor.name().to_string(),
             factor_h1: report.amplification_factor(),
-            factor_h2: report.amplification_factor_h2(),
+            factor_h2: h2_bytes(bed.origin_segment()) as f64
+                / h2_bytes(bed.client_segment()) as f64,
         }
     })
 }
@@ -688,6 +699,18 @@ mod tests {
         let points = sbr_points(&[1], &Executor::sequential());
         let table = render_table4(&points);
         assert_eq!(table.len(), 13);
+    }
+
+    #[test]
+    fn sbr_amplification_survives_http2_framing() {
+        // §VI-B: HPACK shrinks the attacker's small 206 more than framing
+        // grows the origin's megabyte body, so no vendor's factor drops.
+        let rows = h2_rows(&Executor::sequential());
+        assert_eq!(rows.len(), 13);
+        for row in &rows {
+            assert!(row.factor_h1 > 1_000.0, "{row:?}");
+            assert!(row.factor_h2 >= row.factor_h1, "{row:?}");
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl CdnFleet {
                 EdgeNode::new(
                     profile.clone(),
                     upstream.clone(),
-                    Segment::new(SegmentName::CdnOrigin),
+                    Segment::metered(SegmentName::CdnOrigin),
                 )
             })
             .collect();

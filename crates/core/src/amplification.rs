@@ -26,10 +26,6 @@ pub struct TrafficBreakdown {
     pub victim_request_bytes: u64,
     /// Response bytes on the victim segment — the amplified traffic.
     pub victim_response_bytes: u64,
-    /// Attacker-side response bytes under HTTP/2 framing (§VI-B check).
-    pub attacker_h2_response_bytes: u64,
-    /// Victim-side response bytes under HTTP/2 framing (§VI-B check).
-    pub victim_h2_response_bytes: u64,
 }
 
 impl TrafficBreakdown {
@@ -42,8 +38,6 @@ impl TrafficBreakdown {
             victim_requests: victim.requests,
             victim_request_bytes: victim.request_bytes,
             victim_response_bytes: victim.response_bytes,
-            attacker_h2_response_bytes: attacker.h2_response_bytes,
-            victim_h2_response_bytes: victim.h2_response_bytes,
         }
     }
 }
@@ -71,16 +65,6 @@ impl AmplificationMeasurement {
             return 0.0;
         }
         self.traffic.victim_response_bytes as f64 / self.traffic.attacker_response_bytes as f64
-    }
-
-    /// The same ratio under HTTP/2 framing — the paper's §VI-B finding is
-    /// that this stays in the same league as the HTTP/1.1 factor.
-    pub fn amplification_factor_h2(&self) -> f64 {
-        if self.traffic.attacker_h2_response_bytes == 0 {
-            return 0.0;
-        }
-        self.traffic.victim_h2_response_bytes as f64
-            / self.traffic.attacker_h2_response_bytes as f64
     }
 
     /// Request-inclusive factor (total bytes both directions), reported
@@ -126,8 +110,6 @@ mod tests {
                 victim_requests: 1,
                 victim_request_bytes: 90,
                 victim_response_bytes: victim_resp,
-                attacker_h2_response_bytes: attacker_resp,
-                victim_h2_response_bytes: victim_resp,
             },
         }
     }

@@ -4,8 +4,11 @@
 //! applicable to HTTP/2": RFC 7540 "just cites the definition in
 //! HTTP/1.1" for range requests, so the *semantics* the attacks exploit
 //! are identical — only the wire framing changes. This module computes
-//! what the same messages weigh under HTTP/2 framing so the experiments
-//! can verify that amplification factors survive the protocol hop:
+//! what a response weighs under HTTP/2 framing. A capturing segment
+//! records that length on each captured response (`CaptureEntry::h2_len`
+//! in `rangeamp-net`), and the `h2_check` experiment sums it on both
+//! segments to verify that amplification factors survive the protocol
+//! hop:
 //!
 //! * every frame costs a 9-octet header (RFC 7540 §4.1),
 //! * `DATA` payloads are split at the default `SETTINGS_MAX_FRAME_SIZE`
@@ -16,10 +19,10 @@
 //!   accurate to a few percent on the message shapes the testbed uses.
 //!
 //! This is an *accounting* model, not a codec: it answers "how many
-//! bytes would this exchange put on the wire under h2", which is all the
+//! bytes would this response put on the wire under h2", which is all the
 //! amplification analysis needs.
 
-use crate::{HeaderName, Request, Response};
+use crate::{HeaderName, Response};
 
 /// RFC 7540 §4.1: every frame begins with a 9-octet header.
 pub const FRAME_HEADER: u64 = 9;
@@ -95,12 +98,6 @@ fn field_len(name: &HeaderName, value_len: usize) -> u64 {
     name_cost + 1 + literal_len(value_len)
 }
 
-/// HPACK cost of a pseudo-header field (every pseudo-header name is
-/// indexed) whose value is `value_len` octets long.
-fn pseudo_field_len(value_len: usize) -> u64 {
-    1 + 1 + literal_len(value_len)
-}
-
 fn data_frames_len(body_len: u64) -> u64 {
     if body_len == 0 {
         return 0;
@@ -109,27 +106,11 @@ fn data_frames_len(body_len: u64) -> u64 {
     body_len + frames * FRAME_HEADER
 }
 
-/// Wire bytes of a request sent as HEADERS (+ DATA) frames.
-pub fn request_wire_len(req: &Request) -> u64 {
-    // Pseudo-headers: :method, :scheme, :authority (from Host), :path.
-    let mut header_block = pseudo_field_len(req.method().as_str().len());
-    header_block += pseudo_field_len("https".len());
-    header_block += pseudo_field_len(req.headers().get("host").map_or(0, str::len));
-    header_block += pseudo_field_len(req.uri().wire_len() as usize);
-    for (name, value) in req.headers() {
-        if name.is("host") {
-            continue; // carried as :authority
-        }
-        header_block += field_len(name, value.len());
-    }
-    let headers_frames = header_block.div_ceil(DEFAULT_MAX_FRAME_SIZE).max(1);
-    FRAME_HEADER * headers_frames + header_block + data_frames_len(req.body().len())
-}
-
 /// Wire bytes of a response sent as HEADERS + DATA frames.
 pub fn response_wire_len(resp: &Response) -> u64 {
     let status_len = crate::decimal::digits(u64::from(resp.status().as_u16()));
-    let mut header_block = pseudo_field_len(status_len);
+    // `:status`, like every pseudo-header name, is indexed.
+    let mut header_block = 1 + 1 + literal_len(status_len);
     for (name, value) in resp.headers() {
         header_block += field_len(name, value.len());
     }
@@ -138,8 +119,8 @@ pub fn response_wire_len(resp: &Response) -> u64 {
 }
 
 /// The length model as it was before it became arithmetic: every field
-/// name lower-cased into a new `String`, `:path` and `:status` formatted
-/// only to be measured. Kept as the reference for the equivalence
+/// name lower-cased into a new `String`, `:status` and the request target
+/// formatted only to be measured. Kept as the reference for the equivalence
 /// property test.
 #[cfg(test)]
 mod model {
@@ -165,22 +146,6 @@ mod model {
         }
     }
 
-    pub(super) fn request_wire_len(req: &Request) -> u64 {
-        let mut header_block = hpack_field_len(":method", req.method().as_str());
-        header_block += hpack_field_len(":scheme", "https");
-        header_block += hpack_field_len(":authority", req.headers().get("host").unwrap_or(""));
-        header_block += hpack_field_len(":path", &target(req));
-        for (name, value) in req.headers().iter() {
-            let lower = name.as_str().to_ascii_lowercase();
-            if lower == "host" {
-                continue;
-            }
-            header_block += hpack_field_len(&lower, value.as_str());
-        }
-        let headers_frames = header_block.div_ceil(DEFAULT_MAX_FRAME_SIZE).max(1);
-        FRAME_HEADER * headers_frames + header_block + data_frames_len(req.body().len())
-    }
-
     pub(super) fn response_wire_len(resp: &Response) -> u64 {
         let mut header_block = hpack_field_len(":status", &resp.status().to_string());
         for (name, value) in resp.headers().iter() {
@@ -202,34 +167,6 @@ mod tests {
     use super::*;
     use crate::{Method, Request, Response, StatusCode};
     use proptest::prelude::*;
-
-    #[test]
-    fn small_request_shrinks_under_h2() {
-        // HPACK static-table hits make typical requests smaller than
-        // their HTTP/1.1 form.
-        let req = Request::get("/f.bin?rnd=1")
-            .header("Host", "victim.example")
-            .header("Range", "bytes=0-0")
-            .build();
-        let h2 = request_wire_len(&req);
-        assert!(h2 < req.wire_len(), "h2 {h2} vs h1 {}", req.wire_len());
-        assert!(h2 > 30, "sanity lower bound");
-    }
-
-    #[test]
-    fn huge_range_header_dominates_either_way() {
-        // The OBR header is one giant literal: h2 saves only the Huffman
-        // ratio, so the header-limit arithmetic stays in force.
-        let range = crate::range::RangeHeader::overlapping(10_000).to_string();
-        let req = Request::get("/f.bin")
-            .header("Host", "victim.example")
-            .header("Range", range)
-            .build();
-        let h2 = request_wire_len(&req);
-        let h1 = req.wire_len();
-        let ratio = h2 as f64 / h1 as f64;
-        assert!((0.70..=0.85).contains(&ratio), "ratio {ratio}");
-    }
 
     #[test]
     fn large_body_costs_one_frame_header_per_16k() {
@@ -287,7 +224,6 @@ mod tests {
             }
             let req = req.body(vec![0u8; body_len % 100]).build();
             let resp = resp.sized_body(vec![0u8; body_len]).build();
-            prop_assert_eq!(request_wire_len(&req), model::request_wire_len(&req));
             prop_assert_eq!(response_wire_len(&resp), model::response_wire_len(&resp));
             prop_assert_eq!(req.wire_len(), model::request_h1_len(&req));
             prop_assert_eq!(req.wire_len(), req.to_wire_bytes().len() as u64);

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use rangeamp_http::{HeaderValue, Method, Request, Response, StatusCode, Uri, Version};
+use rangeamp_http::{h2frame, HeaderValue, Method, Request, Response, StatusCode, Uri, Version};
 
 /// Which way a captured message was travelling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,6 +79,10 @@ pub struct CaptureEntry {
     /// the transfer was cut short; `None` for complete deliveries.
     /// `wire_len` always records the full message as put on the wire.
     pub delivered_len: Option<u64>,
+    /// For a response, its bytes under HTTP/2 framing (HEADERS + DATA
+    /// frames, paper §VI-B), at most the bytes delivered when the
+    /// transfer was cut short; `None` for a request.
+    pub h2_len: Option<u64>,
     /// Virtual-clock time of the capture, in milliseconds. Zero when the
     /// capturing segment has no clock attached (plain testbeds freeze
     /// virtual time at the epoch). Timestamping at capture time is what
@@ -102,6 +106,7 @@ impl CaptureEntry {
             content_type: req.headers().get_value("content-type").cloned(),
             body_len: req.body().len(),
             delivered_len: None,
+            h2_len: None,
             at_millis,
         }
     }
@@ -119,6 +124,7 @@ impl CaptureEntry {
             content_type: resp.headers().get_value("content-type").cloned(),
             body_len: resp.body().len(),
             delivered_len: None,
+            h2_len: Some(h2frame::response_wire_len(resp)),
             at_millis,
         }
     }
@@ -130,10 +136,11 @@ impl CaptureEntry {
         delivered: u64,
         at_millis: u64,
     ) -> CaptureEntry {
-        let wire_len = resp.wire_len();
+        let entry = CaptureEntry::response(resp, resp.wire_len(), at_millis);
         CaptureEntry {
-            delivered_len: Some(delivered.min(wire_len)),
-            ..CaptureEntry::response(resp, wire_len, at_millis)
+            delivered_len: Some(delivered.min(entry.wire_len)),
+            h2_len: entry.h2_len.map(|h2| h2.min(delivered)),
+            ..entry
         }
     }
 

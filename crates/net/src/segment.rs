@@ -41,12 +41,10 @@ impl fmt::Display for SegmentName {
     }
 }
 
-/// Byte counters for one segment, split by direction.
-///
-/// Each message is metered twice: in its HTTP/1.1 wire form (the paper's
-/// testbed protocol) and under HTTP/2 framing (`h2_*` fields), so
-/// experiments can verify the paper's §VI-B claim that the RangeAmp
-/// threats carry over to HTTP/2 unchanged.
+/// Byte counters for one segment, split by direction, in the messages'
+/// HTTP/1.1 wire form (the paper's testbed protocol). What a response
+/// weighs under HTTP/2 framing (§VI-B) is recorded only by a capturing
+/// segment, on each [`CaptureEntry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Number of requests sent upstream.
@@ -57,17 +55,6 @@ pub struct SegmentStats {
     pub responses: u64,
     /// Wire bytes of those responses.
     pub response_bytes: u64,
-    /// Request bytes under HTTP/2 framing.
-    pub h2_request_bytes: u64,
-    /// Response bytes under HTTP/2 framing.
-    pub h2_response_bytes: u64,
-}
-
-impl SegmentStats {
-    /// Total bytes in both directions.
-    pub fn total_bytes(&self) -> u64 {
-        self.request_bytes + self.response_bytes
-    }
 }
 
 /// The live counters behind [`SegmentStats`]: one atomic per field, so
@@ -80,21 +67,17 @@ struct Counters {
     request_bytes: AtomicU64,
     responses: AtomicU64,
     response_bytes: AtomicU64,
-    h2_request_bytes: AtomicU64,
-    h2_response_bytes: AtomicU64,
 }
 
 impl Counters {
-    fn add_request(&self, wire_len: u64, h2_len: u64) {
+    fn add_request(&self, wire_len: u64) {
         self.requests.fetch_add(1, Relaxed);
         self.request_bytes.fetch_add(wire_len, Relaxed);
-        self.h2_request_bytes.fetch_add(h2_len, Relaxed);
     }
 
-    fn add_response(&self, wire_len: u64, h2_len: u64) {
+    fn add_response(&self, wire_len: u64) {
         self.responses.fetch_add(1, Relaxed);
         self.response_bytes.fetch_add(wire_len, Relaxed);
-        self.h2_response_bytes.fetch_add(h2_len, Relaxed);
     }
 
     fn snapshot(&self) -> SegmentStats {
@@ -103,8 +86,6 @@ impl Counters {
             request_bytes: self.request_bytes.load(Relaxed),
             responses: self.responses.load(Relaxed),
             response_bytes: self.response_bytes.load(Relaxed),
-            h2_request_bytes: self.h2_request_bytes.load(Relaxed),
-            h2_response_bytes: self.h2_response_bytes.load(Relaxed),
         }
     }
 
@@ -114,8 +95,6 @@ impl Counters {
             &self.request_bytes,
             &self.responses,
             &self.response_bytes,
-            &self.h2_request_bytes,
-            &self.h2_response_bytes,
         ] {
             counter.store(0, Relaxed);
         }
@@ -202,13 +181,12 @@ impl Segment {
     }
 
     /// Meters, and on a capturing segment captures, a request crossing
-    /// upstream. Both lengths are arithmetic and the capture shares the
+    /// upstream. The length is arithmetic and the capture shares the
     /// request's text, so nothing is allocated beyond the capture log's
     /// amortised growth.
     pub fn send_request(&self, req: &Request) {
         let wire_len = req.wire_len();
-        let h2_len = rangeamp_http::h2frame::request_wire_len(req);
-        self.inner.counters.add_request(wire_len, h2_len);
+        self.inner.counters.add_request(wire_len);
         if let Some(capture) = &self.inner.capture {
             capture
                 .lock()
@@ -221,8 +199,7 @@ impl Segment {
     /// growth.
     pub fn send_response(&self, resp: &Response) {
         let wire_len = resp.wire_len();
-        let h2_len = rangeamp_http::h2frame::response_wire_len(resp);
-        self.inner.counters.add_response(wire_len, h2_len);
+        self.inner.counters.add_response(wire_len);
         if let Some(capture) = &self.inner.capture {
             capture
                 .lock()
@@ -235,10 +212,9 @@ impl Segment {
     /// receive-window / early-abort trick (paper §IV-C). The truncated
     /// byte count is what the attacker actually pays for.
     pub fn send_response_truncated(&self, resp: &Response, received_bytes: u64) {
-        self.inner.counters.add_response(
-            resp.wire_len().min(received_bytes),
-            rangeamp_http::h2frame::response_wire_len(resp).min(received_bytes),
-        );
+        self.inner
+            .counters
+            .add_response(resp.wire_len().min(received_bytes));
         if let Some(capture) = &self.inner.capture {
             capture
                 .lock()
@@ -308,7 +284,6 @@ mod tests {
         assert_eq!(stats.request_bytes, 2 * req.wire_len());
         assert_eq!(stats.responses, 1);
         assert_eq!(stats.response_bytes, resp.wire_len());
-        assert_eq!(stats.total_bytes(), 2 * req.wire_len() + resp.wire_len());
     }
 
     #[test]
@@ -343,6 +318,30 @@ mod tests {
             .build();
         segment.send_response_truncated(&resp, u64::MAX);
         assert_eq!(segment.stats().response_bytes, resp.wire_len());
+    }
+
+    #[test]
+    fn captured_responses_carry_their_h2_length() {
+        use rangeamp_http::h2frame::response_wire_len;
+
+        let segment = Segment::new(SegmentName::CdnOrigin);
+        let req = Request::get("/f").header("Host", "h").build();
+        let resp = Response::builder(StatusCode::OK)
+            .header("Content-Type", "application/octet-stream")
+            .sized_body(vec![0u8; 40_000])
+            .build();
+        let h2 = response_wire_len(&resp);
+        segment.send_request(&req);
+        segment.send_response(&resp);
+        segment.send_response_truncated(&resp, 512);
+        segment.send_response_truncated(&resp, u64::MAX);
+        let h2_lens: Vec<Option<u64>> = segment
+            .capture()
+            .entries()
+            .iter()
+            .map(|e| e.h2_len)
+            .collect();
+        assert_eq!(h2_lens, vec![None, Some(h2), Some(512), Some(h2)]);
     }
 
     #[test]
@@ -457,8 +456,6 @@ mod tests {
                     request_bytes: n * req.wire_len(),
                     responses: n,
                     response_bytes: n * resp.wire_len(),
-                    h2_request_bytes: n * rangeamp_http::h2frame::request_wire_len(&req),
-                    h2_response_bytes: n * rangeamp_http::h2frame::response_wire_len(&resp),
                 },
                 "{kind}"
             );
