@@ -2,7 +2,7 @@
 //! miss handlers.
 
 use rangeamp_http::multipart::MultipartBuilder;
-use rangeamp_http::range::{coalesce, ContentRange, RangeHeader, ResolvedRange};
+use rangeamp_http::range::{coalesce_runs, ContentRange, RangeHeader, ResolvedRange, ResolvedRuns};
 use rangeamp_http::{Body, HeaderName, HeaderValue, Response, ResponseBuilder, StatusCode};
 
 use crate::MultiReplyPolicy;
@@ -89,21 +89,20 @@ pub(crate) fn single_206(
     .build()
 }
 
-/// A multipart/byteranges 206 with one part per given range, in order,
-/// sliced from `body`, which holds the representation from byte `offset`
-/// on (0 for a full copy, the window start for a partial). Consecutive
-/// equal ranges share one framing head and one body slice.
+/// A multipart/byteranges 206 with `times` parts per given `(range,
+/// times)` run, in order, sliced from `body`, which holds the
+/// representation from byte `offset` on (0 for a full copy, the window
+/// start for a partial). A run shares one framing head and one body
+/// slice.
 fn multipart_206(
     body: &Body,
     offset: u64,
-    ranges: &[ResolvedRange],
+    runs: impl IntoIterator<Item = (ResolvedRange, usize)>,
     complete_length: u64,
     meta: &ReprMeta<'_>,
 ) -> Response {
     let builder = MultipartBuilder::new(meta.content_type.as_str(), complete_length)
-        .ranges(ranges, |r| {
-            body.slice(r.first - offset, r.last + 1 - offset)
-        });
+        .ranges(runs, |r| body.slice(r.first - offset, r.last + 1 - offset));
     let content_type = builder.content_type_header();
     meta.apply(
         Response::builder(StatusCode::PARTIAL_CONTENT)
@@ -143,11 +142,11 @@ pub(crate) fn serve_from_full(
     let Some(header) = range else {
         return full_200(body.clone(), &meta);
     };
-    let resolved = header.resolve(complete);
-    if resolved.is_empty() {
+    let resolved = header.resolve_runs(complete);
+    if resolved.clone().next().is_none() {
         return not_satisfiable(complete);
     }
-    ranges_reply(body, 0, &resolved, complete, &meta, multi_reply)
+    ranges_reply(body, 0, resolved, complete, &meta, multi_reply)
 }
 
 /// Serves a (possibly multi) range request from an upstream *partial*
@@ -169,13 +168,13 @@ pub(crate) fn serve_from_partial(
     else {
         return None;
     };
-    let resolved = range.resolve(complete_length);
-    if resolved.is_empty() {
+    let resolved = range.resolve_runs(complete_length);
+    if resolved.clone().next().is_none() {
         return Some(not_satisfiable(complete_length));
     }
     if resolved
-        .iter()
-        .any(|r| r.first < window.first || r.last > window.last)
+        .clone()
+        .any(|(r, _)| r.first < window.first || r.last > window.last)
     {
         return None;
     }
@@ -188,20 +187,20 @@ pub(crate) fn serve_from_partial(
     Some(ranges_reply(
         partial.body(),
         window.first,
-        &resolved,
+        resolved,
         complete_length,
         &meta,
         multi_reply,
     ))
 }
 
-/// Answers the satisfiable ranges `resolved` (at least one) from `body`,
-/// which holds the representation from byte `offset` on, under
-/// `multi_reply`.
+/// Answers the satisfiable ranges `resolved` (at least one, as runs)
+/// from `body`, which holds the representation from byte `offset` on,
+/// under `multi_reply`.
 fn ranges_reply(
     body: &Body,
     offset: u64,
-    resolved: &[ResolvedRange],
+    resolved: ResolvedRuns<'_>,
     complete_length: u64,
     meta: &ReprMeta<'_>,
     multi_reply: MultiReplyPolicy,
@@ -210,16 +209,20 @@ fn ranges_reply(
         let slice = body.slice(r.first - offset, r.last + 1 - offset);
         single_206(slice, r, complete_length, meta)
     };
-    if let [r] = resolved {
-        return single(*r);
+    let mut runs = resolved.clone();
+    if let (Some((r, 1)), None) = (runs.next(), runs.next()) {
+        return single(r);
     }
-    let multipart =
-        |ranges: &[ResolvedRange]| multipart_206(body, offset, ranges, complete_length, meta);
     match multi_reply {
-        MultiReplyPolicy::NPartNoOverlapCheck => multipart(resolved),
-        MultiReplyPolicy::Coalesce => match coalesce(resolved).as_slice() {
+        MultiReplyPolicy::NPartNoOverlapCheck => {
+            multipart_206(body, offset, resolved, complete_length, meta)
+        }
+        MultiReplyPolicy::Coalesce => match coalesce_runs(resolved).as_slice() {
             [r] => single(*r),
-            merged => multipart(merged),
+            merged => {
+                let runs = merged.iter().map(|&r| (r, 1));
+                multipart_206(body, offset, runs, complete_length, meta)
+            }
         },
     }
 }

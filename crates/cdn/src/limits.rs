@@ -94,7 +94,8 @@ pub enum ObrRangeCase {
 }
 
 impl ObrRangeCase {
-    /// Builds the exploited header with `n` total ranges.
+    /// Builds the exploited header with `n` total ranges, as runs: the
+    /// `n` specs are never built one by one.
     ///
     /// # Panics
     ///
@@ -102,22 +103,14 @@ impl ObrRangeCase {
     /// leading element plus at least one `0-`).
     pub fn header(&self, n: usize) -> RangeHeader {
         assert!(n > 0, "need at least one range");
-        let specs = match self {
-            ObrRangeCase::AllZeroOpen => vec![ByteRangeSpec::From { first: 0 }; n],
-            ObrRangeCase::SuffixThenZero => {
-                assert!(n >= 2, "shape needs a leading element");
-                let mut specs = vec![ByteRangeSpec::Suffix { len: 1024 }];
-                specs.extend(vec![ByteRangeSpec::From { first: 0 }; n - 1]);
-                specs
-            }
-            ObrRangeCase::OneThenZero => {
-                assert!(n >= 2, "shape needs a leading element");
-                let mut specs = vec![ByteRangeSpec::From { first: 1 }];
-                specs.extend(vec![ByteRangeSpec::From { first: 0 }; n - 1]);
-                specs
-            }
+        let lead = match self {
+            ObrRangeCase::AllZeroOpen => return RangeHeader::overlapping(n),
+            ObrRangeCase::SuffixThenZero => ByteRangeSpec::Suffix { len: 1024 },
+            ObrRangeCase::OneThenZero => ByteRangeSpec::From { first: 1 },
         };
-        RangeHeader::new(specs).expect("exploited shapes are valid")
+        assert!(n >= 2, "shape needs a leading element");
+        RangeHeader::from_runs([(lead, 1), (ByteRangeSpec::From { first: 0 }, n - 1)])
+            .expect("exploited shapes are valid")
     }
 
     /// Human-readable form used in reports (Table V column 3).

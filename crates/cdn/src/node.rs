@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use rangeamp_http::range::{coalesce, ByteRangeSpec, RangeHeader};
+use rangeamp_http::range::{coalesce_runs, ByteRangeSpec, RangeHeader};
 use rangeamp_http::{HeaderName, HeaderValue, Request, Response, StatusCode};
 use rangeamp_net::{Segment, SharedClock, SpanKind, Telemetry};
 
@@ -474,7 +474,7 @@ impl EdgeNode {
         header: &RangeHeader,
         cap: u64,
     ) -> Result<MissResult, UpstreamError> {
-        let spec = header.specs()[0];
+        let spec = header.first_spec();
         let expanded = match spec {
             ByteRangeSpec::FromTo { first, last } => {
                 let last = match ctx.resource_size {
@@ -487,7 +487,8 @@ impl EdgeNode {
             // edge; expanding them buys no cacheable context.
             other => other,
         };
-        let expanded_header = RangeHeader::new(vec![expanded]).expect("expanded spec is valid");
+        let expanded_header =
+            RangeHeader::from_runs([(expanded, 1)]).expect("expanded spec is valid");
         let upstream_resp = ctx.fetch(Some(&expanded_header))?;
         Ok(vendor::serve_window(
             header,
@@ -560,8 +561,8 @@ fn upstream_error_response(err: &UpstreamError) -> Response {
 /// Coalesces a multi-range header against a known representation size,
 /// producing concrete `first-last` specs (`first-` at the end).
 fn coalesce_header(header: &RangeHeader, complete_length: u64) -> RangeHeader {
-    RangeHeader::from_resolved(&coalesce(&header.resolve(complete_length)), complete_length)
-        .unwrap_or_else(|| header.clone())
+    let merged = coalesce_runs(header.resolve_runs(complete_length));
+    RangeHeader::from_resolved(&merged, complete_length).unwrap_or_else(|| header.clone())
 }
 
 #[cfg(test)]

@@ -469,7 +469,7 @@ mod tests {
                 CorpusEntry::Pipeline(case) => match RangeHeader::parse(&case.range) {
                     Err(_) => rejected += 1,
                     Ok(h) if h.is_multi() => multi += 1,
-                    Ok(h) if matches!(h.specs()[0], ByteRangeSpec::FromTo { .. }) => {
+                    Ok(h) if matches!(h.first_spec(), ByteRangeSpec::FromTo { .. }) => {
                         single_from_to += 1
                     }
                     Ok(_) => single_other += 1,

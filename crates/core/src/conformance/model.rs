@@ -78,7 +78,7 @@ pub fn expected_forwarding(
     if header.is_multi() {
         return expected_multi(vendor, header, size);
     }
-    let spec = header.specs()[0];
+    let spec = header.first_spec();
     let resolved = spec.resolve(size);
     match vendor {
         // Table I: first-last and -suffix deleted, open-ended relayed.
@@ -170,9 +170,8 @@ fn expected_multi(vendor: Vendor, header: &RangeHeader, size: u64) -> Vec<Fwd> {
         Vendor::CdnSun => {
             let all_open = header
                 .specs()
-                .iter()
                 .all(|s| matches!(s, ByteRangeSpec::From { .. }));
-            let first_start = match header.specs()[0] {
+            let first_start = match header.first_spec() {
                 ByteRangeSpec::From { first } => Some(first),
                 _ => None,
             };
@@ -185,7 +184,6 @@ fn expected_multi(vendor: Vendor, header: &RangeHeader, size: u64) -> Vec<Fwd> {
         Vendor::CloudFront => {
             let all_from_to = header
                 .specs()
-                .iter()
                 .all(|s| matches!(s, ByteRangeSpec::FromTo { .. }));
             if !all_from_to {
                 return expected_coalesced(header, size);

@@ -62,9 +62,9 @@ impl<'a> RequestSample<'a> {
     pub fn smallest_span(&self) -> Option<u64> {
         let header = self.range.as_ref()?;
         header
-            .specs()
+            .runs()
             .iter()
-            .filter_map(|spec| match *spec {
+            .filter_map(|&(spec, _)| match spec {
                 ByteRangeSpec::FromTo { first, last } => Some(last - first + 1),
                 ByteRangeSpec::Suffix { len } => Some(len),
                 ByteRangeSpec::From { .. } => None,

@@ -4,7 +4,7 @@
 use std::fmt;
 
 /// Largest number of decimal digits a `u64` has (`u64::MAX` has 20).
-const MAX_DIGITS: usize = 20;
+pub(crate) const MAX_DIGITS: usize = 20;
 
 /// Number of decimal digits of `n`.
 pub(crate) fn digits(n: u64) -> usize {
@@ -22,6 +22,14 @@ fn encode(mut n: u64, buf: &mut [u8; MAX_DIGITS]) -> &[u8] {
             return &buf[at..];
         }
     }
+}
+
+/// `n` in decimal at the start of a fixed buffer, and its digit count.
+pub(crate) fn to_array(n: u64) -> ([u8; MAX_DIGITS], usize) {
+    let mut buf = [0; MAX_DIGITS];
+    let len = encode(n, &mut buf).len();
+    buf.copy_within(MAX_DIGITS - len.., 0);
+    (buf, len)
 }
 
 /// Appends `n` in decimal to `out`.
@@ -55,6 +63,8 @@ mod tests {
             assert_eq!(bytes, n.to_string().as_bytes(), "{n}");
             assert_eq!(text, format!("x{n}"));
             assert_eq!(digits(n), n.to_string().len(), "{n}");
+            let (array, len) = to_array(n);
+            assert_eq!(&array[..len], n.to_string().as_bytes(), "{n}");
         }
     }
 }

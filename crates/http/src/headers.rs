@@ -3,16 +3,22 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
+use crate::decimal;
 use crate::h2frame::in_static_table;
 use crate::method::is_tchar;
 use crate::Error;
 
-/// Immutable header text: borrowed for the whole program, or one heap
-/// copy shared by every clone.
+/// Immutable header text: borrowed for the whole program, one heap copy
+/// shared by every clone, or the digits of a number held inline.
 #[derive(Clone)]
 enum Text {
     Static(&'static str),
     Shared(Arc<str>),
+    /// The first `len` bytes are the digits.
+    Digits {
+        len: u8,
+        digits: [u8; decimal::MAX_DIGITS],
+    },
 }
 
 impl Text {
@@ -20,6 +26,9 @@ impl Text {
         match self {
             Text::Static(text) => text,
             Text::Shared(text) => text,
+            Text::Digits { len, digits } => {
+                std::str::from_utf8(&digits[..usize::from(*len)]).expect("ASCII digits")
+            }
         }
     }
 }
@@ -241,12 +250,14 @@ impl HeaderValue {
         HeaderValue(Text::Static(value))
     }
 
-    /// The decimal form of `n` (a `Content-Length`, say), built with one
-    /// allocation.
+    /// The decimal form of `n` (a `Content-Length`, say), held inline:
+    /// no allocation, whatever the number of digits.
     pub fn from_u64(n: u64) -> HeaderValue {
-        let mut text = StackText::new();
-        crate::decimal::write(&mut text, n).expect("a u64 fits the buffer");
-        HeaderValue(Text::Shared(Arc::from(text.as_str())))
+        let (digits, len) = decimal::to_array(n);
+        HeaderValue(Text::Digits {
+            len: len as u8,
+            digits,
+        })
     }
 
     /// Shares text this crate wrote from ASCII digits and punctuation,
@@ -750,6 +761,9 @@ mod tests {
         assert!(std::ptr::eq(value.as_str(), copy.as_str()));
         let fixed = HeaderValue::from_static("fixed");
         assert!(matches!(fixed.0, Text::Static(_)));
+        // Numbers sit inline, in no more room than shared text takes.
+        assert!(matches!(HeaderValue::from_u64(1).0, Text::Digits { .. }));
+        assert_eq!(std::mem::size_of::<HeaderValue>(), 24);
         assert_eq!(fixed, HeaderValue::new("fixed").unwrap());
     }
 
@@ -757,6 +771,10 @@ mod tests {
     fn numeric_and_formatted_values() {
         for n in [0, 7, 10, 1_048_576, u64::MAX] {
             assert_eq!(HeaderValue::from_u64(n).as_str(), n.to_string());
+            assert_eq!(
+                HeaderValue::from_u64(n),
+                HeaderValue::new(n.to_string()).unwrap()
+            );
         }
         let short = HeaderValue::from_display(&format_args!("bytes {}-{}/{}", 0, 9, 10)).unwrap();
         assert_eq!(short.as_str(), "bytes 0-9/10");

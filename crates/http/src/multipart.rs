@@ -75,21 +75,28 @@ impl MultipartBuilder {
         self
     }
 
-    /// Appends one part per range, in order, taking each part's body from
-    /// `body_of`. Consecutive equal ranges (the OBR shape `0-,0-,...`)
-    /// become one run: `body_of` is called once for the group, and the
-    /// built payload holds the group's framing once.
+    /// Appends `times` parts per `(range, times)` run, in order, taking
+    /// each part's body from `body_of`. Neighbouring runs of the same range
+    /// (the OBR shape `0-,0-,...`) become one: `body_of` is called once
+    /// for it, and the built payload holds its framing once, so the cost
+    /// follows the number of runs, not of parts.
     pub fn ranges(
         mut self,
-        ranges: &[ResolvedRange],
+        runs: impl IntoIterator<Item = (ResolvedRange, usize)>,
         mut body_of: impl FnMut(&ResolvedRange) -> Body,
     ) -> MultipartBuilder {
-        self.runs
-            .extend(ranges.chunk_by(|a, b| a == b).map(|group| PartRun {
-                range: group[0],
-                body: body_of(&group[0]),
-                times: group.len() as u64,
-            }));
+        // Runs added before this call may carry another body.
+        let added = self.runs.len();
+        for (range, times) in runs.into_iter().filter(|&(_, times)| times > 0) {
+            match self.runs[added..].last_mut() {
+                Some(run) if run.range == range => run.times += times as u64,
+                _ => self.runs.push(PartRun {
+                    range,
+                    body: body_of(&range),
+                    times: times as u64,
+                }),
+            }
+        }
         self
     }
 
@@ -430,7 +437,8 @@ mod tests {
         let full = Body::from((0..=255u8).collect::<Vec<_>>());
         let ranges = [r(1, 1), r(0, 99), r(0, 99), r(0, 99), r(5, 6)];
         let mut calls = 0;
-        let builder = MultipartBuilder::new("a/b", 256).ranges(&ranges, |range| {
+        let runs = ranges.iter().map(|&range| (range, 1));
+        let builder = MultipartBuilder::new("a/b", 256).ranges(runs, |range| {
             calls += 1;
             full.slice(range.first, range.last + 1)
         });
@@ -455,6 +463,17 @@ mod tests {
             })
             .collect();
         assert_eq!(parsed, expected);
+
+        // A run never merges into a part added before, which may carry
+        // another body.
+        let builder = MultipartBuilder::new("a/b", 256)
+            .part(r(0, 1), Body::from(vec![7, 7]))
+            .ranges([(r(0, 1), 2)], |range| {
+                full.slice(range.first, range.last + 1)
+            });
+        let parts = parse(builder.build().as_bytes(), DEFAULT_BOUNDARY).unwrap();
+        let bodies: Vec<&[u8]> = parts.iter().map(|p| p.body.as_bytes()).collect();
+        assert_eq!(bodies, [&[7u8, 7][..], &[0, 1], &[0, 1]]);
     }
 
     #[test]
@@ -576,12 +595,19 @@ mod tests {
                     Bytes::copy_from_slice(&data[cut..len]),
                 ])
             };
-            let ranges: Vec<ResolvedRange> = parts
+            let given: Vec<(ResolvedRange, usize)> = parts
                 .iter()
                 .zip(repeats.iter().chain(std::iter::repeat(&1)))
-                .flat_map(|((range, _), &times)| std::iter::repeat_n(*range, times))
+                .map(|((range, _), &times)| (*range, times))
                 .collect();
-            let runs = MultipartBuilder::new(&content_type, complete).ranges(&ranges, body_of);
+            let ranges: Vec<ResolvedRange> = given
+                .iter()
+                .flat_map(|&(range, times)| std::iter::repeat_n(range, times))
+                .collect();
+            let runs = MultipartBuilder::new(&content_type, complete)
+                .ranges(ranges.iter().map(|&range| (range, 1)), body_of);
+            let given = MultipartBuilder::new(&content_type, complete).ranges(given, body_of);
+            prop_assert!(given.build() == runs.build());
             let each = ranges
                 .iter()
                 .fold(MultipartBuilder::new(&content_type, complete), |b, range| {

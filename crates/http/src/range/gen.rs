@@ -254,6 +254,38 @@ impl RangeRequestGenerator {
                     .collect();
                 format!("x-{junk}")
             }
+            RepeatedRun => {
+                let element = match self.rng.gen_range(0..4u8) {
+                    0 => "0-".to_string(),
+                    1 => format!("{}-", self.rng.gen_range(0..fs)),
+                    2 => format!("-{}", self.rng.gen_range(1..=fs)),
+                    _ => {
+                        let first = self.rng.gen_range(0..fs);
+                        format!("{first}-{}", first + self.rng.gen_range(0..8u64))
+                    }
+                };
+                let count = self.rng.gen_range(16..=128usize);
+                let mut elements = vec![element; count];
+                let at = self.rng.gen_range(0..count);
+                match self.rng.gen_range(0..6u8) {
+                    // A different element, the last one included.
+                    0 => elements[at] = format!("-{}", self.rng.gen_range(1..=1024u64)),
+                    // Whitespace before one copy.
+                    1 => elements[at].insert(0, ' '),
+                    // An empty element.
+                    2 => elements.insert(at, String::new()),
+                    // A leading zero in one copy.
+                    3 => {
+                        let digits_at = usize::from(elements[at].starts_with('-'));
+                        elements[at].insert(digits_at, '0');
+                    }
+                    // A trailing comma.
+                    4 => elements.push(String::new()),
+                    // A 22-digit (zero-padded) position.
+                    _ => elements[at] = format!("{:0>22}-", self.rng.gen_range(0..fs)),
+                }
+                format!("bytes={}", elements.join(","))
+            }
         };
         RawRangeCase {
             family,
@@ -304,11 +336,16 @@ pub enum RawRangeFamily {
     DoubleDash,
     /// Unstructured junk that must never parse.
     Garbage,
+    /// One element repeated 16–128 times with one perturbation: a
+    /// different element, whitespace or a leading zero in one copy, an
+    /// empty element, a trailing comma or a 22-digit position. Every
+    /// value is valid; it drives the parser's repeated-element matching.
+    RepeatedRun,
 }
 
 impl RawRangeFamily {
     /// All families, in generation order.
-    pub const ALL: [RawRangeFamily; 17] = [
+    pub const ALL: [RawRangeFamily; 18] = [
         RawRangeFamily::Canonical,
         RawRangeFamily::SuffixTail,
         RawRangeFamily::HugeLast,
@@ -326,15 +363,15 @@ impl RawRangeFamily {
         RawRangeFamily::InnerSpace,
         RawRangeFamily::DoubleDash,
         RawRangeFamily::Garbage,
+        RawRangeFamily::RepeatedRun,
     ];
 
     /// What the strict parser must do with values of this family.
     pub fn expectation(self) -> ParseExpectation {
         use RawRangeFamily::*;
         match self {
-            Canonical | SuffixTail | HugeLast | WhitespaceList | DescendingSet | ManySmall => {
-                ParseExpectation::Parses
-            }
+            Canonical | SuffixTail | HugeLast | WhitespaceList | DescendingSet | ManySmall
+            | RepeatedRun => ParseExpectation::Parses,
             _ => ParseExpectation::Rejected,
         }
     }

@@ -12,14 +12,20 @@
 //! around commas and empty list elements; real CDN parsers accept those, so
 //! this parser does too (the generator exercises them).
 
-use super::{ByteRangeSpec, ContentRange, ResolvedRange};
+use super::{ByteRangeSpec, ContentRange, ResolvedRange, Runs};
 use crate::{Error, Result};
 
-/// Parses a `Range` header value in one pass over its bytes, and reports
-/// whether the value is exactly the canonical text of the parsed header:
-/// no space before `=`, no whitespace or empty list elements, no leading
-/// zeros. Equivalent to the `split(',')` parser kept as `model` below.
-pub(super) fn parse_range_header(value: &str) -> Result<(Vec<ByteRangeSpec>, bool)> {
+/// Parses a `Range` header value in one pass over its bytes into runs of
+/// equal specs, and reports whether the value is exactly the canonical
+/// text of the parsed header: no space before `=`, no whitespace or empty
+/// list elements, no leading zeros. Equivalent to the `split(',')` parser
+/// kept as `model` below.
+///
+/// An element followed by exact copies of its own text, comma included,
+/// is parsed once: the copies are counted by [`repeats`] in O(log n)
+/// block comparisons, so `bytes=0-,0-,...,0-` costs O(log n) `memcmp`s
+/// on top of its first element.
+pub(super) fn parse_range_header(value: &str) -> Result<(Runs, bool)> {
     Scanner::new(value.as_bytes())
         .byte_range_set()
         .ok_or_else(|| Error::InvalidRange(value.to_string()))
@@ -32,27 +38,26 @@ struct Scanner<'a> {
     canonical: bool,
 }
 
-impl Scanner<'_> {
-    fn new(bytes: &[u8]) -> Scanner<'_> {
+impl<'a> Scanner<'a> {
+    fn new(bytes: &'a [u8]) -> Scanner<'a> {
         Scanner {
             rest: bytes,
             canonical: true,
         }
     }
 
-    fn byte_range_set(mut self) -> Option<(Vec<ByteRangeSpec>, bool)> {
+    fn byte_range_set(mut self) -> Option<(Runs, bool)> {
         self.rest = self.rest.strip_prefix(b"bytes")?;
         while let [b' ', rest @ ..] = self.rest {
             self.rest = rest;
             self.canonical = false;
         }
         self.rest = self.rest.strip_prefix(b"=")?;
-        // A spec takes at least two bytes and a separating comma, which
-        // bounds the count (exactly, for `0-,0-,...,0-`).
-        let mut specs = Vec::with_capacity((self.rest.len() + 1) / 3);
+        let mut runs = Runs::default();
         loop {
+            let element = self.rest;
             self.skip_ows();
-            match self.rest {
+            let spec = match self.rest {
                 // The set is empty or ends in an empty element.
                 [] => {
                     self.canonical = false;
@@ -64,19 +69,29 @@ impl Scanner<'_> {
                     self.canonical = false;
                     continue;
                 }
-                _ => specs.push(self.spec()?),
-            }
+                _ => self.spec()?,
+            };
             self.skip_ows();
             match self.rest {
-                [] => break,
+                [] => {
+                    runs.push(spec, 1);
+                    break;
+                }
                 [b',', rest @ ..] => self.rest = rest,
                 _ => return None,
             }
+            // Every byte the element's parse looked at lies before its
+            // comma, so a copy of its text parses to the same spec and
+            // leaves the canonical flag as the element did.
+            let unit = &element[..element.len() - self.rest.len()];
+            let copies = repeats(unit, self.rest);
+            self.rest = &self.rest[copies * unit.len()..];
+            runs.push(spec, 1 + copies);
         }
-        if specs.is_empty() {
+        if runs.len == 0 {
             return None;
         }
-        Some((specs, self.canonical))
+        Some((runs, self.canonical))
     }
 
     /// Optional whitespace around a list element (RFC 7230 §7).
@@ -123,6 +138,29 @@ impl Scanner<'_> {
             n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
         })
     }
+}
+
+/// How many copies of `unit` (not empty) `rest` starts with. The matched
+/// prefix doubles while the bytes after it repeat it, then blocks of half
+/// its size, a quarter and so on down to one `unit` are tried in turn:
+/// 2 log2(n) + 1 comparisons for n copies.
+fn repeats(unit: &[u8], rest: &[u8]) -> usize {
+    if !rest.starts_with(unit) {
+        return 0;
+    }
+    // `rest[..matched]` is `matched / unit.len()` copies, a power of two.
+    let mut matched = unit.len();
+    while rest[matched..].starts_with(&rest[..matched]) {
+        matched *= 2;
+    }
+    let mut block = matched / 2;
+    while block >= unit.len() {
+        if rest[matched..].starts_with(&rest[..block]) {
+            matched += block;
+        }
+        block /= 2;
+    }
+    matched / unit.len()
 }
 
 /// Strict `1*DIGIT` — no signs, no whitespace, no empty string.
@@ -221,17 +259,22 @@ mod tests {
     /// same specs, with `canonical` set exactly when `value` is the
     /// header's canonical text.
     fn agrees_with_model(value: &str) -> std::result::Result<(), TestCaseError> {
-        let scanned = super::parse_range_header(value);
+        let scanned = super::parse_range_header(value)
+            .map(|(runs, canonical)| (RangeHeader::of(runs), canonical));
         let modelled = model::parse_range_header(value);
         match (scanned, modelled) {
-            (Ok((specs, canonical)), Ok(expected)) => {
+            (Ok((header, canonical)), Ok(expected)) => {
+                let specs: Vec<ByteRangeSpec> = header.specs().copied().collect();
                 prop_assert_eq!(&specs, &expected, "{:?}", value);
-                let text = RangeHeader::new(specs)
-                    .expect("parsed specs are valid")
-                    .to_string();
+                prop_assert_eq!(header.specs().len(), expected.len());
+                prop_assert_eq!(
+                    &header,
+                    &RangeHeader::new(expected).expect("parsed specs are valid")
+                );
+                let text = header.to_string();
                 prop_assert_eq!(canonical, text == value, "{:?}", value);
             }
-            (scanned, modelled) => prop_assert_eq!(scanned.map(|(specs, _)| specs), modelled),
+            (scanned, modelled) => prop_assert_eq!(scanned.map(|_| ()), modelled.map(|_| ())),
         }
         Ok(())
     }
@@ -280,7 +323,89 @@ mod tests {
         }
     }
 
+    #[test]
+    fn repeats_counts_whole_copies() {
+        for copies in 0..70 {
+            for tail in ["", "0", "0-", "0-,", "1-,", "x"] {
+                let rest = format!("{}{tail}", "0-,".repeat(copies));
+                let whole = copies + usize::from(tail == "0-,");
+                assert_eq!(repeats(b"0-,", rest.as_bytes()), whole, "{rest:?}");
+            }
+        }
+        assert_eq!(repeats(b",", b",,,,,x"), 5);
+    }
+
+    /// Elements the repeated-element strings are built from: the OBR
+    /// shapes, leading zeros, whitespace, 20+ digit numbers (some past
+    /// `u64::MAX`) and invalid elements.
+    const ELEMENTS: [&str; 14] = [
+        "0-",
+        "1-",
+        "-1024",
+        "0-0",
+        "5-9",
+        "007-",
+        " 0-",
+        "0-\t",
+        "18446744073709551615-",
+        "000000000000000000000001-",
+        "99999999999999999999-",
+        "-0",
+        "9-5",
+        "",
+    ];
+
     proptest! {
+        #[test]
+        fn scanner_matches_the_model_on_repeated_elements(
+            lead in proptest::option::of(0usize..ELEMENTS.len()),
+            element in 0usize..ELEMENTS.len(),
+            count in 1usize..300,
+            perturbation in 0usize..8,
+            at in any::<usize>(),
+            other in 0usize..ELEMENTS.len(),
+        ) {
+            let mut elements = vec![ELEMENTS[element].to_string(); count];
+            let at = at % count;
+            match perturbation {
+                // Whitespace before one repeat.
+                0 => elements[at].insert(0, ' '),
+                // An empty element.
+                1 => elements.insert(at, String::new()),
+                // A leading zero in one repeat.
+                2 => {
+                    let digits_at = usize::from(elements[at].starts_with('-'));
+                    elements[at].insert(digits_at, '0');
+                }
+                // A trailing comma.
+                3 => elements.push(String::new()),
+                // A different last element.
+                4 => elements[count - 1] = ELEMENTS[other].to_string(),
+                // A different element anywhere.
+                5 => elements[at] = ELEMENTS[other].to_string(),
+                // None.
+                _ => {}
+            }
+            if let Some(lead) = lead {
+                elements.insert(0, ELEMENTS[lead].to_string());
+            }
+            agrees_with_model(&format!("bytes={}", elements.join(",")))?;
+        }
+
+        #[test]
+        fn scanner_matches_the_model_on_the_obr_shapes(
+            lead in 0usize..3,
+            count in 1usize..2_000,
+            tail in 0usize..3,
+        ) {
+            let lead = ["", "-1024,", "1-,"][lead];
+            let tail = ["", ",", ",1-"][tail];
+            let value = format!("bytes={lead}{}{tail}", vec!["0-"; count].join(","));
+            agrees_with_model(&value)?;
+            let header = RangeHeader::parse(&value).unwrap();
+            prop_assert!(header.runs().len() <= 3, "{:?}", header.runs());
+        }
+
         #[test]
         fn scanner_matches_the_model_on_byteish_strings(
             unit in 0usize..6,
@@ -313,8 +438,8 @@ mod tests {
     fn parses_all_three_spec_forms() {
         let header = parse_range_header("bytes=0-0,5-,-128").unwrap();
         assert_eq!(
-            header.specs(),
-            &[
+            header.specs().copied().collect::<Vec<_>>(),
+            [
                 ByteRangeSpec::FromTo { first: 0, last: 0 },
                 ByteRangeSpec::From { first: 5 },
                 ByteRangeSpec::Suffix { len: 128 },
@@ -351,7 +476,7 @@ mod tests {
     fn huge_values_parse_up_to_u64() {
         let header = parse_range_header("bytes=0-18446744073709551615").unwrap();
         assert_eq!(
-            header.specs()[0],
+            header.first_spec(),
             ByteRangeSpec::FromTo {
                 first: 0,
                 last: u64::MAX

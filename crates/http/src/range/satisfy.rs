@@ -27,17 +27,28 @@ pub fn coalesce(ranges: &[ResolvedRange]) -> Vec<ResolvedRange> {
     let runs = ranges.chunk_by(|a, b| a == b);
     let mut sorted: Vec<ResolvedRange> = Vec::with_capacity(runs.clone().count());
     sorted.extend(runs.map(|run| run[0]));
-    sorted.sort();
-    let mut merged: Vec<ResolvedRange> = Vec::with_capacity(sorted.len());
-    for range in sorted {
-        match merged.last_mut() {
-            Some(prev) if prev.touches(&range) => {
-                prev.last = prev.last.max(range.last);
-            }
-            _ => merged.push(range),
+    merge(sorted)
+}
+
+/// [`coalesce`] over `(range, times)` runs, such as
+/// [`RangeHeader::resolve_runs`](super::RangeHeader::resolve_runs)
+/// yields: repeats never change the merged set, so each run counts once
+/// and the cost follows the number of runs.
+pub fn coalesce_runs(runs: impl IntoIterator<Item = (ResolvedRange, usize)>) -> Vec<ResolvedRange> {
+    merge(runs.into_iter().map(|(range, _)| range).collect())
+}
+
+/// Sorts `ranges` and merges overlapping or adjacent neighbours in place.
+fn merge(mut ranges: Vec<ResolvedRange>) -> Vec<ResolvedRange> {
+    ranges.sort_unstable();
+    ranges.dedup_by(|next, kept| {
+        let touches = kept.touches(next);
+        if touches {
+            kept.last = kept.last.max(next.last);
         }
-    }
-    merged
+        touches
+    });
+    ranges
 }
 
 /// Whether any two of the ranges share a byte. Sorts a copy by `first`
@@ -54,37 +65,70 @@ pub fn coalesce(ranges: &[ResolvedRange]) -> Vec<ResolvedRange> {
 /// assert!(has_overlap(&[b, a, ResolvedRange { first: 9, last: 9 }]));
 /// ```
 pub fn has_overlap(ranges: &[ResolvedRange]) -> bool {
-    overlapping_pairs(ranges, 1) > 0
+    overlapping_pairs(ranges.iter().map(|&range| (range, 1)), 1) > 0
 }
 
-/// Number of pairs of `ranges` that share a byte, counted up to `cap`:
-/// the sweep stops as soon as the count reaches `cap`.
+/// Number of pairs of ranges that share a byte, counted up to `cap`, over
+/// `(range, times)` runs: the sweep stops as soon as the count reaches
+/// `cap`.
 ///
 /// In `first` order, a range overlaps exactly those earlier ranges whose
 /// `last` is not before its `first`. The sweep keeps the `last` of every
-/// earlier range in a min-heap and pops the ones that end before the
-/// current `first` (they end before every later `first` too); what stays
-/// is the number of earlier ranges the current one overlaps. Sorting and
-/// the heap make it O(n log n) whatever the number of pairs.
-pub(crate) fn overlapping_pairs(ranges: &[ResolvedRange], cap: usize) -> usize {
+/// earlier run, with its weight, in a min-heap and pops the ones that end
+/// before the current `first` (they end before every later `first` too);
+/// the weights that stay count the earlier ranges each copy of the
+/// current run overlaps, and the run's `times` copies overlap each other
+/// in `times (times - 1) / 2` pairs. Sorting and the heap make it
+/// O(r log r) in the number r of runs, whatever the number of pairs.
+pub(crate) fn overlapping_pairs(
+    runs: impl IntoIterator<Item = (ResolvedRange, usize)>,
+    cap: usize,
+) -> usize {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    let mut sorted = ranges.to_vec();
+    let mut runs = runs.into_iter();
+    // One run (the OBR shape) needs no sweep.
+    let Some(first) = runs.next() else {
+        return 0;
+    };
+    let Some(second) = runs.next() else {
+        return pairs_within(first.1).min(cap);
+    };
+    let mut sorted: Vec<(ResolvedRange, usize)> = [first, second].into_iter().chain(runs).collect();
     sorted.sort_unstable();
-    let mut open: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(sorted.len());
+    let mut open: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(sorted.len());
+    // The summed weight of the runs in `open`.
+    let mut open_ranges = 0usize;
     let mut pairs = 0usize;
-    for range in sorted {
-        while open.peek().is_some_and(|&Reverse(last)| last < range.first) {
+    for (range, times) in sorted {
+        while let Some(&Reverse((last, weight))) = open.peek() {
+            if last >= range.first {
+                break;
+            }
             open.pop();
+            open_ranges -= weight;
         }
-        pairs = pairs.saturating_add(open.len());
+        pairs = pairs
+            .saturating_add(open_ranges.saturating_mul(times))
+            .saturating_add(pairs_within(times));
         if pairs >= cap {
             return cap;
         }
-        open.push(Reverse(range.last));
+        open.push(Reverse((range.last, times)));
+        open_ranges += times;
     }
     pairs
+}
+
+/// `times (times - 1) / 2`, the pairs among `times` equal ranges,
+/// saturating at `usize::MAX`.
+fn pairs_within(times: usize) -> usize {
+    if times % 2 == 0 {
+        (times / 2).saturating_mul(times.saturating_sub(1))
+    } else {
+        times.saturating_mul((times - 1) / 2)
+    }
 }
 
 /// Total number of bytes the ranges cover, counting overlapping bytes once
@@ -156,6 +200,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Each range as a run of one.
+    fn ones(ranges: &[ResolvedRange]) -> impl Iterator<Item = (ResolvedRange, usize)> + '_ {
+        ranges.iter().map(|&range| (range, 1))
+    }
+
     /// The pairwise count the sweep replaces, kept as its reference.
     fn quadratic_pairs(ranges: &[ResolvedRange]) -> usize {
         let mut pairs = 0;
@@ -180,9 +229,28 @@ mod tests {
                 .map(|&(first, len)| ResolvedRange { first, last: first + len })
                 .collect();
             let exact = quadratic_pairs(&ranges);
-            prop_assert_eq!(overlapping_pairs(&ranges, usize::MAX), exact);
-            prop_assert_eq!(overlapping_pairs(&ranges, cap), exact.min(cap));
+            prop_assert_eq!(overlapping_pairs(ones(&ranges), usize::MAX), exact);
+            prop_assert_eq!(overlapping_pairs(ones(&ranges), cap), exact.min(cap));
             prop_assert_eq!(has_overlap(&ranges), exact > 0);
+        }
+
+        #[test]
+        fn weighted_sweep_counts_the_pairs_of_the_expanded_ranges(
+            raw in proptest::collection::vec((0u64..64, 0u64..16, 1usize..5), 0..20),
+            cap in 0usize..40,
+        ) {
+            let runs: Vec<(ResolvedRange, usize)> = raw
+                .iter()
+                .map(|&(first, len, times)| (ResolvedRange { first, last: first + len }, times))
+                .collect();
+            let expanded: Vec<ResolvedRange> = runs
+                .iter()
+                .flat_map(|&(range, times)| std::iter::repeat_n(range, times))
+                .collect();
+            let exact = quadratic_pairs(&expanded);
+            prop_assert_eq!(overlapping_pairs(runs.iter().copied(), usize::MAX), exact);
+            prop_assert_eq!(overlapping_pairs(runs.iter().copied(), cap), exact.min(cap));
+            prop_assert_eq!(coalesce_runs(runs.iter().copied()), coalesce(&expanded));
         }
     }
 
@@ -196,7 +264,13 @@ mod tests {
             first: 0,
             last: u64::MAX,
         };
-        assert_eq!(overlapping_pairs(&[top, all, top], usize::MAX), 3);
+        assert_eq!(overlapping_pairs(ones(&[top, all, top]), usize::MAX), 3);
+        assert_eq!(overlapping_pairs([(top, 2), (all, 1)], usize::MAX), 3);
+        assert_eq!(overlapping_pairs([(all, 5)], usize::MAX), 10);
+        assert_eq!(overlapping_pairs([(all, 5)], 3), 3);
+        assert_eq!(overlapping_pairs([], 3), 0);
+        let huge = usize::MAX / 2;
+        assert_eq!(overlapping_pairs([(all, huge)], usize::MAX), usize::MAX);
         assert!(!has_overlap(&[top, r(0, 0)]));
     }
 

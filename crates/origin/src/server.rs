@@ -187,11 +187,11 @@ impl OriginServer {
             return self.full_response(resource, true);
         }
 
-        let resolved = header.resolve(resource.len());
-        match resolved.len() {
-            0 => self.unsatisfiable_response(resource),
-            1 => {
-                let range = resolved[0];
+        let resolved = header.resolve_runs(resource.len());
+        let mut runs = resolved.clone();
+        match (runs.next(), runs.next()) {
+            (None, _) => self.unsatisfiable_response(resource),
+            (Some((range, 1)), None) => {
                 let content_range = rangeamp_http::range::ContentRange::Satisfied {
                     range,
                     complete_length: resource.len(),
@@ -207,7 +207,7 @@ impl OriginServer {
             }
             _ => {
                 let builder = MultipartBuilder::new(resource.content_type(), resource.len())
-                    .ranges(&resolved, |range| resource.slice(range.first, range.last));
+                    .ranges(resolved, |range| resource.slice(range.first, range.last));
                 let content_type = builder.content_type_header();
                 self.base_response(StatusCode::PARTIAL_CONTENT)
                     .header("Last-Modified", DATE_VALUE)

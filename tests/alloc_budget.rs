@@ -4,18 +4,18 @@
 //! request) each thread makes, so tests running in parallel do not see
 //! each other's, and the tests check the average per call against the
 //! budget: a warm cache hit allocates only for what is unique to its
-//! response (the range `Vec`s, the header `Vec`, and the `Content-Range`
-//! and `Content-Length` values), metering a message allocates only when
+//! response (the parsed range runs, the header `Vec`, and the
+//! `Content-Range` value), metering a message allocates only when
 //! a capturing segment's log grows and never on a metered segment, an
-//! OBR request through a warm cascade makes as many allocations at max n
-//! as at n = 1,000, and the defense allocates for a known client only to
-//! parse its `Range` header.
+//! OBR request through a warm cascade makes the same allocations, of the
+//! same sizes, at max n and at n = 100,000 as at n = 1,000, and the
+//! defense allocates for a known client only to parse its `Range` header.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rangeamp::attack::ObrAttack;
-use rangeamp::cdn::{DefenseHook, RequestOutcome, Vendor, CLIENT_ID_HEADER};
+use rangeamp::cdn::{DefenseHook, HeaderLimits, RequestOutcome, Vendor, CLIENT_ID_HEADER};
 use rangeamp::defense::DefenseLayer;
 use rangeamp::http::{Request, StatusCode};
 use rangeamp::net::{Segment, SegmentName};
@@ -179,17 +179,17 @@ fn metered_segment_never_allocates() {
 /// OBR requests measured per range count.
 const OBR_CALLS: usize = 50;
 /// Allocations one OBR request through a warm cascade may make: the
-/// parsed and resolved range `Vec`s on each hop, the forwarded request's
-/// header `Vec`, and one framing buffer and rope per multipart run.
+/// parsed range runs on each hop, the forwarded request's header `Vec`,
+/// and one framing buffer and rope per multipart run.
 const OBR_BUDGET: u64 = 32;
-/// Bytes one OBR request may allocate at max n.
-const OBR_BYTES: u64 = 1 << 20;
+/// Bytes one OBR request may allocate at max n. What it allocates does
+/// not depend on n; the largest calls are those that grow a capture log.
+const OBR_BYTES: u64 = 64 << 10;
 
 /// Allocations and bytes of each of `OBR_CALLS` Cloudflare→Akamai OBR
-/// requests with `n` ranges, through a cascade warmed by one of them.
-fn obr_allocations(n: usize) -> Vec<(u64, u64)> {
+/// requests with `n` ranges, through `bed` warmed by one of them.
+fn obr_allocations(bed: &CascadeTestbed, n: usize) -> Vec<(u64, u64)> {
     let attack = ObrAttack::new(Vendor::Cloudflare, Vendor::Akamai);
-    let bed = CascadeTestbed::new(Vendor::Cloudflare, Vendor::Akamai);
     let req = Request::get(TARGET_PATH)
         .header("Host", TARGET_HOST)
         .header("Range", attack.range_case().header(n).to_string())
@@ -206,16 +206,19 @@ fn obr_allocations(n: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
+fn table5_cascade() -> CascadeTestbed {
+    CascadeTestbed::new(Vendor::Cloudflare, Vendor::Akamai)
+}
+
 #[test]
 fn obr_allocations_do_not_grow_with_the_range_count() {
     let max_n = ObrAttack::new(Vendor::Cloudflare, Vendor::Akamai).max_n();
     assert!(max_n > 1_000, "max n is {max_n}");
-    let small = obr_allocations(1_000);
-    let large = obr_allocations(max_n);
-    let counts = |runs: &[(u64, u64)]| runs.iter().map(|&(allocs, _)| allocs).collect::<Vec<_>>();
+    let small = obr_allocations(&table5_cascade(), 1_000);
+    let large = obr_allocations(&table5_cascade(), max_n);
     // Capture logs grow at the same calls in both runs, so the counts
-    // agree call by call.
-    assert_eq!(counts(&small), counts(&large), "n = 1000 vs n = {max_n}");
+    // and the bytes agree call by call.
+    assert_eq!(small, large, "n = 1000 vs n = {max_n}");
     for (allocs, bytes) in large {
         assert!(
             allocs <= OBR_BUDGET,
@@ -226,6 +229,42 @@ fn obr_allocations_do_not_grow_with_the_range_count() {
             "{bytes} bytes allocated per OBR request at n = {max_n}"
         );
     }
+}
+
+/// A Cloudflare→Akamai cascade whose tiers admit headers of any size.
+fn unlimited_cascade() -> CascadeTestbed {
+    let mut fcdn = Vendor::Cloudflare.fcdn_profile();
+    fcdn.limits = HeaderLimits::unlimited();
+    let mut bcdn = Vendor::Akamai.profile();
+    bcdn.limits = HeaderLimits::unlimited();
+    CascadeTestbed::builder(fcdn, bcdn).build()
+}
+
+#[test]
+fn an_obr_request_with_100k_ranges_costs_what_one_with_1k_costs() {
+    const N: u64 = 100_000;
+    let small = obr_allocations(&unlimited_cascade(), 1_000);
+    let bed = unlimited_cascade();
+    let large = obr_allocations(&bed, N as usize);
+    assert_eq!(small, large, "n = 1000 vs n = {N}");
+
+    // The BCDN sent the FCDN all N parts of the 1 KB target.
+    let (body_len, content_type) = bed.fcdn_bcdn_segment().with_capture(|log| {
+        let entry = log.entries().last().expect("the BCDN reply is captured");
+        (entry.body_len, entry.content_type.clone())
+    });
+    let content_type = content_type.expect("the reply has a Content-Type");
+    let boundary = content_type
+        .as_str()
+        .strip_prefix("multipart/byteranges; boundary=")
+        .expect("the reply is multipart");
+    let head = format!(
+        "--{boundary}\r\nContent-Type: application/octet-stream\r\n\
+         Content-Range: bytes 0-1023/1024\r\n\r\n"
+    );
+    let closing = format!("--{boundary}--\r\n");
+    let expected = N * (head.len() as u64 + 1024 + 2) + closing.len() as u64;
+    assert_eq!(body_len, expected);
 }
 
 /// Average allocations of one `decide` + `observe` for a client the
