@@ -188,7 +188,9 @@ struct CacheInner {
     /// Freshness lifetime in virtual ms; `None` = entries never expire.
     ttl_ms: Option<u64>,
     evictions: u64,
-    // KeyCDN's observed two-step behaviour needs per-key request history.
+    /// KeyCDN's observed two-step behaviour needs per-key request
+    /// history. Bounded like the entries: at `max_entries` keys it is
+    /// cleared before the next insert.
     seen: HashSet<OwnedKey>,
     hits: u64,
     misses: u64,
@@ -391,10 +393,18 @@ impl Cache {
 
     /// Marks that `key` has been requested before (KeyCDN's first-pass
     /// marker), returning whether it had already been marked.
+    ///
+    /// The markers are bounded by the cache's capacity: a new key that
+    /// finds `max_entries` markers clears them first, so a flood of
+    /// cache-busted URLs cannot grow them without limit. A request and
+    /// its immediate repeat still pair up.
     pub fn mark_seen(&self, key: CacheKey<'_>) -> bool {
         let mut inner = self.inner.lock();
         if inner.seen.contains(&key as &dyn KeyParts) {
             return true;
+        }
+        if inner.seen.len() >= inner.max_entries {
+            inner.seen.clear();
         }
         inner.seen.insert(OwnedKey::new(key));
         false
@@ -631,6 +641,30 @@ mod tests {
         assert!(!cache.mark_seen(key));
         assert!(cache.was_seen(key));
         assert!(cache.mark_seen(key));
+    }
+
+    #[test]
+    fn seen_markers_stay_within_the_capacity() {
+        let cache = Cache::with_capacity(4);
+        for i in 0..5 {
+            let query = format!("rnd={i}");
+            assert!(!cache.mark_seen(CacheKey::new("victim", "/f.bin", Some(&query))));
+        }
+        assert!(cache.inner.lock().seen.len() <= 4);
+    }
+
+    #[test]
+    fn a_back_to_back_pair_survives_the_clear() {
+        let cache = Cache::with_capacity(4);
+        for i in 0..4 {
+            let query = format!("rnd={i}");
+            cache.mark_seen(CacheKey::new("victim", "/f.bin", Some(&query)));
+        }
+        // The set is full: the next new key clears it, then pairs up.
+        let key = CacheKey::new("victim", "/f.bin", Some("rnd=4"));
+        assert!(!cache.mark_seen(key));
+        assert!(cache.mark_seen(key));
+        assert!(cache.was_seen(key));
     }
 
     #[test]

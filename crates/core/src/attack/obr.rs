@@ -12,7 +12,7 @@ use rangeamp_cdn::{max_overlapping_ranges, ObrRangeCase, Vendor};
 use rangeamp_http::Request;
 use serde::Serialize;
 
-use crate::testbed::{CascadeTestbed, TARGET_HOST, TARGET_PATH};
+use crate::testbed::{Testbed, TARGET_HOST, TARGET_PATH};
 
 /// The 11 cascaded combinations of Table V (4 FCDNs × 3 BCDNs minus the
 /// StackPath self-cascade).
@@ -153,14 +153,14 @@ impl ObrAttack {
         if let Some(mitigation) = self.bcdn_mitigation {
             bcdn_profile = bcdn_profile.with_mitigation(mitigation);
         }
-        let bed = CascadeTestbed::builder(self.fcdn.fcdn_profile(), bcdn_profile)
-            .resource_size(self.resource_size)
+        let bed = Testbed::cascade(self.fcdn.fcdn_profile(), bcdn_profile)
+            .resource(TARGET_PATH, self.resource_size)
             .build();
         self.run_on(&bed)
     }
 
     /// Runs one attack request on an existing cascade.
-    pub fn run_on(&self, bed: &CascadeTestbed) -> ObrMeasurement {
+    pub fn run_on(&self, bed: &Testbed) -> ObrMeasurement {
         bed.reset_traffic();
         let n = self.n.unwrap_or_else(|| self.max_n()).max(2);
         let case = self.range_case();
@@ -174,8 +174,8 @@ impl ObrAttack {
             bcdn: self.bcdn.name().to_string(),
             exploited_case: case.describe().to_string(),
             n,
-            server_to_bcdn_bytes: bed.bcdn_origin_segment().stats().response_bytes,
-            bcdn_to_fcdn_bytes: bed.fcdn_bcdn_segment().stats().response_bytes,
+            server_to_bcdn_bytes: bed.origin_segment().stats().response_bytes,
+            bcdn_to_fcdn_bytes: bed.victim_segment().stats().response_bytes,
             attacker_bytes: bed.client_segment().stats().response_bytes,
         }
     }

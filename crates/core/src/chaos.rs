@@ -20,7 +20,7 @@ use rangeamp_net::{FaultPlan, FaultRates, SegmentStats, Telemetry};
 
 use crate::attack::{exploited_range_case, obr_combos, ObrAttack};
 use crate::executor::Executor;
-use crate::testbed::{CascadeTestbed, Testbed, TARGET_HOST, TARGET_PATH};
+use crate::testbed::{Testbed, TARGET_HOST, TARGET_PATH};
 
 /// Parameters of a chaos campaign.
 #[derive(Debug, Clone, Copy)]
@@ -358,7 +358,7 @@ pub fn run_obr_chaos(
     let seed = config.vendor_seed(fcdn) ^ config.vendor_seed(bcdn).rotate_left(17);
     let plan = FaultPlan::with_rates(seed, config.rates);
     let mut builder =
-        CascadeTestbed::builder(fcdn.fcdn_profile(), bcdn.profile()).faults(plan, config.breaker);
+        Testbed::cascade(fcdn.fcdn_profile(), bcdn.profile()).faults(plan, config.breaker);
     if let Some(tel) = telemetry {
         builder = builder.telemetry(tel.clone());
     }
@@ -378,8 +378,8 @@ pub fn run_obr_chaos(
         fcdn,
         bcdn,
         rounds: config.rounds,
-        middle: bed.fcdn_bcdn_segment().stats(),
-        origin: bed.bcdn_origin_segment().stats(),
+        middle: bed.victim_segment().stats(),
+        origin: bed.origin_segment().stats(),
         fcdn_resilience: fcdn_res.stats(),
         bcdn_resilience: bcdn_res.stats(),
         fcdn_breaker_opens: fcdn_res.breaker_opens(),

@@ -27,7 +27,7 @@ use serde::Serialize;
 
 use crate::attack::{exploited_range_case, obr_combos, ObrAttack};
 use crate::executor::{splitmix64, Executor};
-use crate::testbed::{CascadeTestbed, Testbed, TARGET_HOST, TARGET_PATH};
+use crate::testbed::{Testbed, TARGET_HOST, TARGET_PATH};
 use crate::workload::{BenignClient, WorkloadGenerator};
 
 /// One scenario of the defense evaluation campaign.
@@ -223,86 +223,31 @@ fn build_schedule(config: &DefenseEvalConfig) -> Vec<ScheduledEvent> {
     events
 }
 
-/// The two testbed shapes a scenario can run on.
-enum ScenarioBed {
-    Single(Testbed),
-    Cascade(CascadeTestbed),
-}
-
-impl ScenarioBed {
-    fn advance_to(&self, at_ms: u64) {
-        let clock = match self {
-            ScenarioBed::Single(bed) => bed.edge().resilience().clock().clone(),
-            ScenarioBed::Cascade(bed) => bed.fcdn().resilience().clock().clone(),
-        };
-        let now = clock.now_millis();
-        if at_ms > now {
-            clock.advance_millis(at_ms - now);
-        }
-    }
-
-    fn request(&self, req: &Request) {
-        match self {
-            ScenarioBed::Single(bed) => {
-                bed.request(req);
-            }
-            ScenarioBed::Cascade(bed) => {
-                bed.request(req);
-            }
-        }
-    }
-
-    /// The OBR attacker caps their own cost with a small receive
-    /// window (§IV-C); the SBR attacker reads the short reply whole.
-    fn attack_request(&self, req: &Request) {
-        match self {
-            ScenarioBed::Single(bed) => {
-                bed.request(req);
-            }
-            ScenarioBed::Cascade(bed) => {
-                bed.request_with_small_window(req, 1024);
-            }
-        }
-    }
-
-    fn victim_bytes(&self) -> u64 {
-        match self {
-            ScenarioBed::Single(bed) => bed.origin_segment().stats().response_bytes,
-            ScenarioBed::Cascade(bed) => bed.fcdn_bcdn_segment().stats().response_bytes,
-        }
-    }
-}
-
+/// The scenario's testbed, one tier for SBR and the cascade for OBR, with
+/// `defense` on its client-facing edge.
 fn build_bed(
     scenario: DefenseScenario,
     config: &DefenseEvalConfig,
     defense: Option<Arc<DefenseLayer>>,
-) -> ScenarioBed {
-    match scenario {
-        DefenseScenario::Sbr(vendor) => {
-            let mut builder = Testbed::builder()
-                .vendor(vendor)
-                .resource(TARGET_PATH, config.sbr_resource_size);
-            if let Some(layer) = defense {
-                builder = builder.defense(layer);
-            }
-            ScenarioBed::Single(builder.build())
-        }
-        DefenseScenario::Obr(fcdn, bcdn) => {
-            let mut builder = CascadeTestbed::builder(fcdn.fcdn_profile(), bcdn.profile())
-                .resource_size(config.obr_resource_size);
-            if let Some(layer) = defense {
-                builder = builder.defense(layer);
-            }
-            ScenarioBed::Cascade(builder.build())
-        }
+) -> Testbed {
+    let builder = match scenario {
+        DefenseScenario::Sbr(vendor) => Testbed::builder()
+            .vendor(vendor)
+            .resource(TARGET_PATH, config.sbr_resource_size),
+        DefenseScenario::Obr(fcdn, bcdn) => Testbed::cascade(fcdn.fcdn_profile(), bcdn.profile())
+            .resource(TARGET_PATH, config.obr_resource_size),
+    };
+    match defense {
+        Some(layer) => builder.defense(layer),
+        None => builder,
     }
+    .build()
 }
 
 /// One run of a scenario's schedule; returns
 /// `(attack_requests, benign_requests, victim_bytes)`.
 fn drive_schedule(
-    bed: &ScenarioBed,
+    bed: &Testbed,
     scenario: DefenseScenario,
     config: &DefenseEvalConfig,
     seed: u64,
@@ -310,8 +255,12 @@ fn drive_schedule(
 ) -> (u64, u64, u64) {
     let mut attack_requests = 0u64;
     let mut benign_requests = 0u64;
+    let clock = bed.edge().resilience().clock();
     for event in build_schedule(config) {
-        bed.advance_to(event.at_ms);
+        let now = clock.now_millis();
+        if event.at_ms > now {
+            clock.advance_millis(event.at_ms - now);
+        }
         match event.kind {
             EventKind::Benign(client) => {
                 let labeled = generator
@@ -331,7 +280,7 @@ fn drive_schedule(
                             .header("X-Client-Id", ATTACKER_ID)
                             .header("Range", range.to_string())
                             .build();
-                        bed.attack_request(&req);
+                        bed.request(&req);
                         attack_requests += 1;
                     }
                 }
@@ -345,13 +294,19 @@ fn drive_schedule(
                         .header("X-Client-Id", ATTACKER_ID)
                         .header("Range", attack.range_case().header(n).to_string())
                         .build();
-                    bed.attack_request(&req);
+                    // The OBR attacker caps their own cost with a small
+                    // receive window (§IV-C).
+                    bed.request_with_small_window(&req, 1024);
                     attack_requests += 1;
                 }
             },
         }
     }
-    (attack_requests, benign_requests, bed.victim_bytes())
+    (
+        attack_requests,
+        benign_requests,
+        bed.victim_segment().stats().response_bytes,
+    )
 }
 
 /// Runs one scenario: an undefended and a defended twin over the same

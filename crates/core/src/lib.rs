@@ -10,9 +10,9 @@
 //! ## Architecture
 //!
 //! * [`Testbed`] wires a client, one emulated CDN edge
-//!   ([`rangeamp_cdn::EdgeNode`]) and an Apache-like origin
+//!   ([`rangeamp_cdn::EdgeNode`]) or the FCDN → BCDN chain of the OBR
+//!   attack ([`Testbed::cascade`]), and an Apache-like origin
 //!   ([`rangeamp_origin::OriginServer`]) with byte-metered segments.
-//! * [`CascadeTestbed`] wires the FCDN → BCDN chain of the OBR attack.
 //! * [`attack::SbrAttack`] / [`attack::ObrAttack`] select each vendor's
 //!   exploited range case (Table IV/V), force cache misses, and measure
 //!   amplification.
@@ -64,9 +64,7 @@ pub mod workload;
 pub use amplification::{AmplificationMeasurement, TrafficBreakdown};
 pub use executor::Executor;
 pub use rangeamp_net::{MetricsRegistry, Telemetry, Tracer};
-pub use testbed::{
-    CascadeBuilder, CascadeTestbed, Testbed, TestbedBuilder, TARGET_HOST, TARGET_PATH,
-};
+pub use testbed::{CascadeTestbed, Testbed, TestbedBuilder, TARGET_HOST, TARGET_PATH};
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.

@@ -56,9 +56,8 @@ const STATIC_TABLE_NAMES: &[&str] = &[
 ];
 
 /// Whether `name` is in [`STATIC_TABLE_NAMES`], compared
-/// case-insensitively. A [`HeaderName`](crate::HeaderName) asks once,
-/// when it is built, and keeps the answer.
-pub(crate) const fn in_static_table(name: &str) -> bool {
+/// case-insensitively.
+const fn in_static_table(name: &str) -> bool {
     let name = name.as_bytes();
     let mut i = 0;
     while i < STATIC_TABLE_NAMES.len() {
@@ -90,7 +89,7 @@ fn literal_len(len: usize) -> u64 {
 
 /// HPACK cost of one field whose value is `value_len` octets long.
 fn field_len(name: &HeaderName, value_len: usize) -> u64 {
-    let name_cost = if name.hpack_indexed() {
+    let name_cost = if in_static_table(name.as_str()) {
         1 // indexed name
     } else {
         1 + literal_len(name.as_str().len())
@@ -240,6 +239,13 @@ mod tests {
         for name in ["", "x-cache", "content", "content-lengthy", "Mime-Version"] {
             assert!(!in_static_table(name), "{name}");
         }
+        let standard: HeaderName = "Content-Length".parse().unwrap();
+        let lower: HeaderName = "content-length".parse().unwrap();
+        assert!(in_static_table(standard.as_str()) && in_static_table(lower.as_str()));
+        assert!(!in_static_table(HeaderName::X_CACHE.as_str()));
+        assert!(!in_static_table(
+            "x-cache".parse::<HeaderName>().unwrap().as_str()
+        ));
     }
 
     #[test]

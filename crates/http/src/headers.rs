@@ -4,7 +4,6 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use crate::decimal;
-use crate::h2frame::in_static_table;
 use crate::method::is_tchar;
 use crate::Error;
 
@@ -74,12 +73,11 @@ const fn is_field_value(value: &str) -> bool {
 #[derive(Clone)]
 pub struct HeaderName(NameText);
 
-/// A name's text, and whether the HPACK static table indexes it, decided
-/// once when the name is built (the flag fits in the enum's padding).
+/// A name's text.
 #[derive(Clone)]
 enum NameText {
-    Static(&'static str, bool),
-    Shared(Arc<str>, bool),
+    Static(&'static str),
+    Shared(Arc<str>),
 }
 
 /// Declares the standard header names: an associated constant for each,
@@ -150,22 +148,14 @@ impl HeaderName {
     /// a compile error.
     pub const fn from_static(name: &'static str) -> HeaderName {
         assert!(is_token(name), "invalid header name");
-        HeaderName(NameText::Static(name, in_static_table(name)))
+        HeaderName(NameText::Static(name))
     }
 
     /// The name exactly as supplied.
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            NameText::Static(text, _) => text,
-            NameText::Shared(text, _) => text,
-        }
-    }
-
-    /// Whether the HPACK static table (RFC 7541 Appendix A) indexes this
-    /// name, so HTTP/2 sends it as a one-octet index.
-    pub(crate) fn hpack_indexed(&self) -> bool {
-        match self.0 {
-            NameText::Static(_, indexed) | NameText::Shared(_, indexed) => indexed,
+            NameText::Static(text) => text,
+            NameText::Shared(text) => text,
         }
     }
 
@@ -212,10 +202,7 @@ impl FromStr for HeaderName {
         if !is_token(s) {
             return Err(Error::InvalidHeaderName(s.to_string()));
         }
-        Ok(HeaderName(NameText::Shared(
-            Arc::from(s),
-            in_static_table(s),
-        )))
+        Ok(HeaderName(NameText::Shared(Arc::from(s))))
     }
 }
 
@@ -730,9 +717,6 @@ mod tests {
         assert!(matches!(standard.0, NameText::Static(..)));
         let lower: HeaderName = "content-length".parse().unwrap();
         assert!(matches!(lower.0, NameText::Shared(..)));
-        assert!(standard.hpack_indexed() && lower.hpack_indexed());
-        assert!(!HeaderName::X_CACHE.hpack_indexed());
-        assert!(!"x-cache".parse::<HeaderName>().unwrap().hpack_indexed());
         assert_eq!(lower.as_str(), "content-length");
         assert_eq!(standard, lower);
     }

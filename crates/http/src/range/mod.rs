@@ -3,9 +3,10 @@
 //! Everything RangeAmp exploits lives here: the `Range` request header
 //! ([`RangeHeader`]), its resolution against a representation
 //! ([`ByteRangeSpec::resolve`]), the `Content-Range` response header
-//! ([`ContentRange`]), overlap analysis ([`RangeSet`]) and the RFC 7233
-//! security heuristics that well-behaved servers are supposed to apply to
-//! multi-range requests (and some CDNs don't — paper §III-B).
+//! ([`ContentRange`]), overlap analysis ([`RangeHeader::has_overlap`],
+//! [`coalesce`]) and the RFC 7233 security heuristics that well-behaved
+//! servers are supposed to apply to multi-range requests (and some CDNs
+//! don't — paper §III-B).
 
 mod gen;
 mod parse;
@@ -15,7 +16,7 @@ pub use gen::{
     ParseExpectation, RangeCaseKind, RangeRequestCase, RangeRequestGenerator, RawRangeCase,
     RawRangeFamily,
 };
-pub use satisfy::{coalesce, coalesce_runs, has_overlap, total_span, RangeSet};
+pub use satisfy::{coalesce, coalesce_runs};
 
 use std::fmt;
 
@@ -442,6 +443,17 @@ impl RangeHeader {
 
     /// Whether any two specs would overlap for a representation of
     /// `complete_length` bytes. O(r log r) in the number r of runs.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use rangeamp_http::range::RangeHeader;
+    ///
+    /// let disjoint: RangeHeader = "bytes=10-19,0-9".parse().unwrap();
+    /// assert!(!disjoint.has_overlap(100));
+    /// let touching: RangeHeader = "bytes=10-19,0-9,9-9".parse().unwrap();
+    /// assert!(touching.has_overlap(100));
+    /// ```
     pub fn has_overlap(&self, complete_length: u64) -> bool {
         satisfy::overlapping_pairs(self.resolve_runs(complete_length), 1) > 0
     }

@@ -1,5 +1,5 @@
-//! Set-level operations on resolved ranges: coalescing, span accounting,
-//! and the [`RangeSet`] view used by mitigation policies.
+//! Set-level operations on resolved ranges: coalescing and counting
+//! overlapping pairs.
 
 use super::ResolvedRange;
 
@@ -49,23 +49,6 @@ fn merge(mut ranges: Vec<ResolvedRange>) -> Vec<ResolvedRange> {
         touches
     });
     ranges
-}
-
-/// Whether any two of the ranges share a byte. Sorts a copy by `first`
-/// and sweeps once, so it is O(n log n) where a pairwise check is O(n²).
-///
-/// # Example
-///
-/// ```
-/// use rangeamp_http::range::{has_overlap, ResolvedRange};
-///
-/// let a = ResolvedRange { first: 0, last: 9 };
-/// let b = ResolvedRange { first: 10, last: 19 };
-/// assert!(!has_overlap(&[b, a]));
-/// assert!(has_overlap(&[b, a, ResolvedRange { first: 9, last: 9 }]));
-/// ```
-pub fn has_overlap(ranges: &[ResolvedRange]) -> bool {
-    overlapping_pairs(ranges.iter().map(|&range| (range, 1)), 1) > 0
 }
 
 /// Number of pairs of ranges that share a byte, counted up to `cap`, over
@@ -131,70 +114,6 @@ fn pairs_within(times: usize) -> usize {
     }
 }
 
-/// Total number of bytes the ranges cover, counting overlapping bytes once
-/// per range (i.e. what a server that does *not* check overlaps transmits).
-pub fn total_span(ranges: &[ResolvedRange]) -> u64 {
-    ranges.iter().map(ResolvedRange::len).sum()
-}
-
-/// An analyzed set of resolved ranges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeSet {
-    ranges: Vec<ResolvedRange>,
-    complete_length: u64,
-}
-
-impl RangeSet {
-    /// Analyzes `ranges` against a representation length.
-    pub fn new(ranges: Vec<ResolvedRange>, complete_length: u64) -> RangeSet {
-        RangeSet {
-            ranges,
-            complete_length,
-        }
-    }
-
-    /// The ranges in request order.
-    pub fn ranges(&self) -> &[ResolvedRange] {
-        &self.ranges
-    }
-
-    /// Complete length of the representation the set was resolved against.
-    pub fn complete_length(&self) -> u64 {
-        self.complete_length
-    }
-
-    /// Whether the set is empty (all specs were unsatisfiable → 416).
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Number of ranges.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Bytes transmitted by a server replying part-per-range without
-    /// overlap checking — the quantity the OBR attack inflates.
-    pub fn naive_payload(&self) -> u64 {
-        total_span(&self.ranges)
-    }
-
-    /// Bytes transmitted after coalescing — what a mitigated server sends.
-    pub fn coalesced_payload(&self) -> u64 {
-        total_span(&coalesce(&self.ranges))
-    }
-
-    /// Ratio between the naive and coalesced payloads; this is the
-    /// body-level amplification an OBR BCDN hands the attacker.
-    pub fn overlap_amplification(&self) -> f64 {
-        let coalesced = self.coalesced_payload();
-        if coalesced == 0 {
-            return 0.0;
-        }
-        self.naive_payload() as f64 / coalesced as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +150,7 @@ mod tests {
             let exact = quadratic_pairs(&ranges);
             prop_assert_eq!(overlapping_pairs(ones(&ranges), usize::MAX), exact);
             prop_assert_eq!(overlapping_pairs(ones(&ranges), cap), exact.min(cap));
-            prop_assert_eq!(has_overlap(&ranges), exact > 0);
+            prop_assert_eq!(overlapping_pairs(ones(&ranges), 1) > 0, exact > 0);
         }
 
         #[test]
@@ -271,7 +190,7 @@ mod tests {
         assert_eq!(overlapping_pairs([], 3), 0);
         let huge = usize::MAX / 2;
         assert_eq!(overlapping_pairs([(all, huge)], usize::MAX), usize::MAX);
-        assert!(!has_overlap(&[top, r(0, 0)]));
+        assert_eq!(overlapping_pairs(ones(&[top, r(0, 0)]), 1), 0);
     }
 
     fn r(first: u64, last: u64) -> ResolvedRange {
@@ -303,25 +222,15 @@ mod tests {
     }
 
     #[test]
-    fn total_span_counts_duplicates() {
-        assert_eq!(total_span(&[r(0, 999), r(0, 999)]), 2000);
-    }
-
-    #[test]
     fn obr_amplification_is_n() {
-        // n identical full-file ranges amplify the body n times.
+        // n identical full-file ranges amplify the body n times: a server
+        // that coalesces sends the file once.
         let n = 64;
         let ranges = vec![r(0, 1023); n];
-        let set = RangeSet::new(ranges, 1024);
-        assert_eq!(set.naive_payload(), 1024 * n as u64);
-        assert_eq!(set.coalesced_payload(), 1024);
-        assert!((set.overlap_amplification() - n as f64).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn empty_set_has_zero_amplification() {
-        let set = RangeSet::new(vec![], 1024);
-        assert!(set.is_empty());
-        assert_eq!(set.overlap_amplification(), 0.0);
+        let naive: u64 = ranges.iter().map(ResolvedRange::len).sum();
+        let coalesced = coalesce(&ranges);
+        assert_eq!(naive, 1024 * n as u64);
+        assert_eq!(coalesced, vec![r(0, 1023)]);
+        assert_eq!(naive / coalesced[0].len(), n as u64);
     }
 }

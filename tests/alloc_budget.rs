@@ -20,7 +20,7 @@ use rangeamp::defense::DefenseLayer;
 use rangeamp::http::{Request, StatusCode};
 use rangeamp::net::{Segment, SegmentName};
 use rangeamp::workload::{BenignClient, WorkloadGenerator};
-use rangeamp::{CascadeTestbed, Testbed, TARGET_HOST, TARGET_PATH};
+use rangeamp::{Testbed, TARGET_HOST, TARGET_PATH};
 
 /// Forwards to [`System`], counting allocations and the bytes they request
 /// on the calling thread. A `realloc` counts as one allocation of its new
@@ -188,7 +188,7 @@ const OBR_BYTES: u64 = 64 << 10;
 
 /// Allocations and bytes of each of `OBR_CALLS` Cloudflare→Akamai OBR
 /// requests with `n` ranges, through `bed` warmed by one of them.
-fn obr_allocations(bed: &CascadeTestbed, n: usize) -> Vec<(u64, u64)> {
+fn obr_allocations(bed: &Testbed, n: usize) -> Vec<(u64, u64)> {
     let attack = ObrAttack::new(Vendor::Cloudflare, Vendor::Akamai);
     let req = Request::get(TARGET_PATH)
         .header("Host", TARGET_HOST)
@@ -206,8 +206,8 @@ fn obr_allocations(bed: &CascadeTestbed, n: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn table5_cascade() -> CascadeTestbed {
-    CascadeTestbed::new(Vendor::Cloudflare, Vendor::Akamai)
+fn table5_cascade() -> Testbed {
+    Testbed::new(Vendor::Cloudflare, Vendor::Akamai)
 }
 
 #[test]
@@ -232,12 +232,12 @@ fn obr_allocations_do_not_grow_with_the_range_count() {
 }
 
 /// A Cloudflare→Akamai cascade whose tiers admit headers of any size.
-fn unlimited_cascade() -> CascadeTestbed {
+fn unlimited_cascade() -> Testbed {
     let mut fcdn = Vendor::Cloudflare.fcdn_profile();
     fcdn.limits = HeaderLimits::unlimited();
     let mut bcdn = Vendor::Akamai.profile();
     bcdn.limits = HeaderLimits::unlimited();
-    CascadeTestbed::builder(fcdn, bcdn).build()
+    Testbed::cascade(fcdn, bcdn).build()
 }
 
 #[test]
@@ -249,7 +249,7 @@ fn an_obr_request_with_100k_ranges_costs_what_one_with_1k_costs() {
     assert_eq!(small, large, "n = 1000 vs n = {N}");
 
     // The BCDN sent the FCDN all N parts of the 1 KB target.
-    let (body_len, content_type) = bed.fcdn_bcdn_segment().with_capture(|log| {
+    let (body_len, content_type) = bed.victim_segment().with_capture(|log| {
         let entry = log.entries().last().expect("the BCDN reply is captured");
         (entry.body_len, entry.content_type.clone())
     });

@@ -3,7 +3,7 @@
 //! attacker "continuously and concurrently send[s] a certain number of
 //! range requests", §V-D).
 
-use crossbeam::thread;
+use std::thread;
 
 use rangeamp::attack::SbrAttack;
 use rangeamp::{CascadeTestbed, Testbed, TARGET_HOST, TARGET_PATH};
@@ -12,6 +12,13 @@ use rangeamp_http::{Request, StatusCode};
 use rangeamp_net::Segment;
 
 const MB: u64 = 1024 * 1024;
+
+/// Joins every worker of a scope, failing the test if any panicked.
+fn join_all(workers: Vec<thread::ScopedJoinHandle<'_, ()>>) {
+    for worker in workers {
+        worker.join().expect("no thread panicked");
+    }
+}
 
 #[test]
 fn core_types_are_send_and_sync() {
@@ -33,22 +40,24 @@ fn concurrent_attack_streams_account_exactly() {
     let rounds_per_thread = 10u64;
 
     thread::scope(|scope| {
-        for t in 0..threads {
-            let bed = &bed;
-            scope.spawn(move |_| {
-                for r in 0..rounds_per_thread {
-                    let req = Request::get(&format!("{TARGET_PATH}?t={t}&r={r}"))
-                        .header("Host", TARGET_HOST)
-                        .header("Range", "bytes=0-0")
-                        .build();
-                    let resp = bed.request(&req);
-                    assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
-                    assert_eq!(resp.body().len(), 1);
-                }
-            });
-        }
-    })
-    .expect("no thread panicked");
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let bed = &bed;
+                scope.spawn(move || {
+                    for r in 0..rounds_per_thread {
+                        let req = Request::get(&format!("{TARGET_PATH}?t={t}&r={r}"))
+                            .header("Host", TARGET_HOST)
+                            .header("Range", "bytes=0-0")
+                            .build();
+                        let resp = bed.request(&req);
+                        assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
+                        assert_eq!(resp.body().len(), 1);
+                    }
+                })
+            })
+            .collect();
+        join_all(workers);
+    });
 
     let total = threads as u64 * rounds_per_thread;
     let client = bed.client_segment().stats();
@@ -70,19 +79,21 @@ fn concurrent_requests_to_one_cache_key_stay_consistent() {
         .build();
 
     thread::scope(|scope| {
-        for _ in 0..8 {
-            let bed = &bed;
-            let req = &req;
-            scope.spawn(move |_| {
-                for _ in 0..5 {
-                    let resp = bed.request(req);
-                    assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
-                    assert_eq!(resp.body().len(), 10);
-                }
-            });
-        }
-    })
-    .expect("no thread panicked");
+        let workers: Vec<_> = (0..8)
+            .map(|_| {
+                let bed = &bed;
+                let req = &req;
+                scope.spawn(move || {
+                    for _ in 0..5 {
+                        let resp = bed.request(req);
+                        assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
+                        assert_eq!(resp.body().len(), 10);
+                    }
+                })
+            })
+            .collect();
+        join_all(workers);
+    });
 
     // Without request collapsing, several threads may race the first
     // miss, but once cached no further origin fetches occur and all
@@ -108,21 +119,23 @@ fn fleet_round_robin_is_race_free() {
     );
 
     thread::scope(|scope| {
-        for t in 0..4 {
-            let fleet = &fleet;
-            scope.spawn(move |_| {
-                for r in 0..25 {
-                    let req = Request::get(&format!("{TARGET_PATH}?t={t}&r={r}"))
-                        .header("Host", TARGET_HOST)
-                        .header("Range", "bytes=0-0")
-                        .build();
-                    let (_, resp) = fleet.handle(&req);
-                    assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
-                }
-            });
-        }
-    })
-    .expect("no thread panicked");
+        let workers: Vec<_> = (0..4)
+            .map(|t| {
+                let fleet = &fleet;
+                scope.spawn(move || {
+                    for r in 0..25 {
+                        let req = Request::get(&format!("{TARGET_PATH}?t={t}&r={r}"))
+                            .header("Host", TARGET_HOST)
+                            .header("Range", "bytes=0-0")
+                            .build();
+                        let (_, resp) = fleet.handle(&req);
+                        assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
+                    }
+                })
+            })
+            .collect();
+        join_all(workers);
+    });
 
     let total = fleet.total_origin_stats();
     assert_eq!(total.requests, 100);
@@ -135,12 +148,15 @@ fn fleet_round_robin_is_race_free() {
 #[test]
 fn parallel_sbr_attacks_against_different_vendors() {
     thread::scope(|scope| {
-        for vendor in Vendor::ALL {
-            scope.spawn(move |_| {
-                let factor = SbrAttack::new(vendor, MB).run().amplification_factor();
-                assert!(factor > 500.0, "{vendor}: {factor}");
-            });
-        }
-    })
-    .expect("no thread panicked");
+        let workers: Vec<_> = Vendor::ALL
+            .into_iter()
+            .map(|vendor| {
+                scope.spawn(move || {
+                    let factor = SbrAttack::new(vendor, MB).run().amplification_factor();
+                    assert!(factor > 500.0, "{vendor}: {factor}");
+                })
+            })
+            .collect();
+        join_all(workers);
+    });
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use rangeamp::attack::{exploited_range_case, obr_combos, ObrAttack};
 use rangeamp::executor::splitmix64;
 use rangeamp::workload::{BenignClient, WorkloadGenerator};
-use rangeamp::{CascadeTestbed, Testbed, TARGET_HOST, TARGET_PATH};
+use rangeamp::{Testbed, TARGET_HOST, TARGET_PATH};
 use rangeamp_cdn::{Vendor, CLIENT_ID_HEADER};
 use rangeamp_defense::DefenseLayer;
 use rangeamp_http::Request;
@@ -103,7 +103,7 @@ fn drive_obr(
 ) -> SegmentBytes {
     let size = 1024;
     let mut builder =
-        CascadeTestbed::builder(fcdn.fcdn_profile(), bcdn.profile()).resource_size(size);
+        Testbed::cascade(fcdn.fcdn_profile(), bcdn.profile()).resource(TARGET_PATH, size);
     if let Some(layer) = defense {
         builder = builder.defense(layer);
     }
@@ -129,8 +129,8 @@ fn drive_obr(
     }
     snapshot(&[
         ("client-fcdn", bed.client_segment()),
-        ("fcdn-bcdn", bed.fcdn_bcdn_segment()),
-        ("bcdn-origin", bed.bcdn_origin_segment()),
+        ("fcdn-bcdn", bed.victim_segment()),
+        ("bcdn-origin", bed.origin_segment()),
     ])
 }
 

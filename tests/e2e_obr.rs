@@ -3,7 +3,7 @@
 //! controls.
 
 use rangeamp::attack::{obr_combos, ObrAttack};
-use rangeamp::{CascadeTestbed, TARGET_HOST, TARGET_PATH};
+use rangeamp::{Testbed, TARGET_HOST, TARGET_PATH};
 use rangeamp_cdn::Vendor;
 use rangeamp_http::{Request, Response, StatusCode};
 
@@ -120,15 +120,15 @@ fn attacker_cost_is_capped_by_receive_window() {
 fn non_vulnerable_bcdn_defuses_the_cascade() {
     // Fastly coalesces multi-range replies (absent from Table III), so a
     // Cloudflare→Fastly cascade must not amplify.
-    let bed = CascadeTestbed::new(Vendor::Cloudflare, Vendor::Fastly);
+    let bed = Testbed::new(Vendor::Cloudflare, Vendor::Fastly);
     let req = Request::get(TARGET_PATH)
         .header("Host", TARGET_HOST)
         .header("Range", "bytes=0-,0-,0-,0-")
         .build();
     let resp = bed.request(&req);
     assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
-    let middle = bed.fcdn_bcdn_segment().stats().response_bytes;
-    let origin = bed.bcdn_origin_segment().stats().response_bytes;
+    let middle = bed.victim_segment().stats().response_bytes;
+    let origin = bed.origin_segment().stats().response_bytes;
     assert!(
         middle < 3 * origin,
         "no inflation expected: {middle} vs {origin}"
@@ -147,7 +147,7 @@ fn cdnsun_fcdn_requires_nonzero_leading_range() {
 
 #[test]
 fn origin_with_ranges_disabled_replies_200_to_the_bcdn() {
-    let bed = CascadeTestbed::new(Vendor::Cloudflare, Vendor::Akamai);
+    let bed = Testbed::new(Vendor::Cloudflare, Vendor::Akamai);
     let req = Request::get(TARGET_PATH)
         .header("Host", TARGET_HOST)
         .header("Range", "bytes=0-,0-")
@@ -155,7 +155,7 @@ fn origin_with_ranges_disabled_replies_200_to_the_bcdn() {
     bed.request(&req);
     let full = bed.origin().handle(&req);
     assert_eq!(full.status(), StatusCode::OK, "origin must ignore ranges");
-    let stats = bed.bcdn_origin_segment().stats();
+    let stats = bed.origin_segment().stats();
     assert_eq!(stats.responses, 1, "the BCDN fetched once: {stats:?}");
     assert_eq!(
         stats.response_bytes,
@@ -167,7 +167,7 @@ fn origin_with_ranges_disabled_replies_200_to_the_bcdn() {
 #[test]
 fn obr_parts_carry_correct_content() {
     // Even the attack traffic is well-formed multipart/byteranges.
-    let bed = CascadeTestbed::new(Vendor::Cloudflare, Vendor::Akamai);
+    let bed = Testbed::new(Vendor::Cloudflare, Vendor::Akamai);
     let req = Request::get(TARGET_PATH)
         .header("Host", TARGET_HOST)
         .header("Range", "bytes=0-,0-,0-")
@@ -195,7 +195,7 @@ fn obr_rope_body_equals_its_flattened_copy() {
     // flattening it must change neither the body nor the wire bytes.
     for (fcdn, bcdn) in obr_combos() {
         let attack = ObrAttack::new(fcdn, bcdn);
-        let bed = CascadeTestbed::new(fcdn, bcdn);
+        let bed = Testbed::new(fcdn, bcdn);
         let req = Request::get(TARGET_PATH)
             .header("Host", TARGET_HOST)
             .header("Range", attack.range_case().header(64).to_string())
