@@ -101,8 +101,10 @@ fn main() {
 
     traced_sbr_request(&telemetry, &mut summary);
 
-    // A small SBR chaos campaign: flaky origin, retries, breaker and
-    // serve-stale all traced, per-vendor gauges published.
+    // A small SBR chaos campaign: flaky origin, retries and breaker all
+    // traced, per-vendor gauges published. Every round is cache-busted,
+    // so serve-stale never fires here; core/tests/chaos.rs and the
+    // flaky_origin example exercise it.
     let config = ChaosConfig {
         seed,
         rounds: 8,

@@ -356,7 +356,7 @@ pub fn render_retry_amp(reports: &[VendorChaosReport]) -> TextTable {
             report.vendor.name().to_string(),
             report.resilience.attempts.to_string(),
             report.resilience.retries.to_string(),
-            report.breaker_opens.to_string(),
+            report.resilience.breaker_opens.to_string(),
             report.resilience.stale_serves.to_string(),
             report.client_errors.to_string(),
             group_digits(report.origin.response_bytes),
@@ -384,7 +384,7 @@ pub fn retry_amp_json(reports: &[VendorChaosReport]) -> serde_json::Value {
                     "rounds": r.rounds,
                     "attempts": r.resilience.attempts,
                     "retries": r.resilience.retries,
-                    "breaker_opens": r.breaker_opens,
+                    "breaker_opens": r.resilience.breaker_opens,
                     "stale_serves": r.resilience.stale_serves,
                     "client_errors": r.client_errors,
                     "origin_response_bytes": r.origin.response_bytes,

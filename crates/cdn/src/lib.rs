@@ -20,6 +20,14 @@
 //! assembly); [`Vendor`] selects one of the 13 behaviour profiles; nodes
 //! compose into cascaded FCDN → BCDN chains via [`UpstreamService`].
 //!
+//! Every edge retries failed back-to-origin fetches under its profile's
+//! [`RetryPolicy`] and guards them with a circuit breaker of fixed
+//! sizing: 5 consecutive failures trip it open for 30,000 virtual ms,
+//! then one probe decides whether it closes or reopens.
+//! [`EdgeNode::with_clock`] runs several edges on one virtual clock, and
+//! [`Resilience::stats`] reads the counters ([`ResilienceStats`]) that
+//! turn retries into retry amplification.
+//!
 //! # Example
 //!
 //! ```
@@ -67,6 +75,6 @@ pub use fleet::{CdnFleet, IngressStrategy};
 pub use limits::{max_overlapping_ranges, HeaderLimits, ObrRangeCase};
 pub use node::EdgeNode;
 pub use policy::{MitigationConfig, MultiReplyPolicy, RangePolicy};
-pub use resilience::{BreakerConfig, CircuitBreaker, Resilience, ResilienceStats, RetryPolicy};
+pub use resilience::{Resilience, ResilienceStats, RetryPolicy};
 pub use upstream::{FaultyUpstream, UpstreamError, UpstreamService};
 pub use vendor::{Vendor, VendorProfile};

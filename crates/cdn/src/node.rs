@@ -8,8 +8,7 @@ use crate::assemble;
 use crate::defense::{client_key, DefenseAction, DefenseHook, RequestOutcome};
 use crate::vendor::{self, MissCtx, MissReply, MissResult, VendorProfile};
 use crate::{
-    BreakerConfig, Cache, CacheKey, MitigationConfig, MultiReplyPolicy, Resilience, UpstreamError,
-    UpstreamService,
+    Cache, CacheKey, MitigationConfig, MultiReplyPolicy, Resilience, UpstreamError, UpstreamService,
 };
 
 /// A CDN edge node: cache + vendor behaviour profile + metered upstream
@@ -65,8 +64,8 @@ impl XCache {
 impl EdgeNode {
     /// Creates an edge node fronting `upstream`, metering back-to-origin
     /// traffic on `segment`. Resilience (retry/backoff + circuit
-    /// breaker) defaults to the vendor's [`RetryPolicy`] on a fresh
-    /// virtual clock.
+    /// breaker) runs the vendor's [`RetryPolicy`] on a fresh virtual
+    /// clock, or on a shared one given to [`EdgeNode::with_clock`].
     ///
     /// [`RetryPolicy`]: crate::RetryPolicy
     pub fn new(
@@ -74,8 +73,7 @@ impl EdgeNode {
         upstream: Arc<dyn UpstreamService>,
         segment: Segment,
     ) -> EdgeNode {
-        let resilience =
-            Resilience::new(profile.retry, BreakerConfig::default(), SharedClock::new());
+        let resilience = Resilience::new(profile.retry, SharedClock::new());
         let via_token = profile.via_token();
         EdgeNode {
             via_value: HeaderValue::new(format!("1.1 {via_token}"))
@@ -92,11 +90,11 @@ impl EdgeNode {
         }
     }
 
-    /// Replaces the resilience layer (retry policy, breaker config,
-    /// shared virtual clock) — used by chaos campaigns that drive many
-    /// edges off one clock.
-    pub fn with_resilience(mut self, resilience: Resilience) -> EdgeNode {
-        self.resilience = resilience;
+    /// Runs this edge on `clock`, with a fresh resilience layer: retry
+    /// backoffs, the breaker's open window and cache TTLs all read it.
+    /// Testbeds drive every tier off one clock this way.
+    pub fn with_clock(mut self, clock: SharedClock) -> EdgeNode {
+        self.resilience = Resilience::new(self.profile.retry, clock);
         self
     }
 
@@ -413,7 +411,7 @@ impl EdgeNode {
         //     copy when one exists (RFC 5861 stale-if-error behaviour).
         if resp.status().as_u16() >= 500 && self.profile.cache_enabled {
             if let Some(entry) = self.cache.get_stale(cache_key) {
-                self.resilience.with_stats(|s| s.stale_serves += 1);
+                self.resilience.count_stale_serve();
                 if let Some(tel) = &self.telemetry {
                     let now_ms = self.resilience.clock().now_millis();
                     let vendor = self.profile.vendor.to_string();

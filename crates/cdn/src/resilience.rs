@@ -71,143 +71,80 @@ impl RetryPolicy {
     }
 }
 
-/// Sizing of the circuit breaker's state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive upstream failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long the breaker stays open, in virtual milliseconds.
-    pub open_ms: u64,
-    /// Probe requests allowed through once the open window elapses.
-    pub half_open_probes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 5,
-            open_ms: 30_000,
-            half_open_probes: 1,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    Closed { consecutive_failures: u32 },
-    Open { until_ms: u64 },
-    HalfOpen { probes_left: u32 },
-}
+/// Consecutive upstream failures that trip the breaker open.
+const FAILURE_THRESHOLD: u32 = 5;
+/// How long a tripped breaker stays open, in virtual milliseconds.
+const OPEN_MS: u64 = 30_000;
 
 /// A closed → open → half-open circuit breaker on virtual time.
 ///
 /// While open, the edge refuses to contact the upstream at all — the
 /// request either fails fast (502) or is served stale from an expired
-/// cache entry. After [`BreakerConfig::open_ms`] the breaker lets
-/// [`BreakerConfig::half_open_probes`] requests through: one success
-/// recloses it, one failure reopens it for another window.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    config: BreakerConfig,
-    state: BreakerState,
-    opens: u64,
+/// cache entry. Once [`OPEN_MS`] have elapsed the breaker lets one probe
+/// through: its success recloses the breaker, its failure reopens it for
+/// another window. `HalfOpen` means the probe is out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Breaker {
+    Closed { consecutive_failures: u32 },
+    Open { until_ms: u64 },
+    HalfOpen,
 }
 
-impl CircuitBreaker {
-    /// A closed breaker with the given sizing.
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker {
-            config,
-            state: BreakerState::Closed {
-                consecutive_failures: 0,
-            },
-            opens: 0,
-        }
-    }
-
-    /// Whether a request may go upstream at `now_ms`. Consumes a probe
-    /// slot when half-open.
-    pub fn allow_request(&mut self, now_ms: u64) -> bool {
-        match self.state {
-            BreakerState::Closed { .. } => true,
-            BreakerState::Open { until_ms } => {
-                if now_ms < until_ms {
-                    return false;
-                }
-                // Open window elapsed: move to half-open and admit this
-                // request as the first probe.
-                let probes = self.config.half_open_probes.max(1);
-                self.state = BreakerState::HalfOpen {
-                    probes_left: probes - 1,
-                };
-                true
-            }
-            BreakerState::HalfOpen { probes_left } => {
-                if probes_left == 0 {
-                    return false;
-                }
-                self.state = BreakerState::HalfOpen {
-                    probes_left: probes_left - 1,
-                };
-                true
-            }
-        }
-    }
-
-    /// Records a successful upstream exchange.
-    pub fn record_success(&mut self) {
-        self.state = BreakerState::Closed {
+impl Default for Breaker {
+    fn default() -> Breaker {
+        Breaker::Closed {
             consecutive_failures: 0,
+        }
+    }
+}
+
+impl Breaker {
+    fn name(self) -> &'static str {
+        match self {
+            Breaker::Closed { .. } => "closed",
+            Breaker::Open { .. } => "open",
+            Breaker::HalfOpen => "half-open",
+        }
+    }
+
+    /// The state after an upstream failure recorded at `now_ms`.
+    fn after_failure(self, now_ms: u64) -> Breaker {
+        let open = Breaker::Open {
+            until_ms: now_ms + OPEN_MS,
         };
-    }
-
-    /// Records a failed upstream exchange, possibly tripping the breaker.
-    pub fn record_failure(&mut self, now_ms: u64) {
-        match self.state {
-            BreakerState::Closed {
+        match self {
+            Breaker::Closed {
                 consecutive_failures,
-            } => {
-                let failures = consecutive_failures + 1;
-                if failures >= self.config.failure_threshold {
-                    self.state = BreakerState::Open {
-                        until_ms: now_ms + self.config.open_ms,
-                    };
-                    self.opens += 1;
-                } else {
-                    self.state = BreakerState::Closed {
-                        consecutive_failures: failures,
-                    };
-                }
-            }
-            BreakerState::HalfOpen { .. } => {
-                self.state = BreakerState::Open {
-                    until_ms: now_ms + self.config.open_ms,
-                };
-                self.opens += 1;
-            }
-            BreakerState::Open { .. } => {}
+            } if consecutive_failures + 1 < FAILURE_THRESHOLD => Breaker::Closed {
+                consecutive_failures: consecutive_failures + 1,
+            },
+            Breaker::Closed { .. } | Breaker::HalfOpen => open,
+            Breaker::Open { .. } => self,
         }
     }
+}
 
-    /// How many times the breaker has tripped open.
-    pub fn opens(&self) -> u64 {
-        self.opens
-    }
+/// A change of breaker state, by the names [`Resilience::breaker_state`]
+/// reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Transition {
+    pub(crate) from: &'static str,
+    pub(crate) to: &'static str,
+}
 
-    /// The state's name (`"closed"`, `"open"`, `"half-open"`), for tests
-    /// and reports.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            BreakerState::Closed { .. } => "closed",
-            BreakerState::Open { .. } => "open",
-            BreakerState::HalfOpen { .. } => "half-open",
-        }
-    }
-
-    /// The sizing in force.
-    pub fn config(&self) -> &BreakerConfig {
-        &self.config
-    }
+/// What one upstream attempt did, as [`Resilience::record`] counts it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AttemptOutcome {
+    /// The attempt was a retry, not the first try: its bytes are surplus.
+    pub(crate) retry: bool,
+    /// Request bytes the attempt sent (read only for a retry).
+    pub(crate) request_bytes: u64,
+    /// Response bytes the attempt received (read only for a retry).
+    pub(crate) response_bytes: u64,
+    /// The attempt ended in an error or an upstream 5xx.
+    pub(crate) failed: bool,
+    /// Another attempt follows this one after a backoff.
+    pub(crate) retry_next: bool,
 }
 
 /// Counters the resilience layer accumulates per edge node.
@@ -227,30 +164,41 @@ pub struct ResilienceStats {
     pub retry_response_bytes: u64,
     /// Attempts that ended in failure (error or upstream 5xx).
     pub upstream_failures: u64,
+    /// Times the circuit breaker tripped open.
+    pub breaker_opens: u64,
     /// Fetches refused outright because the breaker was open.
     pub breaker_short_circuits: u64,
     /// Responses served stale from an expired cache entry.
     pub stale_serves: u64,
 }
 
-/// One edge node's resilience machinery: retry policy, circuit breaker,
-/// the virtual clock that paces both, and the accumulated counters.
+/// The breaker and the counters, changed together under one lock.
+#[derive(Debug, Default)]
+struct State {
+    breaker: Breaker,
+    stats: ResilienceStats,
+}
+
+/// One edge node's resilience machinery: its retry policy, the virtual
+/// clock that paces retries and the breaker, and one lock over the
+/// breaker and the accumulated counters.
+///
+/// The breaker's sizing is fixed: it trips after 5 consecutive failures,
+/// stays open for 30,000 virtual ms, then admits one probe.
 #[derive(Debug)]
 pub struct Resilience {
     retry: RetryPolicy,
-    breaker: Mutex<CircuitBreaker>,
     clock: SharedClock,
-    stats: Mutex<ResilienceStats>,
+    state: Mutex<State>,
 }
 
 impl Resilience {
-    /// Builds the machinery around a shared virtual clock.
-    pub fn new(retry: RetryPolicy, breaker: BreakerConfig, clock: SharedClock) -> Resilience {
+    /// A closed breaker and zeroed counters on `clock`.
+    pub(crate) fn new(retry: RetryPolicy, clock: SharedClock) -> Resilience {
         Resilience {
             retry,
-            breaker: Mutex::new(CircuitBreaker::new(breaker)),
             clock,
-            stats: Mutex::new(ResilienceStats::default()),
+            state: Mutex::new(State::default()),
         }
     }
 
@@ -266,39 +214,100 @@ impl Resilience {
 
     /// Snapshot of the accumulated counters.
     pub fn stats(&self) -> ResilienceStats {
-        *self.stats.lock()
+        self.state.lock().stats
     }
 
-    /// The breaker state's name, for tests and reports.
+    /// The breaker state's name (`"closed"`, `"open"`, `"half-open"`),
+    /// for tests and reports.
     pub fn breaker_state(&self) -> &'static str {
-        self.breaker.lock().state_name()
+        self.state.lock().breaker.name()
     }
 
-    /// How many times the breaker has tripped open.
-    pub fn breaker_opens(&self) -> u64 {
-        self.breaker.lock().opens()
+    /// Whether a fetch may go upstream now. An elapsed open window turns
+    /// into half-open and admits this fetch as the probe. A refusal is
+    /// counted as a short-circuit and names the state that refused.
+    pub(crate) fn admit(&self) -> Result<(), &'static str> {
+        let now_ms = self.clock.now_millis();
+        let mut state = self.state.lock();
+        match state.breaker {
+            Breaker::Closed { .. } => return Ok(()),
+            Breaker::Open { until_ms } if now_ms >= until_ms => {
+                state.breaker = Breaker::HalfOpen;
+                return Ok(());
+            }
+            Breaker::Open { .. } | Breaker::HalfOpen => {}
+        }
+        state.stats.breaker_short_circuits += 1;
+        Err(state.breaker.name())
     }
 
-    pub(crate) fn allow_request(&self) -> bool {
-        self.breaker.lock().allow_request(self.clock.now_millis())
+    /// Counts one upstream attempt and feeds it to the breaker: a success
+    /// closes it, a failure may trip it. Returns the breaker's change of
+    /// state, if there was one.
+    pub(crate) fn record(&self, outcome: AttemptOutcome) -> Option<Transition> {
+        let now_ms = self.clock.now_millis();
+        let mut state = self.state.lock();
+        let stats = &mut state.stats;
+        stats.attempts += 1;
+        if outcome.retry {
+            stats.retry_request_bytes += outcome.request_bytes;
+            stats.retry_response_bytes += outcome.response_bytes;
+        }
+        if outcome.failed {
+            stats.upstream_failures += 1;
+        }
+        if outcome.retry_next {
+            stats.retries += 1;
+        }
+        let from = state.breaker;
+        let to = if outcome.failed {
+            from.after_failure(now_ms)
+        } else {
+            Breaker::default()
+        };
+        state.breaker = to;
+        if matches!(to, Breaker::Open { .. }) && !matches!(from, Breaker::Open { .. }) {
+            state.stats.breaker_opens += 1;
+        }
+        (from.name() != to.name()).then(|| Transition {
+            from: from.name(),
+            to: to.name(),
+        })
     }
 
-    pub(crate) fn record_success(&self) {
-        self.breaker.lock().record_success();
-    }
-
-    pub(crate) fn record_failure(&self) {
-        self.breaker.lock().record_failure(self.clock.now_millis());
-    }
-
-    pub(crate) fn with_stats(&self, f: impl FnOnce(&mut ResilienceStats)) {
-        f(&mut self.stats.lock());
+    /// Counts one response served stale from an expired cache entry.
+    pub(crate) fn count_stale_serve(&self) {
+        self.state.lock().stats.stale_serves += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn outcome(failed: bool) -> AttemptOutcome {
+        AttemptOutcome {
+            retry: false,
+            request_bytes: 0,
+            response_bytes: 0,
+            failed,
+            retry_next: false,
+        }
+    }
+
+    fn transition(from: &'static str, to: &'static str) -> Option<Transition> {
+        Some(Transition { from, to })
+    }
+
+    /// A resilience layer whose breaker has just tripped at time zero.
+    fn tripped() -> Resilience {
+        let res = Resilience::new(RetryPolicy::none(), SharedClock::new());
+        for _ in 0..FAILURE_THRESHOLD {
+            res.record(outcome(true));
+        }
+        assert_eq!(res.breaker_state(), "open");
+        res
+    }
 
     #[test]
     fn backoff_is_capped_exponential() {
@@ -317,81 +326,109 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_failures() {
-        let mut breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 3,
-            open_ms: 1_000,
-            half_open_probes: 1,
-        });
-        for _ in 0..2 {
-            breaker.record_failure(0);
-            assert_eq!(breaker.state_name(), "closed");
+        let res = Resilience::new(RetryPolicy::none(), SharedClock::new());
+        for _ in 1..FAILURE_THRESHOLD {
+            assert_eq!(res.record(outcome(true)), None, "still closed");
+            assert_eq!(res.breaker_state(), "closed");
         }
-        breaker.record_failure(0);
-        assert_eq!(breaker.state_name(), "open");
-        assert_eq!(breaker.opens(), 1);
-        assert!(!breaker.allow_request(999));
-    }
-
-    #[test]
-    fn breaker_half_opens_then_recloses_on_success() {
-        let mut breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 1,
-            open_ms: 1_000,
-            half_open_probes: 1,
-        });
-        breaker.record_failure(0);
-        assert!(
-            breaker.allow_request(1_000),
-            "window elapsed: probe allowed"
+        assert_eq!(
+            res.record(outcome(true)),
+            transition("closed", "open"),
+            "failure {FAILURE_THRESHOLD} trips it"
         );
-        assert_eq!(breaker.state_name(), "half-open");
-        assert!(!breaker.allow_request(1_000), "only one probe");
-        breaker.record_success();
-        assert_eq!(breaker.state_name(), "closed");
-        assert!(breaker.allow_request(1_000));
-    }
-
-    #[test]
-    fn failed_probe_reopens_for_another_window() {
-        let mut breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 1,
-            open_ms: 1_000,
-            half_open_probes: 1,
-        });
-        breaker.record_failure(0);
-        assert!(breaker.allow_request(1_000));
-        breaker.record_failure(1_000);
-        assert_eq!(breaker.state_name(), "open");
-        assert_eq!(breaker.opens(), 2);
-        assert!(!breaker.allow_request(1_999));
-        assert!(breaker.allow_request(2_000));
+        assert_eq!(res.stats().breaker_opens, 1);
+        assert_eq!(res.admit(), Err("open"));
+        assert_eq!(res.stats().breaker_short_circuits, 1);
     }
 
     #[test]
     fn success_resets_the_failure_streak() {
-        let mut breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 2,
-            open_ms: 1_000,
-            half_open_probes: 1,
+        let res = Resilience::new(RetryPolicy::none(), SharedClock::new());
+        for _ in 1..FAILURE_THRESHOLD {
+            res.record(outcome(true));
+        }
+        assert_eq!(res.record(outcome(false)), None, "closed stays closed");
+        for _ in 1..FAILURE_THRESHOLD {
+            res.record(outcome(true));
+        }
+        assert_eq!(res.breaker_state(), "closed", "streak was broken");
+        assert_eq!(res.stats().breaker_opens, 0);
+    }
+
+    #[test]
+    fn breaker_half_opens_then_recloses_on_success() {
+        let res = tripped();
+        res.clock().advance_millis(OPEN_MS - 1);
+        assert_eq!(res.admit(), Err("open"), "window not yet elapsed");
+        res.clock().advance_millis(1);
+        assert_eq!(res.admit(), Ok(()), "window elapsed: the probe goes");
+        assert_eq!(res.breaker_state(), "half-open");
+        assert_eq!(res.admit(), Err("half-open"), "only one probe");
+        assert_eq!(res.admit(), Err("half-open"), "still only one");
+        assert_eq!(res.stats().breaker_short_circuits, 3);
+        assert_eq!(
+            res.record(outcome(false)),
+            transition("half-open", "closed")
+        );
+        assert_eq!(res.admit(), Ok(()));
+        assert_eq!(res.admit(), Ok(()), "closed admits everything");
+    }
+
+    #[test]
+    fn failed_probe_reopens_for_another_window() {
+        let res = tripped();
+        res.clock().advance_millis(OPEN_MS);
+        assert_eq!(res.admit(), Ok(()));
+        assert_eq!(res.record(outcome(true)), transition("half-open", "open"));
+        assert_eq!(res.stats().breaker_opens, 2, "every trip counts");
+        res.clock().advance_millis(OPEN_MS - 1);
+        assert_eq!(res.admit(), Err("open"));
+        res.clock().advance_millis(1);
+        assert_eq!(res.admit(), Ok(()));
+    }
+
+    #[test]
+    fn a_failure_recorded_while_open_is_no_transition() {
+        // An attempt admitted before another one tripped the breaker.
+        let res = tripped();
+        assert_eq!(res.record(outcome(true)), None);
+        assert_eq!(res.stats().breaker_opens, 1, "no second trip");
+        assert_eq!(res.record(outcome(false)), transition("open", "closed"));
+    }
+
+    #[test]
+    fn record_counts_attempts_failures_retries_and_retry_bytes() {
+        let res = Resilience::new(RetryPolicy::default(), SharedClock::new());
+        res.record(AttemptOutcome {
+            request_bytes: 100,
+            response_bytes: 900,
+            retry_next: true,
+            ..outcome(true)
         });
-        breaker.record_failure(0);
-        breaker.record_success();
-        breaker.record_failure(0);
-        assert_eq!(breaker.state_name(), "closed", "streak was broken");
+        res.record(AttemptOutcome {
+            retry: true,
+            request_bytes: 120,
+            response_bytes: 1_000,
+            ..outcome(false)
+        });
+        let stats = res.stats();
+        assert_eq!(stats.attempts, 2);
+        assert_eq!(stats.upstream_failures, 1);
+        assert_eq!(stats.retries, 1);
+        assert_eq!(
+            stats.retry_request_bytes, 120,
+            "first tries are not surplus"
+        );
+        assert_eq!(stats.retry_response_bytes, 1_000);
     }
 
     #[test]
     fn resilience_snapshot_is_independent() {
-        let res = Resilience::new(
-            RetryPolicy::default(),
-            BreakerConfig::default(),
-            SharedClock::new(),
-        );
-        res.with_stats(|s| s.retries += 3);
+        let res = Resilience::new(RetryPolicy::default(), SharedClock::new());
+        res.count_stale_serve();
         let snap = res.stats();
-        assert_eq!(snap.retries, 3);
-        res.with_stats(|s| s.retries += 1);
-        assert_eq!(snap.retries, 3, "snapshot unaffected");
-        assert_eq!(res.stats().retries, 4);
+        res.count_stale_serve();
+        assert_eq!(snap.stale_serves, 1, "snapshot unaffected");
+        assert_eq!(res.stats().stale_serves, 2);
     }
 }

@@ -10,11 +10,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use rangeamp_cdn::{
-    BreakerConfig, EdgeNode, FaultyUpstream, Resilience, RetryPolicy, UpstreamError,
-    UpstreamService, Vendor,
+    EdgeNode, FaultyUpstream, RetryPolicy, UpstreamError, UpstreamService, Vendor, VendorProfile,
 };
 use rangeamp_http::Request;
-use rangeamp_net::{FaultPlan, FaultRates, Segment, SegmentName, SegmentStats, SharedClock};
+use rangeamp_net::{FaultPlan, FaultRates, Segment, SegmentName, SegmentStats};
 use rangeamp_origin::{OriginServer, ResourceStore};
 
 fn rates_strategy() -> impl Strategy<Value = FaultRates> {
@@ -95,26 +94,27 @@ fn outcomes(seed: u64, rates: FaultRates, sizes: &[u64]) -> Vec<Outcome> {
 }
 
 /// Sends the same fetches through an edge in front of a fresh faulty
-/// link. No retries and a breaker that never trips, so the edge makes
-/// exactly one upstream transfer per request and the `cdn-origin`
-/// segment sees exactly what crossed the link.
+/// link. No retries, and the clock passes the breaker's open window
+/// before each request, so a tripped breaker always admits the request
+/// as its probe: the edge makes exactly one upstream transfer per request
+/// and the `cdn-origin` segment sees exactly what crossed the link.
 fn edge_stats(seed: u64, rates: FaultRates, sizes: &[u64]) -> SegmentStats {
+    /// Longer than the breaker's fixed 30,000 ms open window.
+    const PAST_OPEN_WINDOW_MS: u64 = 60_000;
     let link = FaultyUpstream::new(origin(sizes), Arc::new(FaultPlan::with_rates(seed, rates)));
-    let never_trips = BreakerConfig {
-        failure_threshold: u32::MAX,
-        ..BreakerConfig::default()
+    let profile = VendorProfile {
+        retry: RetryPolicy::none(),
+        ..Vendor::Akamai.profile()
     };
     let edge = EdgeNode::new(
-        Vendor::Akamai.profile(),
+        profile,
         Arc::new(link),
         Segment::new(SegmentName::CdnOrigin),
-    )
-    .with_resilience(Resilience::new(
-        RetryPolicy::none(),
-        never_trips,
-        SharedClock::new(),
-    ));
+    );
     for i in 0..sizes.len() {
+        edge.resilience()
+            .clock()
+            .advance_millis(PAST_OPEN_WINDOW_MS);
         edge.handle(&get(i));
     }
     edge.origin_segment().stats()

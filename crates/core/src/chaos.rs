@@ -14,7 +14,7 @@
 //! [`Vendor::ALL`] order — the same seed always produces byte-identical
 //! output.
 
-use rangeamp_cdn::{BreakerConfig, ResilienceStats, Vendor};
+use rangeamp_cdn::{ResilienceStats, Vendor};
 use rangeamp_http::Request;
 use rangeamp_net::{FaultPlan, FaultRates, SegmentStats, Telemetry};
 
@@ -34,11 +34,6 @@ pub struct ChaosConfig {
     pub resource_size: u64,
     /// Per-transfer fault probabilities on the CDN → origin path.
     pub rates: FaultRates,
-    /// Circuit-breaker configuration for every edge in the campaign.
-    pub breaker: BreakerConfig,
-    /// Edge-cache TTL in virtual ms; `None` keeps entries fresh forever
-    /// (serve-stale then never triggers).
-    pub cache_ttl_ms: Option<u64>,
 }
 
 impl Default for ChaosConfig {
@@ -54,8 +49,6 @@ impl Default for ChaosConfig {
                 truncation: 0.05,
                 slow_link: 0.04,
             },
-            breaker: BreakerConfig::default(),
-            cache_ttl_ms: None,
         }
     }
 }
@@ -86,8 +79,6 @@ pub struct VendorChaosReport {
     pub origin: SegmentStats,
     /// Retry/breaker/stale counters from the edge's resilience layer.
     pub resilience: ResilienceStats,
-    /// Times the edge's circuit breaker tripped open.
-    pub breaker_opens: u64,
     /// Client-facing responses with status ≥ 500 (failures that survived
     /// retries, breaker short-circuits and serve-stale).
     pub client_errors: u64,
@@ -170,10 +161,7 @@ pub fn run_sbr_chaos(
     let mut builder = Testbed::builder()
         .vendor(vendor)
         .resource(TARGET_PATH, config.resource_size)
-        .faults(plan, config.breaker);
-    if let Some(ttl) = config.cache_ttl_ms {
-        builder = builder.cache_ttl_ms(ttl);
-    }
+        .faults(plan);
     if let Some(tel) = telemetry {
         builder = builder.telemetry(tel.clone());
     }
@@ -193,15 +181,13 @@ pub fn run_sbr_chaos(
             }
         }
     }
-    let resilience = bed.edge().resilience();
     let (cache_hits, cache_misses) = bed.edge().cache().stats();
     let report = VendorChaosReport {
         vendor,
         rounds: config.rounds,
         client: bed.client_segment().stats(),
         origin: bed.origin_segment().stats(),
-        resilience: resilience.stats(),
-        breaker_opens: resilience.breaker_opens(),
+        resilience: bed.edge().resilience().stats(),
         client_errors,
         cache_hits,
         cache_misses,
@@ -220,7 +206,11 @@ fn publish_vendor_metrics(tel: &Telemetry, report: &VendorChaosReport) {
     let metrics = tel.metrics();
     metrics.counter_add("chaos_attempts_total", &labels, report.resilience.attempts);
     metrics.counter_add("chaos_retries_total", &labels, report.resilience.retries);
-    metrics.counter_add("chaos_breaker_opens_total", &labels, report.breaker_opens);
+    metrics.counter_add(
+        "chaos_breaker_opens_total",
+        &labels,
+        report.resilience.breaker_opens,
+    );
     metrics.counter_add(
         "chaos_stale_serves_total",
         &labels,
@@ -324,10 +314,6 @@ pub struct CascadeChaosReport {
     pub fcdn_resilience: ResilienceStats,
     /// The BCDN edge's resilience counters (retries into the origin).
     pub bcdn_resilience: ResilienceStats,
-    /// Breaker trips at the FCDN.
-    pub fcdn_breaker_opens: u64,
-    /// Breaker trips at the BCDN.
-    pub bcdn_breaker_opens: u64,
 }
 
 impl CascadeChaosReport {
@@ -357,8 +343,7 @@ pub fn run_obr_chaos(
 ) -> CascadeChaosReport {
     let seed = config.vendor_seed(fcdn) ^ config.vendor_seed(bcdn).rotate_left(17);
     let plan = FaultPlan::with_rates(seed, config.rates);
-    let mut builder =
-        Testbed::cascade(fcdn.fcdn_profile(), bcdn.profile()).faults(plan, config.breaker);
+    let mut builder = Testbed::cascade(fcdn.fcdn_profile(), bcdn.profile()).faults(plan);
     if let Some(tel) = telemetry {
         builder = builder.telemetry(tel.clone());
     }
@@ -372,18 +357,14 @@ pub fn run_obr_chaos(
             .build();
         bed.request(&req);
     }
-    let fcdn_res = bed.fcdn().resilience();
-    let bcdn_res = bed.bcdn().resilience();
     CascadeChaosReport {
         fcdn,
         bcdn,
         rounds: config.rounds,
         middle: bed.victim_segment().stats(),
         origin: bed.origin_segment().stats(),
-        fcdn_resilience: fcdn_res.stats(),
-        bcdn_resilience: bcdn_res.stats(),
-        fcdn_breaker_opens: fcdn_res.breaker_opens(),
-        bcdn_breaker_opens: bcdn_res.breaker_opens(),
+        fcdn_resilience: bed.fcdn().resilience().stats(),
+        bcdn_resilience: bed.bcdn().resilience().stats(),
     }
 }
 
@@ -435,7 +416,7 @@ mod tests {
         let report = run_sbr_chaos(Vendor::Akamai, &config, None);
         assert_eq!(report.resilience.retries, 0);
         assert_eq!(report.resilience.upstream_failures, 0);
-        assert_eq!(report.breaker_opens, 0);
+        assert_eq!(report.resilience.breaker_opens, 0);
         assert_eq!(report.client_errors, 0);
         assert!((report.retry_amplification() - 1.0).abs() < f64::EPSILON);
         assert!((report.availability() - 1.0).abs() < f64::EPSILON);

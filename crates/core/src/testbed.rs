@@ -4,8 +4,7 @@
 use std::sync::Arc;
 
 use rangeamp_cdn::{
-    BreakerConfig, Cache, DefenseHook, EdgeNode, FaultyUpstream, Resilience, UpstreamService,
-    Vendor, VendorProfile,
+    Cache, DefenseHook, EdgeNode, FaultyUpstream, UpstreamService, Vendor, VendorProfile,
 };
 use rangeamp_http::{Request, Response};
 use rangeamp_net::metrics::{FACTOR_BUCKETS, LATENCY_BUCKETS_MS};
@@ -230,7 +229,7 @@ pub struct TestbedBuilder {
     resource: (String, u64),
     origin_config: OriginConfig,
     prebuilt_store: Option<ResourceStore>,
-    faults: Option<(FaultPlan, BreakerConfig)>,
+    faults: Option<FaultPlan>,
     cache_ttl_ms: Option<u64>,
     telemetry: Option<Telemetry>,
     defense: Option<Arc<dyn DefenseHook>>,
@@ -290,12 +289,11 @@ impl TestbedBuilder {
     }
 
     /// Injects faults on the link into the origin according to `plan`
-    /// (chaos experiments) and gives every edge `breaker` instead of
-    /// [`BreakerConfig::default`]. With both tiers of a cascade retrying
-    /// on the shared clock, an FCDN retrying into a broken BCDN is
-    /// observable end to end (retry amplification across the cascade).
-    pub fn faults(mut self, plan: FaultPlan, breaker: BreakerConfig) -> TestbedBuilder {
-        self.faults = Some((plan, breaker));
+    /// (chaos experiments). With both tiers of a cascade retrying on the
+    /// shared clock, an FCDN retrying into a broken BCDN is observable
+    /// end to end (retry amplification across the cascade).
+    pub fn faults(mut self, plan: FaultPlan) -> TestbedBuilder {
+        self.faults = Some(plan);
         self
     }
 
@@ -353,9 +351,7 @@ impl TestbedBuilder {
         let clock = SharedClock::new();
         let telemetry = self.telemetry.as_ref();
         let origin = origin_server(store, self.origin_config, telemetry, &clock);
-        let (plan, breaker) = self.faults.unzip();
-        let breaker = breaker.unwrap_or_default();
-        let into_origin = origin_link(&origin, plan);
+        let into_origin = origin_link(&origin, self.faults);
         // The one place the shape decides segment names and captures.
         let (client_name, front_link, upstream, back) = match self.bcdn_profile {
             None => (
@@ -370,7 +366,6 @@ impl TestbedBuilder {
                     into_origin,
                     link(SegmentName::BcdnOrigin, self.capture, &clock),
                     &clock,
-                    breaker,
                     telemetry,
                 ));
                 (
@@ -383,14 +378,7 @@ impl TestbedBuilder {
                 )
             }
         };
-        let mut front = wire_edge(
-            self.profile,
-            upstream,
-            front_link,
-            &clock,
-            breaker,
-            telemetry,
-        );
+        let mut front = wire_edge(self.profile, upstream, front_link, &clock, telemetry);
         if let Some(ttl) = self.cache_ttl_ms {
             front = front.with_cache(Cache::new().with_ttl(ttl));
         }
@@ -450,11 +438,9 @@ fn wire_edge(
     upstream: Arc<dyn UpstreamService>,
     segment: Segment,
     clock: &SharedClock,
-    breaker: BreakerConfig,
     telemetry: Option<&Telemetry>,
 ) -> EdgeNode {
-    let resilience = Resilience::new(profile.retry, breaker, clock.clone());
-    let edge = EdgeNode::new(profile, upstream, segment).with_resilience(resilience);
+    let edge = EdgeNode::new(profile, upstream, segment).with_clock(clock.clone());
     match telemetry {
         Some(tel) => edge.with_telemetry(tel.clone()),
         None => edge,

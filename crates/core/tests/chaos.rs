@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use rangeamp::{Testbed, TARGET_HOST, TARGET_PATH};
 use rangeamp_cdn::{
-    BreakerConfig, Cache, EdgeNode, Resilience, RetryPolicy, UpstreamError, UpstreamService, Vendor,
+    Cache, EdgeNode, RetryPolicy, UpstreamError, UpstreamService, Vendor, VendorProfile,
 };
 use rangeamp_http::{Request, Response, StatusCode};
 use rangeamp_net::{FaultPlan, Segment, SegmentName, SharedClock};
@@ -55,20 +55,24 @@ fn plain_get(path: &str) -> Request {
     Request::get(path).header("Host", TARGET_HOST).build()
 }
 
+/// Cloudflare's profile without retries: one upstream attempt per miss.
+fn cloudflare_no_retry() -> VendorProfile {
+    VendorProfile {
+        retry: RetryPolicy::none(),
+        ..Vendor::Cloudflare.profile()
+    }
+}
+
 #[test]
 fn serve_stale_covers_origin_outage_after_ttl_expiry() {
     let upstream = Arc::new(FlakySwitch::new(64 * 1024));
     let clock = SharedClock::new();
     let edge = EdgeNode::new(
-        Vendor::Cloudflare.profile(),
+        cloudflare_no_retry(),
         upstream.clone(),
         Segment::new(SegmentName::CdnOrigin),
     )
-    .with_resilience(Resilience::new(
-        RetryPolicy::none(),
-        BreakerConfig::default(),
-        clock.clone(),
-    ))
+    .with_clock(clock.clone())
     .with_cache(Cache::new().with_ttl(5_000));
 
     // Populate the cache while the origin is healthy.
@@ -102,26 +106,21 @@ fn breaker_opens_and_half_opens_on_the_virtual_clock() {
     let upstream = Arc::new(FlakySwitch::new(1024));
     upstream.fail_from_now_on();
     let clock = SharedClock::new();
-    let breaker = BreakerConfig {
-        failure_threshold: 3,
-        open_ms: 30_000,
-        half_open_probes: 1,
-    };
     let edge = EdgeNode::new(
-        Vendor::Cloudflare.profile(),
+        cloudflare_no_retry(),
         upstream.clone(),
         Segment::new(SegmentName::CdnOrigin),
     )
-    .with_resilience(Resilience::new(RetryPolicy::none(), breaker, clock.clone()));
+    .with_clock(clock.clone());
 
-    // Three consecutive failures (cache-busted so every request is a
+    // Five consecutive failures (cache-busted so every request is a
     // miss) trip the breaker open.
-    for i in 0..3 {
+    for i in 0..5 {
         let resp = edge.handle(&plain_get(&format!("/miss-{i}.bin")));
         assert!(resp.status().as_u16() >= 500);
     }
     assert_eq!(edge.resilience().breaker_state(), "open");
-    assert_eq!(edge.resilience().breaker_opens(), 1);
+    assert_eq!(edge.resilience().stats().breaker_opens, 1);
 
     // While open, requests fail fast without touching the upstream.
     let short_circuited = edge.handle(&plain_get("/miss-open.bin"));
@@ -138,7 +137,7 @@ fn breaker_opens_and_half_opens_on_the_virtual_clock() {
     clock.advance_millis(1);
     edge.handle(&plain_get("/miss-probe-fail.bin"));
     assert_eq!(edge.resilience().breaker_state(), "open");
-    assert_eq!(edge.resilience().breaker_opens(), 2);
+    assert_eq!(edge.resilience().stats().breaker_opens, 2);
 
     // After the second window a successful probe recloses it.
     upstream.failing.store(false, Ordering::SeqCst);
@@ -154,7 +153,7 @@ fn flaky_round(seed: u64) -> (u64, u64, u64, u64) {
     let bed = Testbed::builder()
         .vendor(Vendor::CloudFront)
         .resource(TARGET_PATH, 256 * 1024)
-        .faults(FaultPlan::flaky_origin(seed), BreakerConfig::default())
+        .faults(FaultPlan::flaky_origin(seed))
         .cache_ttl_ms(60_000)
         .build();
     for i in 0..24u32 {

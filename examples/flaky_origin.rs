@@ -6,7 +6,7 @@
 //! ```
 
 use rangeamp::{Testbed, TARGET_HOST, TARGET_PATH};
-use rangeamp_cdn::{BreakerConfig, Vendor};
+use rangeamp_cdn::Vendor;
 use rangeamp_http::Request;
 use rangeamp_net::FaultPlan;
 
@@ -14,7 +14,7 @@ fn main() {
     let bed = Testbed::builder()
         .vendor(Vendor::Cloudflare)
         .resource(TARGET_PATH, 1024 * 1024)
-        .faults(FaultPlan::flaky_origin(0xF1A2), BreakerConfig::default())
+        .faults(FaultPlan::flaky_origin(0xF1A2))
         .cache_ttl_ms(5_000) // short TTL so serve-stale has expired entries
         .build();
 
