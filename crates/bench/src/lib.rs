@@ -11,6 +11,7 @@
 
 pub mod paper;
 pub mod timing;
+pub mod trace;
 
 use rangeamp::attack::{
     obr_combos, DroppedGetAttack, FloodExperiment, FloodReport, ObrAttack, ObrMeasurement,
