@@ -66,6 +66,7 @@ mod limits;
 mod node;
 mod policy;
 mod resilience;
+mod trace;
 mod upstream;
 pub mod vendor;
 

@@ -1,11 +1,13 @@
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use rangeamp_http::range::{coalesce_runs, ByteRangeSpec, RangeHeader};
 use rangeamp_http::{HeaderName, HeaderValue, Request, Response, StatusCode};
-use rangeamp_net::{Segment, SharedClock, SpanKind, Telemetry};
+use rangeamp_net::{Segment, SharedClock, Telemetry};
 
 use crate::assemble;
 use crate::defense::{client_key, DefenseAction, DefenseHook, RequestOutcome};
+use crate::trace::EdgeTrace;
 use crate::vendor::{self, MissCtx, MissReply, MissResult, VendorProfile};
 use crate::{
     Cache, CacheKey, MitigationConfig, MultiReplyPolicy, Resilience, UpstreamError, UpstreamService,
@@ -26,7 +28,7 @@ pub struct EdgeNode {
     upstream: Arc<dyn UpstreamService>,
     segment: Segment,
     resilience: Resilience,
-    telemetry: Option<Telemetry>,
+    trace: Option<EdgeTrace>,
     defense: Option<Arc<dyn DefenseHook>>,
     /// The profile's [`VendorProfile::via_token`], computed once.
     via_token: String,
@@ -85,7 +87,7 @@ impl EdgeNode {
             upstream,
             segment,
             resilience,
-            telemetry: None,
+            trace: None,
             defense: None,
         }
     }
@@ -111,7 +113,11 @@ impl EdgeNode {
     /// never touches the HTTP messages themselves, so byte counts on the
     /// metered segments are identical with and without telemetry.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> EdgeNode {
-        self.telemetry = Some(telemetry);
+        self.trace = Some(EdgeTrace::new(
+            telemetry,
+            self.profile.vendor,
+            &self.segment,
+        ));
         self
     }
 
@@ -124,11 +130,6 @@ impl EdgeNode {
     pub fn with_defense(mut self, defense: Arc<dyn DefenseHook>) -> EdgeNode {
         self.defense = Some(defense);
         self
-    }
-
-    /// The attached telemetry bundle, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
     }
 
     /// The vendor profile in force.
@@ -170,44 +171,15 @@ impl EdgeNode {
         self.handle_inner(req, backend_truncate)
     }
 
-    /// Telemetry wrapper around the pipeline: opens the per-tier edge
-    /// span, runs [`handle_core`](EdgeNode::handle_core), then records
-    /// the outcome. Observation only — the request and response are the
-    /// ones the untraced path would produce, byte for byte.
+    /// Runs [`handle_core`](EdgeNode::handle_core), under the per-tier
+    /// edge span when the node is traced.
     fn handle_inner(&self, req: &Request, backend_truncate: Option<u64>) -> Response {
-        let Some(tel) = &self.telemetry else {
-            return self.handle_core(req, backend_truncate);
-        };
-        let vendor = self.profile.vendor.to_string();
-        let clock = self.resilience.clock().clone();
-        let mut span = tel
-            .tracer()
-            .start_span("edge-handle", SpanKind::Edge, clock.now_millis());
-        span.attr("vendor", vendor.clone());
-        span.attr("uri", req.uri().to_string());
-        if let Some(range) = req.headers().get("range") {
-            span.attr("range", range);
+        match &self.trace {
+            None => self.handle_core(req, backend_truncate),
+            Some(trace) => trace.edge_request(req, self.resilience.clock(), || {
+                self.handle_core(req, backend_truncate)
+            }),
         }
-        span.add_bytes_in(req.wire_len());
-
-        let resp = self.handle_core(req, backend_truncate);
-
-        span.add_bytes_out(resp.wire_len());
-        span.attr("status", resp.status().as_u16().to_string());
-        // finish() appended this edge's X-Cache last; earlier values (if
-        // any) belong to upstream tiers of a cascade.
-        let cache_state = resp
-            .headers()
-            .get_all("x-cache")
-            .last()
-            .and_then(|v| v.split(' ').next())
-            .unwrap_or("-")
-            .to_string();
-        span.attr("cache", cache_state);
-        span.finish(clock.now_millis());
-        tel.metrics()
-            .counter_add("edge_requests_total", &[("vendor", &vendor)], 1);
-        resp
     }
 
     fn handle_core(&self, req: &Request, backend_truncate: Option<u64>) -> Response {
@@ -270,21 +242,8 @@ impl EdgeNode {
             let mitigation = action.effective_mitigation(self.profile.mitigation);
             self.handle_admitted(req, range, backend_truncate, mitigation)
         };
-        if let Some(tel) = &self.telemetry {
-            let vendor = self.profile.vendor.to_string();
-            if action.is_enforcing() {
-                let mut span = tel
-                    .tracer()
-                    .start_span("defense-action", SpanKind::Defense, now_ms);
-                span.attr("client", client.to_string());
-                span.attr("action", action.as_str());
-                span.finish(now_ms);
-            }
-            tel.metrics().counter_add(
-                "defense_actions_total",
-                &[("vendor", &vendor), ("action", action.as_str())],
-                1,
-            );
+        if let Some(trace) = &self.trace {
+            trace.defense_action(client, action, now_ms);
         }
         let outcome = RequestOutcome {
             origin_bytes: self.segment.stats().response_bytes - origin_before,
@@ -306,14 +265,16 @@ impl EdgeNode {
         backend_truncate: Option<u64>,
         mitigation: MitigationConfig,
     ) -> Response {
-        let size_hint = self.upstream.resource_size(req.uri().path());
+        // Looked up on first use, so a plain hit never reads the size.
+        let size = OnceCell::new();
+        let size_hint = || *size.get_or_init(|| self.upstream.resource_size(req.uri().path()));
 
         // 2. Mitigation pre-checks (§VI-C).
         if mitigation.reject_overlapping {
             if let Some(header) = &range {
-                if header.is_multi() && header.has_overlap(size_hint.unwrap_or(u64::MAX)) {
+                if header.is_multi() && header.has_overlap(size_hint().unwrap_or(u64::MAX)) {
                     return self.finish(
-                        assemble::not_satisfiable(size_hint.unwrap_or(0)),
+                        assemble::not_satisfiable(size_hint().unwrap_or(0)),
                         &[],
                         &self.x_cache.deny,
                     );
@@ -321,8 +282,8 @@ impl EdgeNode {
             }
         }
         if mitigation.coalesce_multi {
-            if let (Some(header), Some(size)) = (&range, size_hint) {
-                if header.is_multi() {
+            if let Some(header) = range.as_ref().filter(|header| header.is_multi()) {
+                if let Some(size) = size_hint() {
                     range = Some(coalesce_header(header, size));
                 }
             }
@@ -335,19 +296,8 @@ impl EdgeNode {
         if self.profile.cache_enabled {
             let now_ms = self.resilience.clock().now_millis();
             let looked_up = self.cache.get(cache_key, now_ms);
-            if let Some(tel) = &self.telemetry {
-                let result = if looked_up.is_some() { "hit" } else { "miss" };
-                let vendor = self.profile.vendor.to_string();
-                let mut span =
-                    tel.tracer()
-                        .start_span("cache-lookup", SpanKind::CacheLookup, now_ms);
-                span.attr("result", result);
-                span.finish(now_ms);
-                tel.metrics().counter_add(
-                    "cache_lookups_total",
-                    &[("vendor", &vendor), ("result", result)],
-                    1,
-                );
+            if let Some(trace) = &self.trace {
+                trace.cache_lookup(looked_up.is_some(), now_ms);
             }
             if let Some(entry) = looked_up {
                 let resp = assemble::serve_from_full(
@@ -363,7 +313,7 @@ impl EdgeNode {
         let ctx = MissCtx {
             req,
             profile: &self.profile,
-            resource_size: size_hint,
+            resource_size: size_hint(),
             upstream: self.upstream.as_ref(),
             segment: &self.segment,
             cache: &self.cache,
@@ -371,7 +321,7 @@ impl EdgeNode {
             backend_truncate,
             via_value: &self.via_value,
             resilience: &self.resilience,
-            telemetry: self.telemetry.as_ref(),
+            trace: self.trace.as_ref(),
         };
         let outcome = self.handle_miss_with_mitigation(&ctx, range.as_ref(), mitigation);
 
@@ -412,16 +362,9 @@ impl EdgeNode {
         if resp.status().as_u16() >= 500 && self.profile.cache_enabled {
             if let Some(entry) = self.cache.get_stale(cache_key) {
                 self.resilience.count_stale_serve();
-                if let Some(tel) = &self.telemetry {
+                if let Some(trace) = &self.trace {
                     let now_ms = self.resilience.clock().now_millis();
-                    let vendor = self.profile.vendor.to_string();
-                    let mut span =
-                        tel.tracer()
-                            .start_span("serve-stale", SpanKind::ServeStale, now_ms);
-                    span.attr("upstream_status", resp.status().as_u16().to_string());
-                    span.finish(now_ms);
-                    tel.metrics()
-                        .counter_add("stale_serves_total", &[("vendor", &vendor)], 1);
+                    trace.serve_stale(resp.status().as_u16(), now_ms);
                 }
                 let mut stale = assemble::serve_from_full(
                     range.as_ref(),
@@ -676,6 +619,56 @@ mod tests {
             .headers()
             .get_all("x-cache")
             .any(|v| v.starts_with("HIT")));
+    }
+
+    /// The origin of [`testbed`], counting its size lookups.
+    #[derive(Debug)]
+    struct SizeProbes {
+        origin: OriginServer,
+        probes: std::sync::atomic::AtomicU64,
+    }
+
+    impl UpstreamService for SizeProbes {
+        fn handle(&self, req: &Request) -> Result<Response, UpstreamError> {
+            Ok(self.origin.handle(req))
+        }
+
+        fn resource_size(&self, path: &str) -> Option<u64> {
+            self.probes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.origin.resource_size(path)
+        }
+    }
+
+    /// The running count of size lookups after each of `ranges`, sent
+    /// in turn for one cache key.
+    fn size_probes(profile: VendorProfile, ranges: [&str; 3]) -> [u64; 3] {
+        let mut store = ResourceStore::new();
+        store.add_synthetic("/target.bin", 1000, "application/octet-stream");
+        let upstream = Arc::new(SizeProbes {
+            origin: OriginServer::new(store),
+            probes: Default::default(),
+        });
+        let segment = Segment::metered(SegmentName::CdnOrigin);
+        let edge = EdgeNode::new(profile, upstream.clone(), segment);
+        ranges.map(|range| {
+            edge.handle(&sbr_request(range, 1));
+            upstream.probes.load(std::sync::atomic::Ordering::Relaxed)
+        })
+    }
+
+    #[test]
+    fn the_size_is_looked_up_only_where_it_is_read() {
+        // A miss then two hits: only the miss reads the size.
+        let ranges = ["bytes=0-0", "bytes=0-0", "bytes=0-0,5-9"];
+        assert_eq!(size_probes(Vendor::Akamai.profile(), ranges), [1, 1, 1]);
+        // A multi-range pre-check reads it on a hit too, once for both.
+        let checked = Vendor::Akamai.profile().with_mitigation(MitigationConfig {
+            reject_overlapping: true,
+            coalesce_multi: true,
+            ..MitigationConfig::none()
+        });
+        assert_eq!(size_probes(checked, ranges), [1, 1, 2]);
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub enum MultiReplyPolicy {
 ///     force_laziness: true,
 ///     ..MitigationConfig::none()
 /// });
-/// assert!(fixed.mitigation.is_active());
+/// assert!(fixed.mitigation.force_laziness);
+/// assert_ne!(fixed.mitigation, MitigationConfig::none());
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MitigationConfig {
@@ -76,16 +77,6 @@ impl MitigationConfig {
         MitigationConfig::default()
     }
 
-    /// Full defensive posture: Laziness + reject overlapping ranges.
-    pub fn strict() -> MitigationConfig {
-        MitigationConfig {
-            force_laziness: true,
-            expansion_cap: None,
-            coalesce_multi: false,
-            reject_overlapping: true,
-        }
-    }
-
     /// The paper's "better way": capped expansion (+8 KB) plus coalescing,
     /// which keeps the caching benefit of range expansion.
     pub fn capped_expansion_8k() -> MitigationConfig {
@@ -95,14 +86,6 @@ impl MitigationConfig {
             coalesce_multi: true,
             reject_overlapping: false,
         }
-    }
-
-    /// Whether any mitigation is active.
-    pub fn is_active(&self) -> bool {
-        self.force_laziness
-            || self.expansion_cap.is_some()
-            || self.coalesce_multi
-            || self.reject_overlapping
     }
 }
 
@@ -115,13 +98,6 @@ mod tests {
         assert_eq!(RangePolicy::Laziness.to_string(), "Laziness");
         assert_eq!(RangePolicy::Deletion.to_string(), "Deletion");
         assert_eq!(RangePolicy::Expansion.to_string(), "Expansion");
-    }
-
-    #[test]
-    fn default_mitigation_is_inactive() {
-        assert!(!MitigationConfig::none().is_active());
-        assert!(MitigationConfig::strict().is_active());
-        assert!(MitigationConfig::capped_expansion_8k().is_active());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use rangeamp_cdn::{
-    Cache, DefenseHook, EdgeNode, FaultyUpstream, UpstreamService, Vendor, VendorProfile,
+    Cache, DefenseHook, EdgeNode, FaultyUpstream, UpstreamError, UpstreamService, Vendor,
+    VendorProfile,
 };
 use rangeamp_http::{Request, Response};
 use rangeamp_net::metrics::{FACTOR_BUCKETS, LATENCY_BUCKETS_MS};
@@ -54,6 +55,7 @@ pub struct Testbed {
     /// tier.
     back: Option<Arc<EdgeNode>>,
     origin: Arc<OriginServer>,
+    telemetry: Option<Telemetry>,
 }
 
 /// The name under which the benchmark sources still build a two-tier
@@ -137,8 +139,8 @@ impl Testbed {
     /// derived from the same segment counters the reports use.
     fn exchange(&self, req: &Request, read: ClientRead) -> Response {
         let trace = self
-            .front
-            .telemetry()
+            .telemetry
+            .as_ref()
             .map(|tel| ClientTrace::begin(tel, self, req));
         self.client_segment.send_request(req);
         let (resp, cutoff) = match read {
@@ -350,8 +352,8 @@ impl TestbedBuilder {
         };
         let clock = SharedClock::new();
         let telemetry = self.telemetry.as_ref();
-        let origin = origin_server(store, self.origin_config, telemetry, &clock);
-        let into_origin = origin_link(&origin, self.faults);
+        let origin = Arc::new(OriginServer::with_config(store, self.origin_config));
+        let into_origin = origin_link(&origin, self.faults, telemetry, &clock);
         // The one place the shape decides segment names and captures.
         let (client_name, front_link, upstream, back) = match self.bcdn_profile {
             None => (
@@ -390,31 +392,33 @@ impl TestbedBuilder {
             front,
             back,
             origin,
+            telemetry: self.telemetry,
         }
     }
 }
 
-/// The origin server of a testbed, reporting to `telemetry` if given
-/// with its spans stamped off the testbed's `clock`.
-fn origin_server(
-    store: ResourceStore,
-    config: OriginConfig,
+/// The link from the last CDN tier to the origin: the origin, traced
+/// when `telemetry` is given, behind a fault plan drawn per transfer
+/// when one is given. The trace sits inside the fault plan, so an
+/// `origin-handle` span records what the origin itself sent, whatever
+/// the link then did to it.
+fn origin_link(
+    origin: &Arc<OriginServer>,
+    plan: Option<FaultPlan>,
     telemetry: Option<&Telemetry>,
     clock: &SharedClock,
-) -> Arc<OriginServer> {
-    let origin = OriginServer::with_config(store, config);
-    Arc::new(match telemetry {
-        Some(tel) => origin.with_telemetry(tel.clone(), clock.clone()),
-        None => origin,
-    })
-}
-
-/// The link from the last CDN tier to the origin: the origin itself, or
-/// the origin behind a fault plan drawn per transfer.
-fn origin_link(origin: &Arc<OriginServer>, plan: Option<FaultPlan>) -> Arc<dyn UpstreamService> {
-    match plan {
-        Some(plan) => Arc::new(FaultyUpstream::new(origin.clone(), Arc::new(plan))),
+) -> Arc<dyn UpstreamService> {
+    let origin: Arc<dyn UpstreamService> = match telemetry {
+        Some(tel) => Arc::new(OriginTrace {
+            origin: origin.clone(),
+            tel: tel.clone(),
+            clock: clock.clone(),
+        }),
         None => origin.clone(),
+    };
+    match plan {
+        Some(plan) => Arc::new(FaultyUpstream::new(origin, Arc::new(plan))),
+        None => origin,
     }
 }
 
@@ -444,6 +448,42 @@ fn wire_edge(
     match telemetry {
         Some(tel) => edge.with_telemetry(tel.clone()),
         None => edge,
+    }
+}
+
+/// The origin of a traced testbed: each request it handles records an
+/// `origin-handle` span on the testbed's clock, under the edge's fetch
+/// span, and counts in `origin_requests_total` by status.
+#[derive(Debug)]
+struct OriginTrace {
+    origin: Arc<OriginServer>,
+    tel: Telemetry,
+    clock: SharedClock,
+}
+
+impl UpstreamService for OriginTrace {
+    fn handle(&self, req: &Request) -> Result<Response, UpstreamError> {
+        let now_ms = self.clock.now_millis();
+        let tracer = self.tel.tracer();
+        let mut span = tracer.start_span("origin-handle", SpanKind::Origin, now_ms);
+        span.attr("path", req.uri().path());
+        if let Some(range) = req.headers().get("range") {
+            span.attr("range", range);
+        }
+        span.add_bytes_in(req.wire_len());
+        let resp = OriginServer::handle(&self.origin, req);
+        let status = resp.status().as_u16().to_string();
+        span.add_bytes_out(resp.wire_len());
+        span.attr("status", status.as_str());
+        span.finish(now_ms);
+        self.tel
+            .metrics()
+            .counter_add("origin_requests_total", &[("status", &status)], 1);
+        Ok(resp)
+    }
+
+    fn resource_size(&self, path: &str) -> Option<u64> {
+        self.origin.resource_size(path)
     }
 }
 
@@ -674,6 +714,66 @@ mod tests {
                 1_234,
                 "{name}"
             );
+        }
+    }
+
+    #[test]
+    fn traced_origin_link_stamps_the_clock_inside_the_fault_plan() {
+        use rangeamp_net::FaultRates;
+        let mut store = ResourceStore::new();
+        store.add_synthetic("/f.bin", 1234, "application/octet-stream");
+        let origin = Arc::new(OriginServer::new(store));
+        let tel = Telemetry::seeded(1);
+        let clock = SharedClock::new();
+        let timeouts = FaultPlan::with_rates(
+            7,
+            FaultRates {
+                timeout: 1.0,
+                ..FaultRates::HEALTHY
+            },
+        );
+        let traced = origin_link(&origin, None, Some(&tel), &clock);
+        let failing = origin_link(&origin, Some(timeouts), Some(&tel), &clock);
+        let req = Request::get("/f.bin").build();
+
+        clock.advance_millis(1_250);
+        assert_eq!(
+            traced.handle(&req).unwrap(),
+            OriginServer::handle(&origin, &req)
+        );
+        clock.advance_millis(250);
+        assert!(matches!(failing.handle(&req), Err(UpstreamError::Timeout)));
+
+        // The origin answered both requests; the second reply was lost on
+        // the link after its span closed.
+        let spans: Vec<_> = tel
+            .tracer()
+            .finished_spans()
+            .iter()
+            .map(|span| {
+                (
+                    span.name,
+                    span.start_ms,
+                    span.attr("status").map(str::to_owned),
+                )
+            })
+            .collect();
+        let ok = Some("200".to_owned());
+        assert_eq!(
+            spans,
+            [
+                ("origin-handle", 1_250, ok.clone()),
+                ("origin-handle", 1_500, ok)
+            ]
+        );
+        assert_eq!(
+            tel.metrics()
+                .counter_value("origin_requests_total", &[("status", "200")]),
+            2
+        );
+        for link in [traced, failing] {
+            assert_eq!(link.resource_size("/f.bin"), Some(1234));
+            assert_eq!(link.resource_size("/missing"), None);
         }
     }
 

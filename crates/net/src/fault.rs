@@ -36,7 +36,8 @@ pub enum FaultKind {
         keep_bytes: u64,
     },
     /// The link serving this transfer degrades to `capacity_pct` percent
-    /// of its capacity (consumed by flow-level simulations).
+    /// of its capacity. No byte changes: the draw only keeps the schedule
+    /// of every other fault reproducible.
     SlowLink {
         /// Remaining capacity, in percent of nominal.
         capacity_pct: u8,

@@ -34,37 +34,12 @@ pub struct LinkId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(usize);
 
-/// A window during which a link's capacity is scaled down — a full
-/// outage (`factor == 0.0`) or a degradation. Produced by the fault
-/// layer's slow-link events; consulted every tick.
-#[derive(Debug, Clone, Copy)]
-struct CapacityWindow {
-    start_ms: u64,
-    end_ms: u64,
-    factor: f64,
-}
-
 #[derive(Debug)]
 struct Link {
     label: String,
     capacity_bytes_per_sec: f64,
-    /// Outage / degradation windows; when several overlap, the most
-    /// severe (smallest factor) applies.
-    windows: Vec<CapacityWindow>,
     /// Bytes delivered through this link, bucketed per virtual second.
     delivered_per_sec: BTreeMap<u64, f64>,
-}
-
-impl Link {
-    fn capacity_at(&self, now_ms: u64) -> f64 {
-        let factor = self
-            .windows
-            .iter()
-            .filter(|w| w.start_ms <= now_ms && now_ms < w.end_ms)
-            .map(|w| w.factor)
-            .fold(1.0f64, f64::min);
-        self.capacity_bytes_per_sec * factor
-    }
 }
 
 #[derive(Debug)]
@@ -110,38 +85,9 @@ impl FlowSim {
         self.links.push(Link {
             label: label.to_string(),
             capacity_bytes_per_sec: capacity_mbps * 1_000_000.0 / 8.0,
-            windows: Vec::new(),
             delivered_per_sec: BTreeMap::new(),
         });
         id
-    }
-
-    /// Takes the link fully down for `[start_ms, end_ms)` of virtual
-    /// time. Flows crossing it stall and resume when the window closes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty or the link unknown.
-    pub fn add_outage(&mut self, link: LinkId, start_ms: u64, end_ms: u64) {
-        self.add_slowdown(link, start_ms, end_ms, 0.0);
-    }
-
-    /// Scales the link's capacity by `factor` (in `[0, 1]`) during
-    /// `[start_ms, end_ms)` — the slow-link fault of the failure model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty, the factor is outside `[0, 1]`, or
-    /// the link unknown.
-    pub fn add_slowdown(&mut self, link: LinkId, start_ms: u64, end_ms: u64, factor: f64) {
-        assert!(start_ms < end_ms, "empty capacity window");
-        assert!((0.0..=1.0).contains(&factor), "factor must be in [0, 1]");
-        assert!(link.0 < self.links.len(), "unknown link {link:?}");
-        self.links[link.0].windows.push(CapacityWindow {
-            start_ms,
-            end_ms,
-            factor,
-        });
     }
 
     /// Schedules a transfer of `bytes` over `links` starting at
@@ -233,7 +179,7 @@ impl FlowSim {
         let mut cap_left: Vec<f64> = self
             .links
             .iter()
-            .map(|l| l.capacity_at(self.now_ms))
+            .map(|l| l.capacity_bytes_per_sec)
             .collect();
 
         loop {
@@ -383,41 +329,6 @@ mod tests {
         assert_eq!(sim.flow_remaining_bytes(flow), 1_000_000);
         sim.run_until_millis(8_000);
         assert!(sim.flow_finished_at_ms(flow).is_some());
-    }
-
-    #[test]
-    fn outage_window_stalls_and_resumes_flows() {
-        let mut sim = FlowSim::new(10);
-        let link = sim.add_link("l", 80.0); // 10 MB/s
-        let flow = sim.schedule_flow(0, 15 * 1_000_000, &[link]);
-        // Down for the entire second 1.
-        sim.add_outage(link, 1_000, 2_000);
-        assert!(sim.run_until_idle(60_000));
-        // 1 s of transfer (10 MB) + 1 s stalled + 0.5 s for the rest.
-        let done = sim.flow_finished_at_ms(flow).unwrap();
-        assert!((2400..=2700).contains(&done), "finished at {done} ms");
-        let series = sim.link_throughput_mbps(link);
-        assert!(series[1] < 1.0, "second 1 should be dark: {series:?}");
-    }
-
-    #[test]
-    fn slowdown_window_scales_capacity() {
-        let mut sim = FlowSim::new(10);
-        let link = sim.add_link("l", 100.0);
-        sim.schedule_flow(0, 100 * MB, &[link]);
-        sim.add_slowdown(link, 0, 1_000, 0.5);
-        sim.run_until_millis(2_000);
-        let series = sim.link_throughput_mbps(link);
-        assert!((series[0] - 50.0).abs() < 2.0, "{series:?}");
-        assert!((series[1] - 100.0).abs() < 2.0, "{series:?}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn inverted_outage_window_is_rejected() {
-        let mut sim = FlowSim::new(10);
-        let link = sim.add_link("l", 10.0);
-        sim.add_outage(link, 500, 500);
     }
 
     #[test]

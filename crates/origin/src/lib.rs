@@ -16,6 +16,8 @@
 //! The origin is always healthy: origin failures (5xx, timeouts, resets,
 //! truncation) are injected on the link in front of it by the CDN
 //! crate's `FaultyUpstream`, drawing from a seeded `rangeamp_net::FaultPlan`.
+//! It records no telemetry either: the testbed traces each request it
+//! handles from outside, the same way it traces the client.
 //!
 //! # Example
 //!

@@ -1,7 +1,6 @@
 use rangeamp_http::multipart::MultipartBuilder;
 use rangeamp_http::range::RangeHeader;
 use rangeamp_http::{HeaderValue, Method, Request, Response, ResponseBuilder, StatusCode};
-use rangeamp_net::{SharedClock, SpanKind, Telemetry};
 
 use crate::{OriginConfig, Resource, ResourceStore};
 
@@ -32,7 +31,6 @@ const SERVER_VALUE: HeaderValue = HeaderValue::from_static(OriginServer::SERVER)
 pub struct OriginServer {
     store: ResourceStore,
     config: OriginConfig,
-    telemetry: Option<(Telemetry, SharedClock)>,
 }
 
 impl OriginServer {
@@ -56,21 +54,7 @@ impl OriginServer {
 
     /// Creates a server with an explicit configuration.
     pub fn with_config(store: ResourceStore, config: OriginConfig) -> OriginServer {
-        OriginServer {
-            store,
-            config,
-            telemetry: None,
-        }
-    }
-
-    /// Attaches a telemetry bundle: every handled request records a
-    /// server-side span (request/response wire bytes, path, status)
-    /// nested under whatever edge span is in flight, stamped with
-    /// `clock`'s virtual time so it lines up with the edge's retries,
-    /// breaker windows and cache TTLs.
-    pub fn with_telemetry(mut self, telemetry: Telemetry, clock: SharedClock) -> OriginServer {
-        self.telemetry = Some((telemetry, clock));
-        self
+        OriginServer { store, config }
     }
 
     /// The active configuration.
@@ -87,34 +71,8 @@ impl OriginServer {
     ///
     /// `HEAD` requests receive the `GET` response's headers with an empty
     /// payload; `If-None-Match` hits are answered `304 Not Modified`.
-    /// The response does not depend on time; the telemetry clock, when
-    /// attached, only stamps the origin's span.
+    /// The response does not depend on time.
     pub fn handle(&self, req: &Request) -> Response {
-        let span = self.telemetry.as_ref().map(|(tel, clock)| {
-            let now_ms = clock.now_millis();
-            let mut span = tel
-                .tracer()
-                .start_span("origin-handle", SpanKind::Origin, now_ms);
-            span.attr("path", req.uri().path().to_string());
-            if let Some(range) = req.headers().get("range") {
-                span.attr("range", range);
-            }
-            span.add_bytes_in(req.wire_len());
-            (tel, span, now_ms)
-        });
-        let resp = self.respond(req);
-        if let Some((tel, mut span, now_ms)) = span {
-            let status = resp.status().as_u16().to_string();
-            span.add_bytes_out(resp.wire_len());
-            span.attr("status", status.clone());
-            span.finish(now_ms);
-            tel.metrics()
-                .counter_add("origin_requests_total", &[("status", &status)], 1);
-        }
-        resp
-    }
-
-    fn respond(&self, req: &Request) -> Response {
         if !matches!(req.method(), Method::Get | Method::Head) {
             return self
                 .base_response(StatusCode::BAD_REQUEST)
