@@ -8,12 +8,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use rangeamp::{Testbed, TARGET_HOST, TARGET_PATH};
+use rangeamp::{Telemetry, Testbed, TARGET_HOST, TARGET_PATH};
 use rangeamp_cdn::{
     Cache, EdgeNode, RetryPolicy, UpstreamError, UpstreamService, Vendor, VendorProfile,
 };
 use rangeamp_http::{Request, Response, StatusCode};
-use rangeamp_net::{FaultPlan, Segment, SegmentName, SharedClock};
+use rangeamp_net::{FaultPlan, Segment, SegmentName, SharedClock, SpanKind};
 
 /// Serves a fixed body until `failing` is flipped, then times out.
 #[derive(Debug)]
@@ -99,6 +99,45 @@ fn serve_stale_covers_origin_outage_after_ttl_expiry() {
         Some("110 - \"Response is Stale\"")
     );
     assert_eq!(edge.resilience().stats().stale_serves, 1);
+}
+
+/// The traced edge records a `serve-stale` span under its edge span,
+/// and counts it in `stale_serves_total`.
+#[test]
+fn serve_stale_is_traced_under_the_edge_span() {
+    let telemetry = Telemetry::seeded(5);
+    let upstream = Arc::new(FlakySwitch::new(64 * 1024));
+    let clock = SharedClock::new();
+    let edge = EdgeNode::new(
+        cloudflare_no_retry(),
+        upstream.clone(),
+        Segment::metered(SegmentName::CdnOrigin),
+    )
+    .with_clock(clock.clone())
+    .with_cache(Cache::new().with_ttl(5_000))
+    .with_telemetry(telemetry.clone());
+    edge.handle(&plain_get(TARGET_PATH));
+    upstream.fail_from_now_on();
+    clock.advance_millis(10_000);
+    let stale = edge.handle(&plain_get(TARGET_PATH));
+    assert!(stale.headers().get("X-Cache").unwrap().starts_with("STALE"));
+
+    let spans = telemetry.tracer().finished_spans();
+    let stale_spans: Vec<_> = spans.iter().filter(|s| s.name == "serve-stale").collect();
+    assert_eq!(stale_spans.len(), 1, "{spans:#?}");
+    let span = stale_spans[0];
+    assert_eq!(span.kind, SpanKind::ServeStale);
+    assert_eq!(span.attr("upstream_status"), Some("504"));
+    assert_eq!((span.start_ms, span.end_ms), (10_000, 10_000));
+    let parent = spans
+        .iter()
+        .find(|s| Some(s.id) == span.parent)
+        .expect("the serve-stale span has a parent");
+    assert_eq!(parent.name, "edge-handle");
+    assert_eq!(parent.attr("cache"), Some("STALE"));
+    let labels = [("vendor", "Cloudflare")];
+    let metrics = telemetry.metrics();
+    assert_eq!(metrics.counter_value("stale_serves_total", &labels), 1);
 }
 
 #[test]
