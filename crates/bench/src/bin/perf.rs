@@ -14,10 +14,11 @@
 //! * `--threads a,b,c` — thread counts to sweep (default `1,<cores>`);
 //! * `--out <path>` — where to write the JSON report (default
 //!   `BENCH_campaigns.json`);
-//! * `--baseline <path>` — committed baseline to gate against; when the
-//!   file is missing the gate is skipped with a warning, when any
-//!   workload's best wall time regresses more than the tolerance the
-//!   process exits non-zero (that is the CI perf gate);
+//! * `--baseline <path>` — committed baseline to gate against (the CI perf
+//!   gate). The process exits non-zero when the file is missing or is not
+//!   a perf report, when no `(workload, threads)` pair of the run is in
+//!   it, or when any workload's best wall time regresses more than the
+//!   tolerance;
 //! * `--tolerance <pct>` — regression tolerance in percent (default 15);
 //! * `--warmup <n>` / `--iters <n>` — iteration counts (default 1 / 3).
 
@@ -25,7 +26,7 @@ use rangeamp::chaos::{run_sbr_campaign, ChaosConfig};
 use rangeamp::executor::Executor;
 use rangeamp::scanner::Scanner;
 use rangeamp::Telemetry;
-use rangeamp_bench::timing::{check_against_baseline, time_workload, PerfReport};
+use rangeamp_bench::timing::{gate, time_workload, PerfReport};
 use rangeamp_bench::{arg_value, obr_sweep_points, sbr_points, table5_measurements, write_output};
 
 /// Table I–V sweep: scanner tables plus the SBR (1 MB) and OBR
@@ -161,27 +162,22 @@ fn main() {
     );
 
     if let Some(path) = baseline_path {
-        match std::fs::read_to_string(&path) {
-            Err(err) => {
-                eprintln!("warning: baseline {path} not readable ({err}); perf gate skipped");
+        let check = match gate(&report, std::fs::read_to_string(&path), tolerance) {
+            Ok(check) => check,
+            Err(why) => {
+                eprintln!("perf gate failed: {path}: {why}");
+                std::process::exit(1);
             }
-            Ok(text) => match check_against_baseline(&report, &text, tolerance) {
-                None => {
-                    eprintln!("warning: baseline {path} is not a perf report; perf gate skipped");
-                }
-                Some(check) => {
-                    for line in &check.lines {
-                        println!("baseline: {line}");
-                    }
-                    if !check.passed() {
-                        for regression in &check.regressions {
-                            eprintln!("perf regression: {regression}");
-                        }
-                        std::process::exit(1);
-                    }
-                    println!("perf gate: ok (tolerance +{:.0}%)", tolerance * 100.0);
-                }
-            },
+        };
+        for line in &check.lines {
+            println!("baseline: {line}");
         }
+        if !check.passed() {
+            for regression in &check.regressions {
+                eprintln!("perf regression: {regression}");
+            }
+            std::process::exit(1);
+        }
+        println!("perf gate: ok (tolerance +{:.0}%)", tolerance * 100.0);
     }
 }

@@ -1,14 +1,15 @@
 //! Experiment drivers for the RangeAmp benchmark harness.
 //!
-//! Each paper table/figure has a driver function here and a binary under
-//! `src/bin/` that prints it (`cargo run -p rangeamp-bench --release
-//! --bin table4`, etc.). The drivers are also reused by the Criterion
-//! benches and by the `all` binary, which writes machine-readable JSON
-//! into `experiments/`.
+//! Each paper table/figure has a driver function here and an entry in the
+//! [`experiments`] registry that renders it (`cargo run -p rangeamp-bench
+//! --release --bin experiment -- table4`, etc.). `experiment all` runs
+//! every entry and writes machine-readable JSON into `experiments/`; the
+//! `perf` binary reuses the drivers as timed workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod paper;
 pub mod timing;
 pub mod trace;
@@ -17,12 +18,8 @@ use rangeamp::attack::{
     obr_combos, DroppedGetAttack, FloodExperiment, FloodReport, ObrAttack, ObrMeasurement,
     SbrAttack,
 };
-use rangeamp::chaos::VendorChaosReport;
-use rangeamp::defense_eval::DefenseScenarioReport;
 use rangeamp::executor::Executor;
 use rangeamp::mitigation::{evaluate_sbr_defenses, DefenseOutcome};
-use rangeamp::report::{group_digits, TextTable};
-use rangeamp::scanner::{Table1Row, Table2Row, Table3Row};
 use rangeamp::severity::{project_cost, AttackCost, BillingModel, CostModel};
 use rangeamp::workload::{evaluate_detector, TinyRangeDetector, WorkloadGenerator};
 use rangeamp::{Testbed, TARGET_PATH};
@@ -87,59 +84,6 @@ pub fn sbr_points(sizes_mb: &[u64], executor: &Executor) -> Vec<SbrPoint> {
         .collect()
 }
 
-/// Renders Table IV (amplification factors at 1/10/25 MB) with the
-/// paper's values alongside.
-pub fn render_table4(points: &[SbrPoint]) -> TextTable {
-    let mut table = TextTable::new(
-        "Table IV — SBR amplification factor by target resource size (measured vs paper)",
-        &[
-            "CDN",
-            "Exploited Range Case",
-            "1MB",
-            "paper",
-            "10MB",
-            "paper",
-            "25MB",
-            "paper",
-        ],
-    );
-    for vendor in Vendor::ALL {
-        let factor = |size_mb: u64| -> (String, String) {
-            let point = points
-                .iter()
-                .find(|p| p.vendor == vendor.name() && p.file_size == size_mb * MB);
-            let measured = point
-                .map(|p| format!("{:.0}", p.amplification_factor))
-                .unwrap_or_else(|| "-".to_string());
-            let paper = paper::table4_factor(vendor, size_mb)
-                .map(|f| f.to_string())
-                .unwrap_or_else(|| "-".to_string());
-            (measured, paper)
-        };
-        let mut cases: Vec<String> = points
-            .iter()
-            .filter(|p| p.vendor == vendor.name())
-            .map(|p| p.exploited_case.clone())
-            .collect();
-        cases.dedup();
-        let case = cases.join(" / ");
-        let (m1, p1) = factor(1);
-        let (m10, p10) = factor(10);
-        let (m25, p25) = factor(25);
-        table.row(vec![
-            vendor.name().to_string(),
-            case,
-            m1,
-            p1,
-            m10,
-            p10,
-            m25,
-            p25,
-        ]);
-    }
-    table
-}
-
 /// Runs the Table V experiment: OBR with max n over all 11 combos,
 /// each FCDN → BCDN cascade as one executor unit, merged back in
 /// [`obr_combos`] order.
@@ -195,251 +139,12 @@ pub fn obr_sweep_points(executor: &Executor) -> Vec<ObrSweepPoint> {
     })
 }
 
-/// Renders the OBR proportionality sweep table.
-pub fn render_obr_sweep(points: &[ObrSweepPoint]) -> TextTable {
-    let mut table = TextTable::new(
-        "OBR amplification vs number of overlapping ranges (Cloudflare → Akamai, 1 KB resource)",
-        &[
-            "n",
-            "request size (B)",
-            "BCDN→FCDN (B)",
-            "factor",
-            "attacker accepted (B)",
-        ],
-    );
-    for point in points {
-        table.row(vec![
-            point.n.to_string(),
-            point.request_size.to_string(),
-            point.bcdn_to_fcdn_bytes.to_string(),
-            format!("{:.1}", point.factor),
-            point.attacker_bytes.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Renders Table V with the paper's values alongside.
-pub fn render_table5(measurements: &[ObrMeasurement]) -> TextTable {
-    let mut table = TextTable::new(
-        "Table V — OBR max amplification per cascaded combination (1 KB resource)",
-        &[
-            "FCDN",
-            "BCDN",
-            "Exploited Range Case",
-            "Max n",
-            "n paper",
-            "Server→BCDN",
-            "BCDN→FCDN",
-            "Factor",
-            "Factor paper",
-        ],
-    );
-    for m in measurements {
-        let (paper_n, paper_factor) = paper::table5_reference(&m.fcdn, &m.bcdn)
-            .map(|(n, f)| (n.to_string(), format!("{f:.2}")))
-            .unwrap_or_else(|| ("-".to_string(), "-".to_string()));
-        table.row(vec![
-            m.fcdn.clone(),
-            m.bcdn.clone(),
-            m.exploited_case.clone(),
-            m.n.to_string(),
-            paper_n,
-            format!("{}B", m.server_to_bcdn_bytes),
-            format!("{}B", m.bcdn_to_fcdn_bytes),
-            format!("{:.2}", m.amplification_factor()),
-            paper_factor,
-        ]);
-    }
-    table
-}
-
 /// Runs Fig 7 for m = 1..=15, each attack rate m as one executor unit,
 /// merged back in ascending-m order.
 pub fn fig7_reports(executor: &Executor) -> Vec<FloodReport> {
     executor.map(0, (1..=15).collect(), |_, m| {
         FloodExperiment::paper_config(m).run()
     })
-}
-
-/// Renders the Fig 7 summary (steady origin outgoing bandwidth per m).
-pub fn render_fig7_summary(reports: &[FloodReport]) -> TextTable {
-    let mut table = TextTable::new(
-        "Fig 7 — bandwidth consumption vs attack rate m (10 MB resource, 1000 Mbps uplink, 30 s)",
-        &[
-            "m (req/s)",
-            "origin outgoing (steady, Mbps)",
-            "client incoming peak (Kbps)",
-        ],
-    );
-    for report in reports {
-        table.row(vec![
-            report.requests_per_sec.to_string(),
-            format!("{:.1}", report.steady_origin_mbps()),
-            format!("{:.1}", report.peak_client_kbps()),
-        ]);
-    }
-    table
-}
-
-/// Renders scanner Table I.
-pub fn render_table1(rows: &[Table1Row]) -> TextTable {
-    let mut table = TextTable::new(
-        "Table I — range forwarding behaviours vulnerable to the SBR attack (scanner output)",
-        &["CDN", "Vulnerable Range Format", "Forwarded Range Format"],
-    );
-    for row in rows {
-        table.row(vec![
-            row.vendor.clone(),
-            row.vulnerable_format.clone(),
-            row.forwarded_format.clone(),
-        ]);
-    }
-    table
-}
-
-/// Renders scanner Table II.
-pub fn render_table2(rows: &[Table2Row]) -> TextTable {
-    let mut table = TextTable::new(
-        "Table II — range forwarding behaviours vulnerable to the OBR attack (FCDN eligibility)",
-        &["CDN", "Vulnerable Range Format", "Forwarded Range Format"],
-    );
-    for row in rows {
-        table.row(vec![
-            row.vendor.clone(),
-            row.vulnerable_format.clone(),
-            row.forwarded_format.clone(),
-        ]);
-    }
-    table
-}
-
-/// Renders scanner Table III.
-pub fn render_table3(rows: &[Table3Row]) -> TextTable {
-    let mut table = TextTable::new(
-        "Table III — range replying behaviours vulnerable to the OBR attack (BCDN eligibility)",
-        &["CDN", "Vulnerable Ranges Format", "Response Format"],
-    );
-    for row in rows {
-        table.row(vec![
-            row.vendor.clone(),
-            row.vulnerable_format.clone(),
-            row.response_format.clone(),
-        ]);
-    }
-    table
-}
-
-/// Renders the per-vendor retry-amplification table: how much extra
-/// origin-side traffic each vendor's retry policy generates when the
-/// exploited SBR fetches fail and get retried.
-pub fn render_retry_amp(reports: &[VendorChaosReport]) -> TextTable {
-    let mut table = TextTable::new(
-        "Retry amplification — SBR campaign under a flaky origin (deterministic fault schedule)",
-        &[
-            "CDN",
-            "Attempts",
-            "Retries",
-            "Breaker opens",
-            "Stale serves",
-            "5xx to client",
-            "Origin bytes",
-            "Retry bytes",
-            "Retry-amp",
-            "Retries/req",
-            "Cache h/m",
-            "Cache hit",
-            "Availability",
-        ],
-    );
-    for report in reports {
-        table.row(vec![
-            report.vendor.name().to_string(),
-            report.resilience.attempts.to_string(),
-            report.resilience.retries.to_string(),
-            report.resilience.breaker_opens.to_string(),
-            report.resilience.stale_serves.to_string(),
-            report.client_errors.to_string(),
-            group_digits(report.origin.response_bytes),
-            group_digits(report.resilience.retry_response_bytes),
-            format!("{:.3}x", report.retry_amplification()),
-            format!("{:.3}", report.retries_per_request()),
-            format!("{}/{}", report.cache_hits, report.cache_misses),
-            format!("{:.1}%", report.cache_hit_ratio() * 100.0),
-            format!("{:.1}%", report.availability() * 100.0),
-        ]);
-    }
-    table
-}
-
-/// Serialises retry-amplification reports as a JSON array (the report
-/// structs live in crates that deliberately stay serde-free, so the
-/// shape is assembled here).
-pub fn retry_amp_json(reports: &[VendorChaosReport]) -> serde_json::Value {
-    serde_json::Value::Array(
-        reports
-            .iter()
-            .map(|r| {
-                serde_json::json!({
-                    "vendor": r.vendor.name(),
-                    "rounds": r.rounds,
-                    "attempts": r.resilience.attempts,
-                    "retries": r.resilience.retries,
-                    "breaker_opens": r.resilience.breaker_opens,
-                    "stale_serves": r.resilience.stale_serves,
-                    "client_errors": r.client_errors,
-                    "origin_response_bytes": r.origin.response_bytes,
-                    "retry_response_bytes": r.resilience.retry_response_bytes,
-                    "retry_amplification": r.retry_amplification(),
-                    "retries_per_request": r.retries_per_request(),
-                    "cache_hits": r.cache_hits,
-                    "cache_misses": r.cache_misses,
-                    "cache_hit_ratio": r.cache_hit_ratio(),
-                    "availability": r.availability(),
-                })
-            })
-            .collect(),
-    )
-}
-
-/// Renders the defense evaluation table: detection quality, enforcement
-/// ladder outcome, and victim-link traffic with/without the layer.
-pub fn render_defense_eval(reports: &[DefenseScenarioReport]) -> TextTable {
-    let mut table = TextTable::new(
-        "Online defense evaluation — mixed benign + attack workloads, defended vs undefended (DESIGN.md §12)",
-        &[
-            "scenario",
-            "case",
-            "detected",
-            "latency (ms)",
-            "precision",
-            "recall",
-            "benign blocked",
-            "peak action",
-            "victim bytes (raw)",
-            "victim bytes (defended)",
-            "residual amp",
-        ],
-    );
-    for report in reports {
-        table.row(vec![
-            report.scenario.clone(),
-            report.exploited_case.clone(),
-            report.detected.to_string(),
-            report
-                .detection_latency_ms
-                .map(|ms| ms.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-            format!("{:.3}", report.precision),
-            format!("{:.3}", report.recall),
-            report.benign_requests_blocked.to_string(),
-            report.peak_action.clone(),
-            group_digits(report.undefended_victim_bytes),
-            group_digits(report.defended_victim_bytes),
-            format!("{:.2}x", report.residual_amplification),
-        ]);
-    }
-    table
 }
 
 /// One threshold point of the §VI-C naive-detector sweep.
@@ -596,10 +301,8 @@ pub fn h2_rows(executor: &Executor) -> Vec<H2Row> {
 
 /// The flag set shared by the experiment binaries, parsed once.
 ///
-/// `table1`–`table5`, `fig6`, `fig7`, `retry_amp`, `defense`,
-/// `detectability`, `dropped_get`, `h2_check`, `mitigation`, `obr_sweep`,
-/// `severity` and `fuzz` accept (`all`, `perf` and `trace` parse their own
-/// flags):
+/// `experiment` (every [`experiments`] entry) and `fuzz` accept (`perf`
+/// and `trace` parse their own flags):
 ///
 /// * `--json <path>` — also write the experiment's rows as pretty JSON;
 /// * `--threads <n>` — shard the experiment over `n` executor threads
@@ -696,13 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn table4_renders_13_rows() {
-        let points = sbr_points(&[1], &Executor::sequential());
-        let table = render_table4(&points);
-        assert_eq!(table.len(), 13);
-    }
-
-    #[test]
     fn sbr_amplification_survives_http2_framing() {
         // §VI-B: HPACK shrinks the attacker's small 206 more than framing
         // grows the origin's megabyte body, so no vendor's factor drops.
@@ -712,13 +408,5 @@ mod tests {
             assert!(row.factor_h1 > 1_000.0, "{row:?}");
             assert!(row.factor_h2 >= row.factor_h1, "{row:?}");
         }
-    }
-
-    #[test]
-    fn table5_has_11_rows() {
-        let measurements = table5_measurements(&Executor::sequential());
-        assert_eq!(measurements.len(), 11);
-        let table = render_table5(&measurements);
-        assert_eq!(table.len(), 11);
     }
 }

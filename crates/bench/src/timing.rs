@@ -166,6 +166,8 @@ pub struct BaselineCheck {
     pub lines: Vec<String>,
     /// Workloads whose best wall time regressed beyond tolerance.
     pub regressions: Vec<String>,
+    /// Workloads that had a baseline entry to compare against.
+    pub compared: usize,
 }
 
 impl BaselineCheck {
@@ -179,7 +181,7 @@ impl BaselineCheck {
 /// Joins entries on `(name, threads)`; a workload regresses when its
 /// best wall time exceeds the baseline's by more than `tolerance`
 /// (0.15 = +15%). Returns `None` when the baseline cannot be parsed as
-/// a perf report (the caller should warn and skip the gate).
+/// a perf report; [`gate`] turns that into a failure.
 pub fn check_against_baseline(
     current: &PerfReport,
     baseline_json: &str,
@@ -188,6 +190,7 @@ pub fn check_against_baseline(
     let baseline = parse_perf_report(baseline_json)?;
     let mut lines = Vec::new();
     let mut regressions = Vec::new();
+    let mut compared = 0;
     for entry in &current.workloads {
         let Some(base) = baseline
             .iter()
@@ -199,6 +202,7 @@ pub fn check_against_baseline(
             ));
             continue;
         };
+        compared += 1;
         let ratio = entry.wall_ns as f64 / base.wall_ns.max(1) as f64;
         let delta_pct = (ratio - 1.0) * 100.0;
         let verdict = if ratio > 1.0 + tolerance {
@@ -220,7 +224,30 @@ pub fn check_against_baseline(
             entry.name, entry.threads, entry.wall_ns, base.wall_ns, delta_pct, verdict
         ));
     }
-    Some(BaselineCheck { lines, regressions })
+    Some(BaselineCheck {
+        lines,
+        regressions,
+        compared,
+    })
+}
+
+/// The perf gate: checks `current` against the contents of a baseline
+/// file, failing closed. An unreadable file, a file that is not a perf
+/// report, and a report sharing no `(name, threads)` entry with `current`
+/// are errors, because each would let the gate pass without comparing
+/// anything. Regressions are reported through [`BaselineCheck::passed`].
+pub fn gate(
+    current: &PerfReport,
+    baseline: std::io::Result<String>,
+    tolerance: f64,
+) -> Result<BaselineCheck, String> {
+    let text = baseline.map_err(|err| format!("baseline not readable ({err})"))?;
+    let check = check_against_baseline(current, &text, tolerance)
+        .ok_or_else(|| "baseline is not a perf report".to_string())?;
+    if check.compared == 0 {
+        return Err("no (workload, threads) entry of this run is in the baseline".to_string());
+    }
+    Ok(check)
 }
 
 /// A baseline workload entry as read back from disk.
@@ -564,6 +591,54 @@ mod tests {
         let current = PerfReport::new(vec![1]);
         assert!(check_against_baseline(&current, "not json", DEFAULT_TOLERANCE).is_none());
         assert!(check_against_baseline(&current, "{\"schema\":1}", DEFAULT_TOLERANCE).is_none());
+    }
+
+    fn baseline_with(name: &str, threads: usize) -> std::io::Result<String> {
+        let mut baseline = PerfReport::new(vec![threads]);
+        baseline.workloads.push(result(name, threads, 1_000_000));
+        Ok(serde_json::to_string_pretty(&baseline).expect("serializable"))
+    }
+
+    fn report_with(name: &str, threads: usize) -> PerfReport {
+        let mut report = PerfReport::new(vec![threads]);
+        report.workloads.push(result(name, threads, 1_000_000));
+        report
+    }
+
+    #[test]
+    fn gate_checks_a_matching_baseline() {
+        let check = gate(
+            &report_with("w", 1),
+            baseline_with("w", 1),
+            DEFAULT_TOLERANCE,
+        )
+        .expect("gate runs");
+        assert!(check.passed());
+        assert_eq!(check.compared, 1);
+    }
+
+    #[test]
+    fn gate_fails_when_the_baseline_is_missing() {
+        let missing = Err(std::io::Error::from(std::io::ErrorKind::NotFound));
+        let err = gate(&report_with("w", 1), missing, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("not readable"), "{err}");
+    }
+
+    #[test]
+    fn gate_fails_when_the_baseline_is_not_a_perf_report() {
+        let text = Ok("{\"schema\":1}".to_string());
+        let err = gate(&report_with("w", 1), text, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("not a perf report"), "{err}");
+    }
+
+    #[test]
+    fn gate_fails_when_no_entry_matches_the_baseline() {
+        // Same name at another thread count, and another name at the same
+        // thread count: neither is a `(name, threads)` match.
+        for baseline in [baseline_with("w", 4), baseline_with("other", 1)] {
+            let err = gate(&report_with("w", 1), baseline, DEFAULT_TOLERANCE).unwrap_err();
+            assert!(err.contains("no (workload, threads) entry"), "{err}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rangeamp_cdn::{ResilienceStats, Vendor};
 use rangeamp_http::Request;
 use rangeamp_net::{FaultPlan, FaultRates, SegmentStats, Telemetry};
 
-use crate::attack::{exploited_range_case, obr_combos, ObrAttack};
+use crate::attack::{exploited_range_case, ObrAttack};
 use crate::executor::Executor;
 use crate::testbed::{Testbed, TARGET_HOST, TARGET_PATH};
 
@@ -42,13 +42,7 @@ impl Default for ChaosConfig {
             seed: 0xCD4_BACF1,
             rounds: 32,
             resource_size: 1024 * 1024,
-            rates: FaultRates {
-                origin_5xx: 0.15,
-                timeout: 0.08,
-                connection_reset: 0.08,
-                truncation: 0.05,
-                slow_link: 0.04,
-            },
+            rates: FaultRates::FLAKY_ORIGIN,
         }
     }
 }
@@ -240,51 +234,10 @@ pub fn run_sbr_campaign(
     telemetry: Option<&Telemetry>,
     executor: &Executor,
 ) -> Vec<VendorChaosReport> {
-    run_units(
-        config.seed,
-        Vendor::ALL.to_vec(),
-        telemetry,
-        executor,
-        |vendor, tel| run_sbr_chaos(vendor, config, tel),
-    )
-}
-
-/// Runs [`run_obr_chaos`] for every vulnerable FCDN → BCDN combination
-/// (the paper's 11 Table V cascades), in [`obr_combos`] order, with the
-/// same sharding and telemetry contract as [`run_sbr_campaign`].
-pub fn run_obr_campaign(
-    config: &ChaosConfig,
-    telemetry: Option<&Telemetry>,
-    executor: &Executor,
-) -> Vec<CascadeChaosReport> {
-    run_units(
-        config.seed,
-        obr_combos(),
-        telemetry,
-        executor,
-        |(fcdn, bcdn), tel| run_obr_chaos(fcdn, bcdn, config, tel),
-    )
-}
-
-/// Runs `run` once per unit on `executor`. When `telemetry` is given,
-/// each unit traces into a fresh bundle seeded from the executor's
-/// per-unit seed stream for `seed`, and the bundles are absorbed into
-/// `telemetry` in unit order after the parallel section.
-fn run_units<T, R>(
-    seed: u64,
-    units: Vec<T>,
-    telemetry: Option<&Telemetry>,
-    executor: &Executor,
-    run: impl Fn(T, Option<&Telemetry>) -> R + Sync,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-{
     let traced = telemetry.is_some();
-    let results = executor.map(seed, units, |ctx, unit| {
+    let results = executor.map(config.seed, Vendor::ALL.to_vec(), |ctx, vendor| {
         let unit_tel = traced.then(|| Telemetry::seeded(ctx.seed));
-        (run(unit, unit_tel.as_ref()), unit_tel)
+        (run_sbr_chaos(vendor, config, unit_tel.as_ref()), unit_tel)
     });
     results
         .into_iter()
@@ -481,21 +434,6 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), reference, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn obr_campaign_covers_all_combos_at_any_thread_count() {
-        let config = ChaosConfig {
-            rounds: 2,
-            ..ChaosConfig::default()
-        };
-        let seq = run_obr_campaign(&config, None, &Executor::sequential());
-        assert_eq!(seq.len(), crate::attack::obr_combos().len());
-        let par = run_obr_campaign(&config, None, &Executor::new(5));
-        let digest = |rs: &[CascadeChaosReport]| -> Vec<String> {
-            rs.iter().map(|r| format!("{r:?}")).collect()
-        };
-        assert_eq!(digest(&seq), digest(&par));
     }
 
     #[test]

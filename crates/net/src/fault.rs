@@ -80,6 +80,16 @@ impl FaultRates {
         slow_link: 0.0,
     };
 
+    /// A flaky origin: occasional 5xx, timeouts and mid-transfer resets,
+    /// rarer truncation and link degradation.
+    pub const FLAKY_ORIGIN: FaultRates = FaultRates {
+        origin_5xx: 0.15,
+        timeout: 0.08,
+        connection_reset: 0.08,
+        truncation: 0.05,
+        slow_link: 0.04,
+    };
+
     fn total(&self) -> f64 {
         self.origin_5xx + self.timeout + self.connection_reset + self.truncation + self.slow_link
     }
@@ -138,19 +148,9 @@ impl FaultPlan {
         }
     }
 
-    /// Preset modelling a flaky origin: occasional 5xx, timeouts and
-    /// mid-transfer resets, rarer truncation and link degradation.
+    /// Preset modelling a flaky origin ([`FaultRates::FLAKY_ORIGIN`]).
     pub fn flaky_origin(seed: u64) -> FaultPlan {
-        FaultPlan::with_rates(
-            seed,
-            FaultRates {
-                origin_5xx: 0.15,
-                timeout: 0.08,
-                connection_reset: 0.08,
-                truncation: 0.05,
-                slow_link: 0.04,
-            },
-        )
+        FaultPlan::with_rates(seed, FaultRates::FLAKY_ORIGIN)
     }
 
     /// Whether this plan can ever inject a fault.

@@ -214,11 +214,6 @@ impl Tracer {
         }
     }
 
-    /// The seed trace ids derive from.
-    pub fn seed(&self) -> u64 {
-        self.inner.lock().seed
-    }
-
     /// Starts a span that roots a **new** trace, regardless of any open
     /// spans (used by the testbed for each client request).
     pub fn start_trace(&self, name: &'static str, kind: SpanKind, now_ms: u64) -> ActiveSpan {
@@ -507,14 +502,6 @@ impl Telemetry {
     pub fn seeded(seed: u64) -> Telemetry {
         Telemetry {
             tracer: Tracer::seeded(seed),
-            metrics: MetricsRegistry::new(),
-        }
-    }
-
-    /// Creates a bundle with an explicit flight-recorder capacity.
-    pub fn with_capacity(seed: u64, capacity: usize) -> Telemetry {
-        Telemetry {
-            tracer: Tracer::with_capacity(seed, capacity),
             metrics: MetricsRegistry::new(),
         }
     }
