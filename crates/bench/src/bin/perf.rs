@@ -1,6 +1,6 @@
 //! Benchmark harness for the campaign executor: times the
-//! representative workloads (table sweep, OBR sweep, chaos campaign,
-//! telemetry export) at each requested thread count and writes
+//! representative workloads (table sweep, OBR sweep, Fig 7 flood, chaos
+//! campaign, telemetry export) at each requested thread count and writes
 //! `BENCH_campaigns.json` in the stable `rangeamp-bench-perf/1` schema
 //! (see `rangeamp_bench::timing`).
 //!
@@ -9,7 +9,7 @@
 //!     --threads 1,4 --out BENCH_campaigns.json --baseline BENCH_baseline.json
 //! ```
 //!
-//! Flags:
+//! Flags (anything else exits 2 before any workload runs):
 //!
 //! * `--threads a,b,c` — thread counts to sweep (default `1,<cores>`);
 //! * `--out <path>` — where to write the JSON report (default
@@ -17,17 +17,22 @@
 //! * `--baseline <path>` — committed baseline to gate against (the CI perf
 //!   gate). The process exits non-zero when the file is missing or is not
 //!   a perf report, when no `(workload, threads)` pair of the run is in
-//!   it, or when any workload's best wall time regresses more than the
-//!   tolerance;
-//! * `--tolerance <pct>` — regression tolerance in percent (default 15);
-//! * `--warmup <n>` / `--iters <n>` — iteration counts (default 1 / 3).
+//!   it, or when any workload's best wall time regresses more than
+//!   `timing::TOLERANCE` (+15%).
+//!
+//! Iteration counts and the tolerance are the constants of
+//! `rangeamp_bench::timing`, not flags.
 
 use rangeamp::chaos::{run_sbr_campaign, ChaosConfig};
 use rangeamp::executor::Executor;
 use rangeamp::scanner::Scanner;
 use rangeamp::Telemetry;
-use rangeamp_bench::timing::{gate, time_workload, PerfReport};
-use rangeamp_bench::{arg_value, obr_sweep_points, sbr_points, table5_measurements, write_output};
+use rangeamp_bench::timing::{gate, time_workload, PerfReport, TOLERANCE};
+use rangeamp_bench::{
+    arg_value, fig7_reports, obr_sweep_points, sbr_points, table5_measurements, write_output,
+};
+
+const USAGE: &str = "usage: perf [--threads a,b,c] [--out <path>] [--baseline <path>]";
 
 /// Table I–V sweep: scanner tables plus the SBR (1 MB) and OBR
 /// amplification measurements.
@@ -57,6 +62,17 @@ fn obr_sweep(executor: &Executor) -> (u64, u64) {
         .map(|p| p.bcdn_to_fcdn_bytes + p.attacker_bytes)
         .sum();
     (points.len() as u64, bytes)
+}
+
+/// Fig 7 flood for m = 1..=15: each rate schedules its flows (450 at
+/// m = 15) on the max-min bandwidth simulator.
+fn fig7(executor: &Executor) -> (u64, u64) {
+    let reports = fig7_reports(executor);
+    let bytes = reports
+        .iter()
+        .map(|r| r.origin_bytes_per_request + r.client_bytes_per_request)
+        .sum();
+    (reports.len() as u64, bytes)
 }
 
 /// The chaos workloads run the default campaign configuration — the
@@ -111,23 +127,38 @@ fn parse_threads(raw: Option<String>) -> Vec<usize> {
     threads
 }
 
+/// Exits 2 with [`USAGE`] on any argument that is not one of the three
+/// flags with its value (`--flag value` or `--flag=value`), so a dropped
+/// or misspelt flag such as `--tolerance 5` is never silently ignored.
+fn reject_unknown_args() {
+    const FLAGS: [&str; 3] = ["--threads", "--out", "--baseline"];
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let known = if FLAGS.contains(&arg.as_str()) {
+            args.next().is_some()
+        } else {
+            FLAGS.iter().any(|flag| {
+                arg.strip_prefix(flag)
+                    .is_some_and(|rest| rest.starts_with('='))
+            })
+        };
+        if !known {
+            eprintln!("perf: unexpected argument `{arg}`\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
+    reject_unknown_args();
     let threads = parse_threads(arg_value("--threads"));
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_campaigns.json".to_string());
     let baseline_path = arg_value("--baseline");
-    let tolerance = arg_value("--tolerance")
-        .map(|raw| raw.parse::<f64>().expect("--tolerance takes a percentage") / 100.0)
-        .unwrap_or(rangeamp_bench::timing::DEFAULT_TOLERANCE);
-    let warmup: u32 = arg_value("--warmup")
-        .map(|raw| raw.parse().expect("--warmup takes an integer"))
-        .unwrap_or(1);
-    let iters: u32 = arg_value("--iters")
-        .map(|raw| raw.parse().expect("--iters takes an integer"))
-        .unwrap_or(3);
 
     let workloads: &[(&str, Workload)] = &[
         ("table_sweep", table_sweep),
         ("obr_sweep", obr_sweep),
+        ("fig7", fig7),
         ("chaos_campaign", chaos_campaign),
         ("telemetry_export", telemetry_export),
     ];
@@ -136,7 +167,7 @@ fn main() {
     for &count in &threads {
         let executor = Executor::new(count);
         for (name, run) in workloads {
-            let result = time_workload(name, &executor, warmup, iters, run);
+            let result = time_workload(name, &executor, run);
             println!(
                 "{:>17} @{}t: {:>12} ns  {:>10.1} units/s  {:>14.0} wire-B/s",
                 result.name,
@@ -162,7 +193,7 @@ fn main() {
     );
 
     if let Some(path) = baseline_path {
-        let check = match gate(&report, std::fs::read_to_string(&path), tolerance) {
+        let check = match gate(&report, std::fs::read_to_string(&path)) {
             Ok(check) => check,
             Err(why) => {
                 eprintln!("perf gate failed: {path}: {why}");
@@ -178,6 +209,6 @@ fn main() {
             }
             std::process::exit(1);
         }
-        println!("perf gate: ok (tolerance +{:.0}%)", tolerance * 100.0);
+        println!("perf gate: ok (tolerance +{:.0}%)", TOLERANCE * 100.0);
     }
 }

@@ -441,8 +441,8 @@ fn detectability(cli: &BenchCli) -> Output {
         "{table}\nCatching the attack (tiny thresholds) also flags media-player probe \
          requests; raising the threshold to spare them lets the attacker simply \
          request larger-but-still-small ranges. The distributed egress sources \
-         (see `mitigation` bin) close the remaining avenue — §VI-C's conclusion. \
-         The `defense` bin shows what a stateful per-client layer adds.\n"
+         (see `experiment mitigation`) close the remaining avenue — §VI-C's conclusion. \
+         `experiment defense` shows what a stateful per-client layer adds.\n"
     );
     Output::new(text, &points)
 }

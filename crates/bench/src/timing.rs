@@ -1,7 +1,7 @@
 //! Shared timing harness for the `perf` benchmark binary: workload
-//! timing over warmup + measured iterations, the stable
+//! timing over a fixed warmup + measured iteration count, the stable
 //! `BENCH_campaigns.json` schema, and the committed-baseline regression
-//! check used by CI.
+//! gate used by CI.
 //!
 //! # `BENCH_*.json` schema (`rangeamp-bench-perf/1`)
 //!
@@ -36,13 +36,13 @@
 //!   metered segments in one iteration — the throughput the simulation
 //!   achieved, not bytes on any real NIC.
 //!
-//! Workload entries are keyed `(name, threads)`; the baseline check
-//! compares `wall_ns` for matching keys and ignores keys present on
-//! only one side (so adding a workload or running a different thread
-//! list never fails the gate spuriously).
+//! Workload entries are keyed `(name, threads)`; the gate compares
+//! `wall_ns` for matching keys and skips keys present on only one side
+//! (so adding a workload or running a different thread list never fails
+//! the gate spuriously), but fails when no key matches at all.
 //!
-//! The committed baseline (`BENCH_baseline.json`) is read back with the
-//! minimal JSON parser below — the workspace's vendored `serde_json`
+//! The committed baseline (`BENCH_baseline.json`) is read back with a
+//! minimal private JSON parser — the workspace's vendored `serde_json`
 //! serialises only, by design.
 
 use std::time::Instant;
@@ -53,9 +53,15 @@ use serde::Serialize;
 /// Schema identifier written into every perf report.
 pub const PERF_SCHEMA: &str = "rangeamp-bench-perf/1";
 
-/// Default regression tolerance: fail when a workload's best wall time
+/// Untimed iterations run before the measured ones.
+pub const WARMUP_ITERS: u32 = 1;
+
+/// Timed iterations per workload; the report keeps the best and the mean.
+pub const MEASURED_ITERS: u32 = 3;
+
+/// Regression tolerance: the gate fails when a workload's best wall time
 /// grows by more than 15% over the committed baseline.
-pub const DEFAULT_TOLERANCE: f64 = 0.15;
+pub const TOLERANCE: f64 = 0.15;
 
 /// One timed workload at one thread count.
 #[derive(Debug, Clone, Serialize)]
@@ -119,23 +125,21 @@ impl PerfReport {
     }
 }
 
-/// Times one workload: `run` is called `warmup` times untimed, then
-/// `iters` times timed; it must return `(units processed, simulated
-/// wire bytes)` for the iteration.
+/// Times one workload: `run` is called [`WARMUP_ITERS`] times untimed,
+/// then [`MEASURED_ITERS`] times timed; it must return `(units processed,
+/// simulated wire bytes)` for the iteration.
 pub fn time_workload(
     name: &str,
     executor: &Executor,
-    warmup: u32,
-    iters: u32,
     run: impl Fn(&Executor) -> (u64, u64),
 ) -> WorkloadResult {
-    for _ in 0..warmup {
+    for _ in 0..WARMUP_ITERS {
         run(executor);
     }
-    let mut walls = Vec::with_capacity(iters.max(1) as usize);
+    let mut walls = Vec::with_capacity(MEASURED_ITERS as usize);
     let mut units = 0u64;
     let mut bytes = 0u64;
-    for _ in 0..iters.max(1) {
+    for _ in 0..MEASURED_ITERS {
         let start = Instant::now();
         let (u, b) = run(executor);
         walls.push(start.elapsed().as_nanos() as u64);
@@ -148,8 +152,8 @@ pub fn time_workload(
     WorkloadResult {
         name: name.to_string(),
         threads: executor.threads(),
-        warmup_iters: warmup,
-        measured_iters: iters.max(1),
+        warmup_iters: WARMUP_ITERS,
+        measured_iters: MEASURED_ITERS,
         wall_ns,
         mean_wall_ns,
         units,
@@ -177,17 +181,22 @@ impl BaselineCheck {
     }
 }
 
-/// Compares `current` against the JSON text of a committed baseline.
-/// Joins entries on `(name, threads)`; a workload regresses when its
-/// best wall time exceeds the baseline's by more than `tolerance`
-/// (0.15 = +15%). Returns `None` when the baseline cannot be parsed as
-/// a perf report; [`gate`] turns that into a failure.
-pub fn check_against_baseline(
+/// The perf gate: checks `current` against the contents of a baseline
+/// file, joining entries on `(name, threads)`. A workload regresses when
+/// its best wall time exceeds the baseline's by more than [`TOLERANCE`];
+/// regressions are reported through [`BaselineCheck::passed`].
+///
+/// The gate fails closed: an unreadable file, a file that is not a perf
+/// report, and a report sharing no `(name, threads)` entry with `current`
+/// are errors, because each would let the gate pass without comparing
+/// anything.
+pub fn gate(
     current: &PerfReport,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Option<BaselineCheck> {
-    let baseline = parse_perf_report(baseline_json)?;
+    baseline: std::io::Result<String>,
+) -> Result<BaselineCheck, String> {
+    let text = baseline.map_err(|err| format!("baseline not readable ({err})"))?;
+    let baseline =
+        parse_perf_report(&text).ok_or_else(|| "baseline is not a perf report".to_string())?;
     let mut lines = Vec::new();
     let mut regressions = Vec::new();
     let mut compared = 0;
@@ -205,7 +214,7 @@ pub fn check_against_baseline(
         compared += 1;
         let ratio = entry.wall_ns as f64 / base.wall_ns.max(1) as f64;
         let delta_pct = (ratio - 1.0) * 100.0;
-        let verdict = if ratio > 1.0 + tolerance {
+        let verdict = if ratio > 1.0 + TOLERANCE {
             regressions.push(format!(
                 "{} @{}t regressed {:+.1}% ({} ns -> {} ns, tolerance +{:.0}%)",
                 entry.name,
@@ -213,7 +222,7 @@ pub fn check_against_baseline(
                 delta_pct,
                 base.wall_ns,
                 entry.wall_ns,
-                tolerance * 100.0
+                TOLERANCE * 100.0
             ));
             "REGRESSED"
         } else {
@@ -224,45 +233,25 @@ pub fn check_against_baseline(
             entry.name, entry.threads, entry.wall_ns, base.wall_ns, delta_pct, verdict
         ));
     }
-    Some(BaselineCheck {
+    if compared == 0 {
+        return Err("no (workload, threads) entry of this run is in the baseline".to_string());
+    }
+    Ok(BaselineCheck {
         lines,
         regressions,
         compared,
     })
 }
 
-/// The perf gate: checks `current` against the contents of a baseline
-/// file, failing closed. An unreadable file, a file that is not a perf
-/// report, and a report sharing no `(name, threads)` entry with `current`
-/// are errors, because each would let the gate pass without comparing
-/// anything. Regressions are reported through [`BaselineCheck::passed`].
-pub fn gate(
-    current: &PerfReport,
-    baseline: std::io::Result<String>,
-    tolerance: f64,
-) -> Result<BaselineCheck, String> {
-    let text = baseline.map_err(|err| format!("baseline not readable ({err})"))?;
-    let check = check_against_baseline(current, &text, tolerance)
-        .ok_or_else(|| "baseline is not a perf report".to_string())?;
-    if check.compared == 0 {
-        return Err("no (workload, threads) entry of this run is in the baseline".to_string());
-    }
-    Ok(check)
-}
-
 /// A baseline workload entry as read back from disk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineEntry {
-    /// Workload name.
-    pub name: String,
-    /// Thread count of the entry.
-    pub threads: usize,
-    /// Best wall time recorded in the baseline.
-    pub wall_ns: u64,
+struct BaselineEntry {
+    name: String,
+    threads: usize,
+    wall_ns: u64,
 }
 
 /// Parses the `workloads` array out of a perf-report JSON document.
-pub fn parse_perf_report(text: &str) -> Option<Vec<BaselineEntry>> {
+fn parse_perf_report(text: &str) -> Option<Vec<BaselineEntry>> {
     let value = json::parse(text)?;
     let workloads = value.get("workloads")?.as_array()?;
     let mut entries = Vec::with_capacity(workloads.len());
@@ -283,11 +272,11 @@ pub fn parse_perf_report(text: &str) -> Option<Vec<BaselineEntry>> {
 /// (objects, arrays, strings with escapes, numbers, booleans, null),
 /// no trailing-comma leniency, and `f64` number semantics — exactly
 /// enough to read files this harness wrote.
-pub mod json {
+mod json {
     use std::collections::BTreeMap;
 
     /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
+    #[derive(Debug, PartialEq)]
     pub enum Value {
         /// `null`
         Null,
@@ -333,14 +322,6 @@ pub mod json {
         pub fn as_u64(&self) -> Option<u64> {
             match self {
                 Value::Number(n) if *n >= 0.0 => Some(*n as u64),
-                _ => None,
-            }
-        }
-
-        /// The value as a float.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
                 _ => None,
             }
         }
@@ -554,45 +535,6 @@ mod tests {
         assert_eq!(report.speedup("missing", 4), None);
     }
 
-    #[test]
-    fn regression_gate_fires_beyond_tolerance() {
-        let mut baseline = PerfReport::new(vec![1]);
-        baseline.workloads.push(result("w", 1, 1_000_000));
-        let baseline_json = serde_json::to_string_pretty(&baseline).expect("serializable");
-
-        let mut ok = PerfReport::new(vec![1]);
-        ok.workloads.push(result("w", 1, 1_100_000)); // +10% < 15%
-        let check = check_against_baseline(&ok, &baseline_json, DEFAULT_TOLERANCE)
-            .expect("baseline parses");
-        assert!(check.passed(), "{:?}", check.regressions);
-
-        let mut bad = PerfReport::new(vec![1]);
-        bad.workloads.push(result("w", 1, 1_200_000)); // +20% > 15%
-        let check = check_against_baseline(&bad, &baseline_json, DEFAULT_TOLERANCE)
-            .expect("baseline parses");
-        assert!(!check.passed());
-        assert_eq!(check.regressions.len(), 1);
-    }
-
-    #[test]
-    fn missing_baseline_entries_are_skipped_not_failed() {
-        let baseline = PerfReport::new(vec![1]);
-        let baseline_json = serde_json::to_string_pretty(&baseline).expect("serializable");
-        let mut current = PerfReport::new(vec![1]);
-        current.workloads.push(result("brand_new", 1, 5));
-        let check = check_against_baseline(&current, &baseline_json, DEFAULT_TOLERANCE)
-            .expect("baseline parses");
-        assert!(check.passed());
-        assert!(check.lines[0].contains("no baseline entry"));
-    }
-
-    #[test]
-    fn unparseable_baseline_returns_none() {
-        let current = PerfReport::new(vec![1]);
-        assert!(check_against_baseline(&current, "not json", DEFAULT_TOLERANCE).is_none());
-        assert!(check_against_baseline(&current, "{\"schema\":1}", DEFAULT_TOLERANCE).is_none());
-    }
-
     fn baseline_with(name: &str, threads: usize) -> std::io::Result<String> {
         let mut baseline = PerfReport::new(vec![threads]);
         baseline.workloads.push(result(name, threads, 1_000_000));
@@ -606,13 +548,32 @@ mod tests {
     }
 
     #[test]
+    fn regression_gate_fires_beyond_tolerance() {
+        let mut ok = PerfReport::new(vec![1]);
+        ok.workloads.push(result("w", 1, 1_100_000)); // +10% < 15%
+        let check = gate(&ok, baseline_with("w", 1)).expect("gate runs");
+        assert!(check.passed(), "{:?}", check.regressions);
+
+        let mut bad = PerfReport::new(vec![1]);
+        bad.workloads.push(result("w", 1, 1_200_000)); // +20% > 15%
+        let check = gate(&bad, baseline_with("w", 1)).expect("gate runs");
+        assert!(!check.passed());
+        assert_eq!(check.regressions.len(), 1);
+    }
+
+    #[test]
+    fn missing_baseline_entries_are_skipped_not_failed() {
+        let mut current = report_with("w", 1);
+        current.workloads.push(result("brand_new", 1, 5));
+        let check = gate(&current, baseline_with("w", 1)).expect("gate runs");
+        assert!(check.passed());
+        assert_eq!(check.compared, 1);
+        assert!(check.lines[1].contains("no baseline entry"));
+    }
+
+    #[test]
     fn gate_checks_a_matching_baseline() {
-        let check = gate(
-            &report_with("w", 1),
-            baseline_with("w", 1),
-            DEFAULT_TOLERANCE,
-        )
-        .expect("gate runs");
+        let check = gate(&report_with("w", 1), baseline_with("w", 1)).expect("gate runs");
         assert!(check.passed());
         assert_eq!(check.compared, 1);
     }
@@ -620,15 +581,16 @@ mod tests {
     #[test]
     fn gate_fails_when_the_baseline_is_missing() {
         let missing = Err(std::io::Error::from(std::io::ErrorKind::NotFound));
-        let err = gate(&report_with("w", 1), missing, DEFAULT_TOLERANCE).unwrap_err();
+        let err = gate(&report_with("w", 1), missing).unwrap_err();
         assert!(err.contains("not readable"), "{err}");
     }
 
     #[test]
     fn gate_fails_when_the_baseline_is_not_a_perf_report() {
-        let text = Ok("{\"schema\":1}".to_string());
-        let err = gate(&report_with("w", 1), text, DEFAULT_TOLERANCE).unwrap_err();
-        assert!(err.contains("not a perf report"), "{err}");
+        for text in ["not json", "{\"schema\":1}"] {
+            let err = gate(&report_with("w", 1), Ok(text.to_string())).unwrap_err();
+            assert!(err.contains("not a perf report"), "{text}: {err}");
+        }
     }
 
     #[test]
@@ -636,7 +598,7 @@ mod tests {
         // Same name at another thread count, and another name at the same
         // thread count: neither is a `(name, threads)` match.
         for baseline in [baseline_with("w", 4), baseline_with("other", 1)] {
-            let err = gate(&report_with("w", 1), baseline, DEFAULT_TOLERANCE).unwrap_err();
+            let err = gate(&report_with("w", 1), baseline).unwrap_err();
             assert!(err.contains("no (workload, threads) entry"), "{err}");
         }
     }
@@ -649,8 +611,8 @@ mod tests {
         .expect("parses");
         assert_eq!(value.get("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(
-            value.get("a").unwrap().as_array().unwrap()[2].as_f64(),
-            Some(1000.0)
+            value.get("a").unwrap().as_array().unwrap()[2],
+            json::Value::Number(1000.0)
         );
         assert_eq!(value.get("s").unwrap().as_str(), Some("x\n\"yA"));
         assert_eq!(value.get("t"), Some(&json::Value::Bool(true)));
@@ -663,12 +625,17 @@ mod tests {
     #[test]
     fn time_workload_records_units_and_bytes() {
         let executor = Executor::new(2);
-        let result = time_workload("demo", &executor, 1, 2, |exec| {
+        let calls = std::cell::Cell::new(0u32);
+        let result = time_workload("demo", &executor, |exec| {
+            calls.set(calls.get() + 1);
             let out = exec.map(0, vec![1u64, 2, 3], |_, x| x);
             (out.len() as u64, out.iter().sum())
         });
+        assert_eq!(calls.get(), WARMUP_ITERS + MEASURED_ITERS);
         assert_eq!(result.name, "demo");
         assert_eq!(result.threads, 2);
+        assert_eq!(result.warmup_iters, WARMUP_ITERS);
+        assert_eq!(result.measured_iters, MEASURED_ITERS);
         assert_eq!(result.units, 3);
         assert_eq!(result.simulated_wire_bytes, 6);
         assert!(result.wall_ns > 0);
