@@ -333,6 +333,17 @@ impl DefenseLayer {
             .collect()
     }
 
+    /// Number of clients the layer tracks: `report().len()` without
+    /// building or sorting the reports.
+    pub fn len(&self) -> usize {
+        self.clients.lock().index.len()
+    }
+
+    /// Whether the layer tracks no client yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Snapshot of one client's report.
     pub fn client_report(&self, client: &str) -> Option<ClientReport> {
         self.clients
@@ -513,6 +524,26 @@ mod tests {
         assert!(report.blocked > 0, "bucket drained into blocks");
         assert!(report.first_flag_ms.is_some());
         assert_eq!(report.peak_action, Some(DefenseAction::Block));
+    }
+
+    #[test]
+    fn len_counts_the_tracked_clients() {
+        let layer = DefenseLayer::default();
+        assert!(layer.is_empty());
+        assert_eq!(layer.len(), layer.report().len());
+        for i in 0..5u64 {
+            drive(&layer, &attack_request(i), 1_000_000, 700, i * 100);
+            drive(&layer, &benign_request(), 0, 1_000, i * 100 + 50);
+        }
+        // Keys past the inline limit are tracked like short ones.
+        let long = Request::get("/t.bin")
+            .header("Host", "victim")
+            .header("X-Client-Id", "a-client-id-longer-than-the-inline-key")
+            .build();
+        drive(&layer, &long, 0, 1_000, 1_000);
+        assert!(!layer.is_empty());
+        assert_eq!(layer.len(), 3);
+        assert_eq!(layer.len(), layer.report().len());
     }
 
     #[test]

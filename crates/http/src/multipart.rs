@@ -156,10 +156,7 @@ impl MultipartBuilder {
             match times {
                 0 => {}
                 1 => push_part(&mut rope, head, &run.body),
-                _ => {
-                    let pass = std::iter::once(head).chain(run.body.chunks().cloned());
-                    rope.push_run(pass.collect(), times);
-                }
+                _ => rope.push_run_of(head, &run.body, times),
             }
             at = end;
         }
@@ -216,9 +213,7 @@ impl MultipartBuilder {
 /// Appends one part: its head, then its body.
 fn push_part(rope: &mut RopeBuilder, head: Bytes, body: &Body) {
     rope.push(head);
-    for chunk in body.chunks() {
-        rope.push(chunk.clone());
-    }
+    rope.push_body(body);
 }
 
 /// Digits of a part's `first` and `last` positions.
@@ -447,7 +442,7 @@ mod tests {
         let payload = builder.build();
         // Per part a head and a body, then the closing delimiter.
         assert_eq!(payload.chunks().len(), 11);
-        let bodies: Vec<&Bytes> = payload.chunks().skip(3).step_by(2).take(3).collect();
+        let bodies: Vec<&[u8]> = payload.chunks().skip(3).step_by(2).take(3).collect();
         assert!(bodies
             .iter()
             .all(|b| b.as_ptr() == full.as_bytes().as_ptr()));
@@ -507,7 +502,7 @@ mod tests {
             .part(r(0, 99), full.slice(0, 100));
         let payload = builder.build();
         // Framing, body, framing, body, closing delimiter.
-        let chunks: Vec<&Bytes> = payload.chunks().collect();
+        let chunks: Vec<&[u8]> = payload.chunks().collect();
         assert_eq!(chunks.len(), 5);
         assert_eq!(chunks[1].as_ptr(), full.as_bytes().as_ptr());
         assert_eq!(chunks[3].as_ptr(), full.as_bytes().as_ptr());

@@ -4,7 +4,13 @@
 //! on a 1000 Mbps Linux server (§V). This crate provides:
 //!
 //! * [`Resource`] / [`ResourceStore`] — synthetic target resources of
-//!   exact sizes (the experiments sweep 1 KB .. 25 MB),
+//!   exact sizes (the experiments sweep 1 KB .. 25 MB; 4 GiB costs no
+//!   more). A synthetic resource is a periodic
+//!   [`Body`](rangeamp_http::Body): a view of a 4,352-byte block that
+//!   every resource with the same 256-byte pattern shares, so building,
+//!   cloning and slicing one are O(1) in its size. Its bytes are
+//!   materialised only if a reader asks for them contiguously
+//!   (`Body::as_bytes`), once per resource,
 //! * [`OriginServer`] — RFC 7233-conformant request handling (200 / 206
 //!   single-part / 206 multipart / 416) with Apache's post-CVE-2011-3192
 //!   multi-range hardening; the one knob the attacks turn is range

@@ -1,8 +1,15 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use bytes::Bytes;
 use rangeamp_http::{Body, HeaderValue};
+
+/// Length of the synthetic content's period.
+const PERIOD: usize = 256;
+/// Length of a synthetic block: 4 KiB plus one period, so any slice of
+/// up to 4 KiB fits in one block window and is a plain slice of it.
+const BLOCK: usize = 4096 + PERIOD;
 
 /// A static web resource served by the origin.
 ///
@@ -13,7 +20,7 @@ use rangeamp_http::{Body, HeaderValue};
 pub struct Resource {
     path: String,
     content_type: HeaderValue,
-    content: Bytes,
+    content: Body,
     etag: HeaderValue,
 }
 
@@ -24,8 +31,11 @@ impl Resource {
     ///
     /// Panics if `content_type` is not valid header text.
     pub fn new(path: &str, content_type: &str, content: impl Into<Bytes>) -> Resource {
-        let content = content.into();
-        let etag = Resource::compute_etag(path, &content);
+        Resource::with_body(path, content_type, Body::from_bytes(content.into()))
+    }
+
+    fn with_body(path: &str, content_type: &str, content: Body) -> Resource {
+        let etag = Resource::compute_etag(path, content.len());
         Resource {
             path: path.to_string(),
             content_type: content_type
@@ -37,20 +47,18 @@ impl Resource {
     }
 
     /// Creates a `size`-byte resource with deterministic synthetic
-    /// content.
+    /// content, in O(1) time and memory whatever its size: the content is
+    /// a [`Body::periodic`] view of a block shared by every resource with
+    /// the same pattern, and it is materialised only if a reader asks for
+    /// it contiguously ([`Body::as_bytes`]).
     pub fn synthetic(path: &str, size: u64, content_type: &str) -> Resource {
-        let seed = fnv1a(path.as_bytes());
-        // A 256-byte pattern keyed on the path: byte i is `(seed ^ i) as
-        // u8`, which repeats every 256 bytes. Any mis-sliced range is
-        // overwhelmingly likely to be detected.
-        let period: [u8; 256] = std::array::from_fn(|i| (seed ^ i as u64) as u8);
-        let size = size as usize;
-        let mut content = Vec::with_capacity(size);
-        while content.len() < size {
-            let take = (size - content.len()).min(period.len());
-            content.extend_from_slice(&period[..take]);
-        }
-        Resource::new(path, content_type, content)
+        // A 256-byte pattern keyed on the path: byte i is `(fnv1a(path)
+        // ^ i) as u8`, which repeats every 256 bytes and depends only on
+        // the hash's low byte. Any mis-sliced range is overwhelmingly
+        // likely to be detected.
+        let key = fnv1a(path.as_bytes()) as u8;
+        let content = Body::periodic(block(key), PERIOD, size);
+        Resource::with_body(path, content_type, content)
     }
 
     /// Absolute path of the resource (no query).
@@ -70,7 +78,7 @@ impl Resource {
 
     /// Size in bytes.
     pub fn len(&self) -> u64 {
-        self.content.len() as u64
+        self.content.len()
     }
 
     /// Whether the resource is empty.
@@ -80,7 +88,7 @@ impl Resource {
 
     /// Entire content as a zero-copy body.
     pub fn full_body(&self) -> Body {
-        Body::from_bytes(self.content.clone())
+        self.content.clone()
     }
 
     /// Zero-copy slice of the content covering the inclusive byte range.
@@ -90,7 +98,7 @@ impl Resource {
     /// Panics if `last >= len()` or `first > last`.
     pub fn slice(&self, first: u64, last: u64) -> Body {
         assert!(first <= last && last < self.len(), "slice out of bounds");
-        Body::from_bytes(self.content.slice(first as usize..=last as usize))
+        self.content.slice(first, last + 1)
     }
 
     /// Apache-style strong ETag.
@@ -103,15 +111,11 @@ impl Resource {
         &self.etag
     }
 
-    fn compute_etag(path: &str, content: &Bytes) -> HeaderValue {
+    fn compute_etag(path: &str, len: u64) -> HeaderValue {
         // Apache derives ETags from inode/mtime/size; we derive from
         // path/size, which is just as stable for a simulated filesystem.
-        HeaderValue::new(format!(
-            "\"{:x}-{:x}\"",
-            fnv1a(path.as_bytes()),
-            content.len()
-        ))
-        .expect("hex digits and quotes are valid header text")
+        HeaderValue::new(format!("\"{:x}-{:x}\"", fnv1a(path.as_bytes()), len))
+            .expect("hex digits and quotes are valid header text")
     }
 }
 
@@ -123,6 +127,20 @@ impl fmt::Debug for Resource {
             .field("len", &self.content.len())
             .finish()
     }
+}
+
+/// The synthetic block of pattern `key`: byte `j` is `key ^ j as u8`,
+/// whole periods of `(seed ^ i) as u8` for any seed whose low byte is
+/// `key`. Each of the 256 blocks is filled on first use and then shared
+/// by every resource, clone and slice with that pattern.
+fn block(key: u8) -> Bytes {
+    static BLOCKS: [OnceLock<Bytes>; 256] = [const { OnceLock::new() }; 256];
+    BLOCKS[usize::from(key)]
+        .get_or_init(|| {
+            let block: Vec<u8> = (0..BLOCK).map(|j| key ^ j as u8).collect();
+            Bytes::from(block)
+        })
+        .clone()
 }
 
 fn fnv1a(data: &[u8]) -> u64 {
@@ -175,9 +193,175 @@ impl ResourceStore {
     }
 }
 
+/// The materialising fill `Resource::synthetic` used before its content
+/// became periodic, kept as the reference the periodic bodies are
+/// checked against.
+#[cfg(test)]
+mod model {
+    use super::fnv1a;
+
+    pub(super) fn synthetic(path: &str, size: u64) -> Vec<u8> {
+        let seed = fnv1a(path.as_bytes());
+        let period: [u8; 256] = std::array::from_fn(|i| (seed ^ i as u64) as u8);
+        let size = size as usize;
+        let mut content = Vec::with_capacity(size);
+        while content.len() < size {
+            let take = (size - content.len()).min(period.len());
+            content.extend_from_slice(&period[..take]);
+        }
+        content
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rangeamp_http::multipart::MultipartBuilder;
+    use rangeamp_http::range::ResolvedRange;
+    use rangeamp_http::{Response, StatusCode};
+
+    /// Sizes around the period and the block, and one past 1 MiB.
+    const SIZES: [u64; 9] = [
+        0,
+        1,
+        255,
+        256,
+        257,
+        BLOCK as u64 - 1,
+        BLOCK as u64,
+        BLOCK as u64 + 1,
+        (1 << 20) + 3,
+    ];
+
+    /// The concatenation of `body`'s chunks.
+    fn joined(body: &Body) -> Vec<u8> {
+        let mut out = Vec::with_capacity(body.len() as usize);
+        for chunk in body.chunks() {
+            out.extend_from_slice(chunk);
+        }
+        out
+    }
+
+    fn range(first: u64, end: u64) -> ResolvedRange {
+        ResolvedRange {
+            first,
+            last: end - 1,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn periodic_content_agrees_with_the_materialised_model(
+            size in 0usize..SIZES.len(),
+            name in 0u32..1000,
+            cuts in proptest::collection::vec(any::<u64>(), 4..5),
+            times in 1usize..4,
+        ) {
+            let size = SIZES[size];
+            let path = format!("/p{name}.bin");
+            let resource = Resource::synthetic(&path, size, "x/y");
+            let data = model::synthetic(&path, size);
+            let (a, b) = (cuts[0] % (size + 1), cuts[1] % (size + 1));
+            let (start, end) = (a.min(b), a.max(b));
+            let (c, d) = (cuts[2] % (end - start + 1), cuts[3] % (end - start + 1));
+            let (inner_start, inner_end) = (c.min(d), c.max(d));
+            let full = resource.full_body();
+            let slice = full.slice(start, end);
+            let nested = slice.slice(inner_start, inner_end);
+            let views = [
+                (full.clone(), 0..size),
+                (slice, start..end),
+                (nested, start + inner_start..start + inner_end),
+            ];
+            for (body, span) in &views {
+                let expected = &data[span.start as usize..span.end as usize];
+                let flat = Body::from(expected.to_vec());
+                prop_assert_eq!(body.len(), flat.len());
+                prop_assert_eq!(joined(body), expected);
+                prop_assert!(*body == flat);
+                prop_assert!(flat == *body);
+                prop_assert_eq!(body.as_bytes(), expected);
+
+                // A multipart payload with the view as one part and as a
+                // run of `times` parts, next to its flat copy.
+                if !span.is_empty() {
+                    let part = range(span.start, span.end);
+                    let multipart = |body: &Body| {
+                        MultipartBuilder::new("x/y", size)
+                            .part(range(0, 1), full.slice(0, 1))
+                            .ranges([(part, 1), (range(0, 1), 1), (part, times)], |_| body.clone())
+                            .build()
+                    };
+                    let (built, modelled) = (multipart(body), multipart(&flat));
+                    prop_assert!(built == modelled);
+                    prop_assert!(modelled == built);
+                    prop_assert_eq!(built.as_bytes(), modelled.as_bytes());
+                    prop_assert_eq!(joined(&built), joined(&modelled));
+                }
+
+                // The wire encoding of a response carrying the view.
+                let response = |body: &Body| {
+                    Response::builder(StatusCode::OK)
+                        .sized_body(body.clone())
+                        .build()
+                        .to_wire_bytes()
+                };
+                prop_assert_eq!(response(body), response(&flat));
+            }
+        }
+    }
+
+    #[test]
+    fn views_of_one_resource_share_one_flat_copy() {
+        let mut store = ResourceStore::new();
+        store.add_synthetic("/f.bin", 1 << 20, "x/y");
+        let copy = store.clone();
+        let resource = store.get("/f.bin").unwrap();
+        let full = resource.full_body();
+        let base = full.as_bytes().as_ptr();
+        assert_eq!(
+            resource.slice(100_000, 199_999).as_bytes().as_ptr(),
+            base.wrapping_add(100_000)
+        );
+        let other = copy.get("/f.bin").unwrap().full_body();
+        assert_eq!(other.as_bytes().as_ptr(), base);
+        assert_eq!(
+            other.slice(5_000, 900_000).as_bytes().as_ptr(),
+            base.wrapping_add(5_000)
+        );
+    }
+
+    #[test]
+    fn resources_with_one_pattern_share_one_block() {
+        // Slices that fit in one block window are slices of the block,
+        // whichever resource of that pattern they come from.
+        let a = Resource::synthetic("/f.bin", 1 << 20, "x/y");
+        let b = Resource::synthetic("/f.bin", 1 << 30, "x/y");
+        let small = Resource::synthetic("/f.bin", 1024, "x/y");
+        let block = small.full_body().as_bytes().as_ptr();
+        assert_eq!(a.slice(0, 4095).as_bytes().as_ptr(), block);
+        assert_eq!(
+            b.slice(1 << 29, (1 << 29) + 4095).as_bytes().as_ptr(),
+            block
+        );
+        assert_eq!(small.full_body().chunks().len(), 1, "flat");
+        assert_eq!(a.slice(0, 4095).chunks().len(), 1, "flat");
+    }
+
+    #[test]
+    fn a_huge_resource_costs_nothing_to_build_or_slice() {
+        let r = Resource::synthetic("/huge.bin", 1 << 40, "x/y");
+        assert_eq!(r.len(), 1 << 40);
+        let seed = fnv1a(b"/huge.bin");
+        let last = r.slice((1 << 40) - 2, (1 << 40) - 1);
+        let expected: Vec<u8> = ((1u64 << 40) - 2..1 << 40)
+            .map(|i| (seed ^ i) as u8)
+            .collect();
+        assert_eq!(last.as_bytes(), expected.as_slice());
+    }
 
     #[test]
     fn synthetic_content_is_deterministic() {
@@ -191,7 +375,7 @@ mod tests {
     #[test]
     fn synthetic_content_follows_the_per_byte_formula() {
         let seed = fnv1a(b"/f.bin");
-        for size in [0u64, 1, 255, 256, 257, 1000, 4096] {
+        for size in [0u64, 1, 255, 256, 257, 1000, 4096, 3 * BLOCK as u64 + 17] {
             let r = Resource::synthetic("/f.bin", size, "x/y");
             let expected: Vec<u8> = (0..size).map(|i| (seed ^ i) as u8).collect();
             assert_eq!(r.full_body().as_bytes(), expected.as_slice(), "size {size}");

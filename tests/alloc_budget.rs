@@ -301,3 +301,38 @@ fn known_clients_cost_the_defense_no_allocation() {
         "{average} allocations per decide + observe, budget 1 (the Range parse)"
     );
 }
+
+/// FNV-1a of `data`, the hash `Resource::synthetic` keys its pattern on.
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn a_4_gib_sbr_target_costs_no_more_than_a_small_one() {
+    const SIZE: u64 = 4 << 30;
+    let (allocs, bytes) = (allocations(), allocated_bytes());
+    let bed = Testbed::builder()
+        .vendor(Vendor::Akamai)
+        .resource(TARGET_PATH, SIZE)
+        .build();
+    let req = Request::get(&format!("{TARGET_PATH}?rnd=1"))
+        .header("Host", TARGET_HOST)
+        .header("Range", "bytes=0-0")
+        .build();
+    let resp = bed.request(&req);
+    let (allocs, bytes) = (allocations() - allocs, allocated_bytes() - bytes);
+    assert!(
+        bytes < 1 << 20,
+        "{bytes} bytes in {allocs} allocations for a {SIZE}-byte target"
+    );
+    assert_eq!(resp.status(), StatusCode::PARTIAL_CONTENT);
+    let origin_bytes = bed.origin_segment().stats().response_bytes;
+    assert!(origin_bytes >= SIZE, "cdn-origin metered {origin_bytes} B");
+    // Byte i of a synthetic resource is `(fnv1a(path) ^ i) as u8`.
+    assert_eq!(
+        resp.body().as_bytes(),
+        [fnv1a(TARGET_PATH.as_bytes()) as u8]
+    );
+}
