@@ -1,7 +1,7 @@
 //! Deterministic detectors: threshold rules + EWMA/CUSUM change-points.
 //!
-//! Two rule families run side by side on the feature stream of
-//! [`ClientFeatures`]:
+//! Two rule families run side by side on the per-request features of
+//! [`RequestSample`], counted per window of virtual time:
 //!
 //! * **Shape rules** (thresholds) fire on what a single request or the
 //!   current window *looks like*, independent of byte counts: repeated
@@ -19,12 +19,13 @@
 //! timestamps — no wall clock, no randomness — so verdict streams are
 //! reproducible byte for byte (golden fixtures under `tests/corpus/`).
 
-use crate::features::{ClientFeatures, RequestSample, WindowFeatures};
+use crate::features::{window_of, RequestSample};
 
 /// Classification of a client's current traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TrafficClass {
     /// Nothing suspicious.
+    #[default]
     Benign,
     /// Small-Byte-Range abuse: repeated tiny, cache-busted ranges or a
     /// sustained per-request amplification drift.
@@ -98,10 +99,7 @@ impl Ewma {
 
     /// Folds in one observation and returns the smoothed value.
     pub fn update(&mut self, x: f64) -> f64 {
-        let next = match self.value {
-            None => x,
-            Some(prev) => prev + EWMA_ALPHA * (x - prev),
-        };
+        let next = ewma_step(self.value, x);
         self.value = Some(next);
         next
     }
@@ -109,6 +107,15 @@ impl Ewma {
     /// The current smoothed value (0 before any observation).
     pub fn value(&self) -> f64 {
         self.value.unwrap_or(0.0)
+    }
+}
+
+/// One EWMA step: the smoothed value after `x`, given the one before it
+/// (`None` before the first observation, which is taken as is).
+pub fn ewma_step(prev: Option<f64>, x: f64) -> f64 {
+    match prev {
+        None => x,
+        Some(prev) => prev + EWMA_ALPHA * (x - prev),
     }
 }
 
@@ -148,28 +155,62 @@ impl Cusum {
     }
 }
 
+/// A window that closed when a later request arrived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClosedWindow {
+    /// Whether the window passed without a single suspect verdict
+    /// (de-escalation evidence).
+    pub calm: bool,
+}
+
 /// The result of feeding one request/outcome pair to a detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// The verdict for this request.
     pub verdict: Verdict,
-    /// The window that closed on this observation, if any — `suspects`
-    /// is zero for a *calm* window (de-escalation evidence).
-    pub closed_window: Option<WindowFeatures>,
+    /// The window that closed on this observation, if any.
+    pub closed_window: Option<ClosedWindow>,
 }
 
-/// Streaming per-client detector: features + shape rules + change-points.
+/// Streaming per-client detector: the current window's counts, the
+/// change-point statistics and the latest verdict — 48 bytes, since
+/// the enforcement layer keeps one per client ever seen.
+///
+/// Windows are keyed by [`window_of`] the latest observation's time,
+/// and an idle gap closes at most one window: windows in which the
+/// client sent nothing produce no feature rows. Whether a query is
+/// fresh is for the caller to say (from its [`QueryMemory`]), so a
+/// client that sends none costs the detector no query memory.
+///
+/// [`QueryMemory`]: crate::features::QueryMemory
 #[derive(Debug, Clone, Default)]
 pub struct ClientDetector {
-    features: ClientFeatures,
-    amp_ewma: Ewma,
+    /// Virtual time of the latest observation: its window is the
+    /// current one, and it is the latest verdict's `at_ms`.
+    last_ms: u64,
+    /// Tiny and cache-busting requests in the current window.
+    tiny_busting: u64,
+    /// Smoothed per-request log-amplification (valid once `observed`).
+    ewma: f64,
     amp_cusum: Cusum,
+    /// The latest verdict's score.
+    score: f64,
+    /// The latest verdict's class.
+    class: TrafficClass,
+    /// Whether anything was observed yet.
+    observed: bool,
+    /// Whether the current window holds a suspect verdict.
+    window_suspect: bool,
 }
 
 impl ClientDetector {
-    /// The detector's feature extractor (read-only).
-    pub fn features(&self) -> &ClientFeatures {
-        &self.features
+    /// The most recent verdict, if anything was observed yet.
+    pub fn last_verdict(&self) -> Option<Verdict> {
+        self.observed.then_some(Verdict {
+            class: self.class,
+            score: self.score,
+            at_ms: self.last_ms,
+        })
     }
 
     /// Discharges accumulated change-point evidence (called by the
@@ -180,23 +221,36 @@ impl ClientDetector {
 
     /// Observes one request and its byte-level outcome at virtual time
     /// `now_ms`, returning the verdict and any closed window.
+    /// `fresh_query` says whether the request carried a query string
+    /// the client never sent before (cache-busting churn).
     pub fn observe(
         &mut self,
         sample: &RequestSample<'_>,
+        fresh_query: bool,
         origin_bytes: u64,
         client_bytes: u64,
         now_ms: u64,
     ) -> Observation {
-        let closed_window = self.features.roll_to(now_ms);
-        let (_, overlap_pairs) = self.features.on_request(sample);
-        self.features.on_outcome(origin_bytes, client_bytes);
+        let closed_window = (self.observed && window_of(now_ms) != window_of(self.last_ms))
+            .then_some(ClosedWindow {
+                calm: !self.window_suspect,
+            });
+        if closed_window.is_some() {
+            self.tiny_busting = 0;
+            self.window_suspect = false;
+        }
+        if sample.is_tiny() && fresh_query {
+            self.tiny_busting += 1;
+        }
+        let overlap_pairs = sample.overlap_pairs();
 
         // Per-request log-amplification: origin bytes per client-facing
         // byte. Benign forwarding sits near log2(1 + 1) = 1; a deletion
         // vendor serving 1 MB for a one-byte range sits near 10.
         let ratio = origin_bytes as f64 / client_bytes.max(1) as f64;
         let log_amp = (1.0 + ratio).log2();
-        let smoothed = self.amp_ewma.update(log_amp);
+        let smoothed = ewma_step(self.observed.then_some(self.ewma), log_amp);
+        self.ewma = smoothed;
         let cusum_alarm = self.amp_cusum.update(log_amp);
         let cusum_score = self.amp_cusum.value();
         if cusum_alarm {
@@ -206,37 +260,28 @@ impl ClientDetector {
             self.amp_cusum.reset();
         }
 
-        let window = self.features.current();
-        let verdict = if overlap_pairs >= OBR_OVERLAP_PAIRS {
-            Verdict {
-                class: TrafficClass::ObrSuspect,
-                score: overlap_pairs as f64,
-                at_ms: now_ms,
-            }
-        } else if window.tiny_busting >= SBR_TINY_BUSTING {
-            Verdict {
-                class: TrafficClass::SbrSuspect,
-                score: window.tiny_busting as f64,
-                at_ms: now_ms,
-            }
+        let (class, score) = if overlap_pairs >= OBR_OVERLAP_PAIRS {
+            (TrafficClass::ObrSuspect, overlap_pairs as f64)
+        } else if self.tiny_busting >= SBR_TINY_BUSTING {
+            (TrafficClass::SbrSuspect, self.tiny_busting as f64)
         } else if cusum_alarm {
-            Verdict {
-                class: TrafficClass::SbrSuspect,
-                score: cusum_score,
-                at_ms: now_ms,
-            }
+            (TrafficClass::SbrSuspect, cusum_score)
         } else {
-            Verdict {
-                class: TrafficClass::Benign,
-                score: smoothed,
-                at_ms: now_ms,
-            }
+            (TrafficClass::Benign, smoothed)
         };
-        if verdict.class.is_suspect() {
-            self.features.mark_suspect();
+        self.observed = true;
+        self.last_ms = now_ms;
+        self.class = class;
+        self.score = score;
+        if class.is_suspect() {
+            self.window_suspect = true;
         }
         Observation {
-            verdict,
+            verdict: Verdict {
+                class,
+                score,
+                at_ms: now_ms,
+            },
             closed_window,
         }
     }
@@ -262,7 +307,7 @@ mod tests {
         let req = request("/t.bin", None);
         let s = RequestSample::of(&req);
         for i in 0..50u64 {
-            let obs = det.observe(&s, 1_000_000, 1_000_000, i * 200);
+            let obs = det.observe(&s, false, 1_000_000, 1_000_000, i * 200);
             assert_eq!(obs.verdict.class, TrafficClass::Benign, "request {i}");
         }
     }
@@ -276,7 +321,7 @@ mod tests {
             let s = RequestSample::of(&req);
             // Laziness vendor: tiny origin cost, tiny response — the
             // amplification rules see nothing, the shape rule must fire.
-            let obs = det.observe(&s, 700, 650, i * 100);
+            let obs = det.observe(&s, true, 700, 650, i * 100);
             if obs.verdict.class.is_suspect() && flagged_at.is_none() {
                 flagged_at = Some(i);
             }
@@ -293,7 +338,7 @@ mod tests {
         for i in 0..10u64 {
             let req = request(&format!("/t.bin?rnd={i}"), Some("bytes=0-9999"));
             let s = RequestSample::of(&req);
-            let obs = det.observe(&s, 10_000_000, 10_600, i * 100);
+            let obs = det.observe(&s, true, 10_000_000, 10_600, i * 100);
             if obs.verdict.class.is_suspect() && flagged_at.is_none() {
                 flagged_at = Some(i);
             }
@@ -307,7 +352,7 @@ mod tests {
         let mut det = ClientDetector::default();
         let req = request("/t.bin?rnd=0", Some("bytes=0-,0-,0-"));
         let s = RequestSample::of(&req);
-        let obs = det.observe(&s, 3_000_000, 3_000_000, 0);
+        let obs = det.observe(&s, true, 3_000_000, 3_000_000, 0);
         assert_eq!(obs.verdict.class, TrafficClass::ObrSuspect);
         assert_eq!(obs.verdict.score, 3.0);
     }
@@ -317,10 +362,17 @@ mod tests {
         let mut det = ClientDetector::default();
         let req = request("/t.bin", None);
         let s = RequestSample::of(&req);
-        det.observe(&s, 1_000, 1_000, 0);
-        let obs = det.observe(&s, 1_000, 1_000, WINDOW_MS + 1);
+        assert_eq!(det.observe(&s, false, 1_000, 1_000, 0).closed_window, None);
+        let obs = det.observe(&s, false, 1_000, 1_000, WINDOW_MS + 1);
         let closed = obs.closed_window.expect("first window closed");
-        assert_eq!(closed.suspects, 0, "calm window");
+        assert!(closed.calm, "calm window");
+        assert_eq!(det.last_verdict().map(|v| v.at_ms), Some(WINDOW_MS + 1));
+        // A suspect verdict makes the next window to close a busy one.
+        let obr = request("/t.bin", Some("bytes=0-,0-,0-"));
+        det.observe(&RequestSample::of(&obr), false, 1_000, 1_000, WINDOW_MS + 2);
+        let obs = det.observe(&s, false, 1_000, 1_000, 10 * WINDOW_MS);
+        let closed = obs.closed_window.expect("second window closed");
+        assert!(!closed.calm, "busy window");
     }
 
     #[test]

@@ -22,15 +22,16 @@
 //! the same request schedule produces identical reports.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rangeamp_cdn::{DefenseAction, DefenseHook, RequestOutcome};
 use rangeamp_http::Request;
 
 use crate::detector::{ClientDetector, Verdict};
-use crate::features::RequestSample;
+use crate::features::{QueryMemory, RequestSample};
 
 // Enforcement-ladder parameters, pinned by the golden fixtures under
 // `tests/corpus/`.
@@ -137,10 +138,11 @@ impl ClientReport {
 }
 
 /// A client's cumulative statistics: a [`ClientReport`] without the
-/// client key, which the table's index already holds.
+/// client key, which the table's index already holds, and without what
+/// the rest of the record implies — the request count is the sum of the
+/// per-action counts, the last verdict is the detector's.
 #[derive(Debug, Default)]
 struct Tally {
-    requests: u64,
     allowed: u64,
     deflated: u64,
     throttled: u64,
@@ -151,51 +153,79 @@ struct Tally {
     request_bytes: u64,
     enforced_origin_bytes: u64,
     enforced_request_bytes: u64,
-    first_flag_ms: Option<u64>,
-    peak_action: Option<DefenseAction>,
-    last_verdict: Option<Verdict>,
+    /// Virtual time of the first suspect verdict (valid once `suspects > 0`).
+    first_flag_ms: u64,
 }
 
 impl Tally {
-    fn report(&self, client: &str) -> ClientReport {
-        ClientReport {
-            client: client.to_string(),
-            requests: self.requests,
-            allowed: self.allowed,
-            deflated: self.deflated,
-            throttled: self.throttled,
-            blocked: self.blocked,
-            suspects: self.suspects,
-            origin_bytes: self.origin_bytes,
-            client_bytes: self.client_bytes,
-            request_bytes: self.request_bytes,
-            enforced_origin_bytes: self.enforced_origin_bytes,
-            enforced_request_bytes: self.enforced_request_bytes,
-            first_flag_ms: self.first_flag_ms,
-            peak_action: self.peak_action,
-            last_verdict: self.last_verdict,
-        }
+    fn requests(&self) -> u64 {
+        self.allowed + self.deflated + self.throttled + self.blocked
     }
 }
 
+/// State that most clients never need, boxed out of the record: the
+/// query strings of a client that sends any (the benign archetypes send
+/// none), and the token bucket of a client at Throttle or above.
+#[derive(Debug, Default)]
+struct Rare {
+    queries: QueryMemory,
+    bucket: Option<TokenBucket>,
+}
+
+/// One client's record: 152 bytes, one per client ever seen.
 #[derive(Debug)]
 struct ClientState {
     detector: ClientDetector,
-    rung: DefenseAction,
-    bucket: Option<TokenBucket>,
-    calm_streak: u64,
     tally: Tally,
+    rare: Option<Box<Rare>>,
+    rung: DefenseAction,
+    /// The most severe action ever taken (`Allow` before any request
+    /// was observed, when the report shows none).
+    peak_action: DefenseAction,
+    /// Consecutive calm windows, below [`CALM_WINDOWS`].
+    calm_streak: u8,
 }
 
 impl ClientState {
     fn new() -> ClientState {
         ClientState {
             detector: ClientDetector::default(),
-            rung: DefenseAction::Allow,
-            bucket: None,
-            calm_streak: 0,
             tally: Tally::default(),
+            rare: None,
+            rung: DefenseAction::Allow,
+            peak_action: DefenseAction::Allow,
+            calm_streak: 0,
         }
+    }
+
+    fn report(&self, client: &str) -> ClientReport {
+        let tally = &self.tally;
+        let requests = tally.requests();
+        ClientReport {
+            client: client.to_string(),
+            requests,
+            allowed: tally.allowed,
+            deflated: tally.deflated,
+            throttled: tally.throttled,
+            blocked: tally.blocked,
+            suspects: tally.suspects,
+            origin_bytes: tally.origin_bytes,
+            client_bytes: tally.client_bytes,
+            request_bytes: tally.request_bytes,
+            enforced_origin_bytes: tally.enforced_origin_bytes,
+            enforced_request_bytes: tally.enforced_request_bytes,
+            first_flag_ms: (tally.suspects > 0).then_some(tally.first_flag_ms),
+            peak_action: (requests > 0).then_some(self.peak_action),
+            last_verdict: self.detector.last_verdict(),
+        }
+    }
+
+    fn rare(&mut self) -> &mut Rare {
+        self.rare.get_or_insert_with(Box::default)
+    }
+
+    fn bucket(&mut self) -> Option<&mut TokenBucket> {
+        self.rare.as_mut()?.bucket.as_mut()
     }
 }
 
@@ -203,32 +233,33 @@ impl ClientState {
 const INLINE_KEY: usize = 22;
 
 /// A client key as the index stores it: inline up to [`INLINE_KEY`]
-/// bytes, boxed beyond. An inline key costs no allocation on insert and
-/// no pointer chase on lookup, and leaves no small heap block per
-/// client between the slab's chunks. It hashes and compares as its
-/// bytes, so the index is probed with `client.as_bytes()`.
-#[derive(Debug)]
+/// bytes, shared beyond. An inline key costs no allocation on insert and
+/// no pointer chase on lookup, and leaves no small heap block per client
+/// between the slab's chunks; either kind clones without allocating. It
+/// hashes and compares as its bytes, so the index is probed with
+/// `client.as_bytes()`.
+#[derive(Debug, Clone)]
 enum ClientKey {
     Inline { len: u8, bytes: [u8; INLINE_KEY] },
-    Boxed(Box<[u8]>),
+    Shared(Arc<[u8]>),
 }
 
 impl ClientKey {
-    fn new(client: &str) -> ClientKey {
+    /// The key of `client` if it fits inline, built without allocating.
+    fn inline(client: &str) -> Option<ClientKey> {
         let key = client.as_bytes();
-        if key.len() > INLINE_KEY {
-            return ClientKey::Boxed(key.into());
-        }
+        let len = u8::try_from(key.len())
+            .ok()
+            .filter(|&len| usize::from(len) <= INLINE_KEY)?;
         let mut bytes = [0; INLINE_KEY];
         bytes[..key.len()].copy_from_slice(key);
-        let len = u8::try_from(key.len()).expect("INLINE_KEY fits in a u8");
-        ClientKey::Inline { len, bytes }
+        Some(ClientKey::Inline { len, bytes })
     }
 
     fn as_bytes(&self) -> &[u8] {
         match self {
             ClientKey::Inline { len, bytes } => &bytes[..usize::from(*len)],
-            ClientKey::Boxed(bytes) => bytes,
+            ClientKey::Shared(bytes) => bytes,
         }
     }
 
@@ -257,28 +288,32 @@ impl Hash for ClientKey {
     }
 }
 
-/// Records per slab chunk. A chunk (~22 KB) stays below the allocator's
+/// Records per slab chunk. A chunk (~10 KB) stays below the allocator's
 /// mmap threshold, so a new layer reuses the heap memory an old one
 /// freed instead of faulting in fresh pages, and growing the slab never
 /// moves a record.
 const CHUNK: usize = 64;
 
 /// Every client's state: the records in a slab, found through an index
-/// from client key to slot. A known client costs one hash probe and no
-/// allocation; a new one allocates only a chunk for every 64th client
-/// and a key longer than [`INLINE_KEY`] bytes.
+/// from client key to slot. A known client costs one hash probe per
+/// request and no allocation; a new one allocates only a chunk for
+/// every 64th client and a key longer than [`INLINE_KEY`] bytes.
 #[derive(Debug, Default)]
-struct ClientTable {
+struct ClientTable<S = RandomState> {
     /// Client key → slot. Client ids are chosen by the sender, so the
     /// index keeps std's per-process random hash keys: a fixed-key hash
     /// would let an attacker pick colliding ids.
-    index: HashMap<ClientKey, usize>,
+    index: HashMap<ClientKey, usize, S>,
     /// Slot `s` is `chunks[s / CHUNK][s % CHUNK]`; slots are dense, in
     /// order of first sighting.
     chunks: Vec<Vec<ClientState>>,
+    /// The key and slot of the latest lookup. `observe` follows `decide`
+    /// for the same client, so it finds its record by comparing the key
+    /// bytes instead of hashing them again.
+    recent: Option<(ClientKey, usize)>,
 }
 
-impl ClientTable {
+impl<S: BuildHasher> ClientTable<S> {
     fn record(&self, slot: usize) -> &ClientState {
         &self.chunks[slot / CHUNK][slot % CHUNK]
     }
@@ -289,19 +324,49 @@ impl ClientTable {
             .map(|&slot| self.record(slot))
     }
 
-    fn get_or_insert(&mut self, client: &str) -> &mut ClientState {
-        let slot = match self.index.get(client.as_bytes()) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.index.len();
-                self.index.insert(ClientKey::new(client), slot);
-                if slot % CHUNK == 0 {
-                    self.chunks.push(Vec::with_capacity(CHUNK));
-                }
-                self.chunks[slot / CHUNK].push(ClientState::new());
-                slot
+    /// The slot of `client`'s record, appending a fresh record on a first
+    /// sighting. Hashes the key at most once: not at all when it is the
+    /// latest lookup's, and an inline key finds or takes its slot in one
+    /// probe.
+    fn slot(&mut self, client: &str) -> usize {
+        if let Some((key, slot)) = &self.recent {
+            if key.as_bytes() == client.as_bytes() {
+                return *slot;
             }
+        }
+        let next = self.index.len();
+        let (key, slot) = match ClientKey::inline(client) {
+            Some(key) => match self.index.entry(key) {
+                Entry::Occupied(entry) => (entry.key().clone(), *entry.get()),
+                Entry::Vacant(entry) => {
+                    let key = entry.key().clone();
+                    entry.insert(next);
+                    (key, next)
+                }
+            },
+            // A long key is shared only when it is new, so a known client
+            // never allocates.
+            None => match self.index.get_key_value(client.as_bytes()) {
+                Some((key, &slot)) => (key.clone(), slot),
+                None => {
+                    let key = ClientKey::Shared(client.as_bytes().into());
+                    self.index.insert(key.clone(), next);
+                    (key, next)
+                }
+            },
         };
+        if slot == next {
+            if slot % CHUNK == 0 {
+                self.chunks.push(Vec::with_capacity(CHUNK));
+            }
+            self.chunks[slot / CHUNK].push(ClientState::new());
+        }
+        self.recent = Some((key, slot));
+        slot
+    }
+
+    fn get_or_insert(&mut self, client: &str) -> &mut ClientState {
+        let slot = self.slot(client);
         &mut self.chunks[slot / CHUNK][slot % CHUNK]
     }
 }
@@ -329,7 +394,7 @@ impl DefenseLayer {
             .collect();
         keys.sort_unstable();
         keys.into_iter()
-            .map(|(client, slot)| table.record(slot).tally.report(client))
+            .map(|(client, slot)| table.record(slot).report(client))
             .collect()
     }
 
@@ -349,7 +414,7 @@ impl DefenseLayer {
         self.clients
             .lock()
             .get(client)
-            .map(|state| state.tally.report(client))
+            .map(|state| state.report(client))
     }
 
     /// The enforcement rung a client currently sits on.
@@ -373,12 +438,10 @@ impl DefenseLayer {
         if target > state.rung {
             state.rung = target;
         }
-        if state.rung == DefenseAction::Throttle && state.bucket.is_none() {
-            state.bucket = Some(TokenBucket::new(
-                BUCKET_CAPACITY,
-                BUCKET_REFILL_PER_SEC,
-                now_ms,
-            ));
+        if state.rung == DefenseAction::Throttle {
+            state.rare().bucket.get_or_insert_with(|| {
+                TokenBucket::new(BUCKET_CAPACITY, BUCKET_REFILL_PER_SEC, now_ms)
+            });
         }
     }
 
@@ -392,7 +455,9 @@ impl DefenseLayer {
             }
         };
         if state.rung < DefenseAction::Throttle {
-            state.bucket = None;
+            if let Some(rare) = state.rare.as_mut() {
+                rare.bucket = None;
+            }
         }
         state.calm_streak = 0;
     }
@@ -405,8 +470,7 @@ impl DefenseHook for DefenseLayer {
         match state.rung {
             DefenseAction::Throttle => {
                 let empty = state
-                    .bucket
-                    .as_mut()
+                    .bucket()
                     .is_some_and(|bucket| bucket.level_at(now_ms) == 0);
                 if empty {
                     DefenseAction::Block
@@ -430,7 +494,6 @@ impl DefenseHook for DefenseLayer {
         let mut clients = self.clients.lock();
         let state = clients.get_or_insert(client);
 
-        state.tally.requests += 1;
         match action {
             DefenseAction::Allow => state.tally.allowed += 1,
             DefenseAction::Deflate => state.tally.deflated += 1,
@@ -444,24 +507,29 @@ impl DefenseHook for DefenseLayer {
             state.tally.enforced_origin_bytes += outcome.origin_bytes;
             state.tally.enforced_request_bytes += sample.request_bytes;
         }
-        state.tally.peak_action = Some(state.tally.peak_action.map_or(action, |p| p.max(action)));
+        state.peak_action = state.peak_action.max(action);
 
         if action == DefenseAction::Throttle {
-            if let Some(bucket) = state.bucket.as_mut() {
+            if let Some(bucket) = state.bucket() {
                 bucket.consume(outcome.origin_bytes, now_ms);
             }
         }
 
-        let observation =
-            state
-                .detector
-                .observe(&sample, outcome.origin_bytes, outcome.client_bytes, now_ms);
-        state.tally.last_verdict = Some(observation.verdict);
+        let fresh_query = sample
+            .query
+            .is_some_and(|query| state.rare().queries.is_fresh(query));
+        let observation = state.detector.observe(
+            &sample,
+            fresh_query,
+            outcome.origin_bytes,
+            outcome.client_bytes,
+            now_ms,
+        );
 
         if let Some(window) = observation.closed_window {
-            if window.suspects == 0 {
+            if window.calm {
                 state.calm_streak += 1;
-                if state.calm_streak >= CALM_WINDOWS {
+                if u64::from(state.calm_streak) >= CALM_WINDOWS {
                     Self::deescalate(state);
                 }
             } else {
@@ -471,8 +539,8 @@ impl DefenseHook for DefenseLayer {
 
         if observation.verdict.class.is_suspect() {
             state.tally.suspects += 1;
-            if state.tally.first_flag_ms.is_none() {
-                state.tally.first_flag_ms = Some(now_ms);
+            if state.tally.suspects == 1 {
+                state.tally.first_flag_ms = now_ms;
             }
             Self::escalate(state, now_ms);
         }
@@ -619,11 +687,65 @@ mod tests {
         assert_eq!(reports, expected);
     }
 
+    /// Counts the hashers it builds: one per key hashed.
+    #[derive(Debug, Default)]
+    struct CountingState {
+        hashes: std::cell::Cell<u64>,
+        inner: RandomState,
+    }
+
+    impl BuildHasher for CountingState {
+        type Hasher = std::hash::DefaultHasher;
+
+        fn build_hasher(&self) -> Self::Hasher {
+            self.hashes.set(self.hashes.get() + 1);
+            self.inner.build_hasher()
+        }
+    }
+
+    #[test]
+    fn a_request_hashes_its_client_key_at_most_once() {
+        const LONG: &str = "a-client-id-longer-than-the-inline-key";
+        let mut table = ClientTable {
+            // Room for every client, so no insert rehashes the others.
+            index: HashMap::with_capacity_and_hasher(16, CountingState::default()),
+            chunks: Vec::new(),
+            recent: None,
+        };
+        let hashes = |table: &ClientTable<CountingState>| table.index.hasher().hashes.get();
+        let mut slots = Vec::new();
+        for client in ["alice", "bob", LONG] {
+            let before = hashes(&table);
+            slots.push(table.slot(client));
+            // An inline key is found or placed in one probe; a long one
+            // is looked up, then inserted.
+            let expected = if client == LONG { 2 } else { 1 };
+            assert_eq!(
+                hashes(&table) - before,
+                expected,
+                "first sighting of {client}"
+            );
+        }
+        assert_eq!(slots, [0, 1, 2]);
+        let before = hashes(&table);
+        for _ in 0..10 {
+            for (client, &slot) in ["alice", "bob", LONG].iter().zip(&slots) {
+                // `decide` probes the index, the `observe` after it reuses
+                // the slot.
+                assert_eq!(table.slot(client), slot);
+                assert_eq!(table.slot(client), slot);
+            }
+        }
+        assert_eq!(hashes(&table) - before, 30, "one hash per decide + observe");
+        assert_eq!(table.index.len(), 3);
+        assert_eq!(table.chunks[0].len(), 3);
+    }
+
     #[test]
     fn client_record_stays_small() {
         // The slab holds one record per client ever seen (75,913 per
         // `defended_mix` round), so its size is the defense's memory.
         let size = std::mem::size_of::<ClientState>();
-        assert!(size <= 352, "ClientState is {size} B");
+        assert!(size <= 176, "ClientState is {size} B");
     }
 }

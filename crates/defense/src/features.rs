@@ -1,4 +1,4 @@
-//! Streaming per-client traffic features over virtual-time windows.
+//! Per-request traffic features and the per-client memory behind them.
 //!
 //! The detectors never see raw requests — they see the small, fixed set
 //! of observables this module distils from each request/outcome pair:
@@ -9,14 +9,16 @@
 //! * **overlapping-range multiplicity** — pairs of overlapping specs in
 //!   a multi-range header (the OBR signature of §V),
 //! * **cache-busting churn** — requests whose query string was never
-//!   seen from this client before (`?rnd=…` per request, §II-A),
+//!   seen from this client before (`?rnd=…` per request, §II-A), told
+//!   apart by a bounded [`QueryMemory`],
 //! * **per-request amplification ratio** — origin-side bytes fetched
 //!   for the request versus the client-facing response size, from the
 //!   edge's `rangeamp_net::Segment` byte meters via
 //!   [`RequestOutcome`](rangeamp_cdn::RequestOutcome).
 //!
-//! Everything is windowed on the *virtual* clock the testbed drives, so
-//! feature streams are deterministic functions of the request schedule.
+//! The detector counts them per window of the *virtual* clock the
+//! testbed drives ([`window_of`]), so feature streams are deterministic
+//! functions of the request schedule.
 
 use std::collections::BTreeSet;
 
@@ -90,134 +92,38 @@ impl<'a> RequestSample<'a> {
     }
 }
 
-/// Aggregated features of one closed (or in-progress) window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowFeatures {
-    /// Window ordinal: `floor(t / WINDOW_MS)`.
-    pub index: u64,
-    /// Requests observed.
-    pub requests: u64,
-    /// Requests with a tiny range.
-    pub tiny: u64,
-    /// Requests whose query string was fresh (cache-busting churn).
-    pub busting: u64,
-    /// Requests that were *both* tiny and cache-busting — the SBR shape.
-    pub tiny_busting: u64,
-    /// Requests carrying a multi-range header.
-    pub multi: u64,
-    /// Maximum per-request overlapping-pair count seen.
-    pub overlap_pairs_max: u64,
-    /// Origin-side response bytes attributed to this client.
-    pub origin_bytes: u64,
-    /// Client-facing response bytes.
-    pub client_bytes: u64,
-    /// Client request wire bytes.
-    pub request_bytes: u64,
-    /// Requests the detector flagged as suspect in this window.
-    pub suspects: u64,
-}
-
-impl WindowFeatures {
-    /// Window-level amplification: origin bytes per client response byte.
-    pub fn amp_ratio(&self) -> f64 {
-        self.origin_bytes as f64 / (self.client_bytes.max(1)) as f64
-    }
-}
-
-/// Per-client streaming feature extractor.
-///
-/// The query-string memory is bounded: once `QUERY_MEMORY` distinct
-/// query strings accumulate the set is cleared (wholesale churn *is*
-/// the signal; remembering every attacker nonce would leak memory).
-#[derive(Debug, Clone, Default)]
-pub struct ClientFeatures {
-    seen_queries: BTreeSet<String>,
-    current: WindowFeatures,
-    started: bool,
-    /// Closed windows so far.
-    pub windows_closed: u64,
-}
-
 /// Cap on remembered distinct query strings per client.
-const QUERY_MEMORY: usize = 1024;
+pub const QUERY_MEMORY: usize = 1024;
 
-impl ClientFeatures {
-    /// The in-progress window.
-    pub fn current(&self) -> &WindowFeatures {
-        &self.current
-    }
+/// The query strings one client has sent, for telling a fresh
+/// (cache-busting) query from a repeated one.
+///
+/// The memory is bounded: once [`QUERY_MEMORY`] distinct query strings
+/// accumulate the set is cleared (wholesale churn *is* the signal;
+/// remembering every attacker nonce would leak memory).
+#[derive(Debug, Clone, Default)]
+pub struct QueryMemory {
+    seen: BTreeSet<String>,
+}
 
-    /// Marks one suspect verdict in the current window (detector
-    /// feedback used for calm-window de-escalation).
-    pub fn mark_suspect(&mut self) {
-        self.current.suspects += 1;
+impl QueryMemory {
+    /// Whether `query` is fresh — not seen from this client since the
+    /// memory last cleared — remembering it if it is.
+    pub fn is_fresh(&mut self, query: &str) -> bool {
+        if self.seen.contains(query) {
+            return false;
+        }
+        if self.seen.len() >= QUERY_MEMORY {
+            self.seen.clear();
+        }
+        self.seen.insert(query.to_string());
+        true
     }
+}
 
-    /// Advances the window clock to `now_ms`, closing the current
-    /// window if `now_ms` falls past its end. Returns the closed
-    /// window, if any. Idle gaps close at most one window — windows in
-    /// which the client sent nothing produce no feature rows.
-    pub fn roll_to(&mut self, now_ms: u64) -> Option<WindowFeatures> {
-        let index = now_ms / WINDOW_MS;
-        if !self.started {
-            self.started = true;
-            self.current.index = index;
-            return None;
-        }
-        if index == self.current.index {
-            return None;
-        }
-        let closed = self.current;
-        self.current = WindowFeatures {
-            index,
-            ..WindowFeatures::default()
-        };
-        self.windows_closed += 1;
-        Some(closed)
-    }
-
-    /// Folds one request into the current window. Returns the
-    /// per-request flags the detectors classify on:
-    /// `(tiny_and_busting, overlap_pairs)`.
-    pub fn on_request(&mut self, sample: &RequestSample<'_>) -> (bool, u64) {
-        self.current.requests += 1;
-        self.current.request_bytes += sample.request_bytes;
-        let tiny = sample.is_tiny();
-        if tiny {
-            self.current.tiny += 1;
-        }
-        let busting = match sample.query {
-            None => false,
-            Some(query) => {
-                let fresh = !self.seen_queries.contains(query);
-                if fresh {
-                    if self.seen_queries.len() >= QUERY_MEMORY {
-                        self.seen_queries.clear();
-                    }
-                    self.seen_queries.insert(query.to_string());
-                }
-                fresh
-            }
-        };
-        if busting {
-            self.current.busting += 1;
-        }
-        if tiny && busting {
-            self.current.tiny_busting += 1;
-        }
-        let pairs = sample.overlap_pairs();
-        if sample.range.as_ref().is_some_and(RangeHeader::is_multi) {
-            self.current.multi += 1;
-        }
-        self.current.overlap_pairs_max = self.current.overlap_pairs_max.max(pairs);
-        (tiny && busting, pairs)
-    }
-
-    /// Folds the byte-level outcome of the request just observed.
-    pub fn on_outcome(&mut self, origin_bytes: u64, client_bytes: u64) {
-        self.current.origin_bytes += origin_bytes;
-        self.current.client_bytes += client_bytes;
-    }
+/// The window ordinal of virtual time `at_ms`: `floor(at_ms / WINDOW_MS)`.
+pub fn window_of(at_ms: u64) -> u64 {
+    at_ms / WINDOW_MS
 }
 
 #[cfg(test)]
@@ -232,22 +138,19 @@ mod tests {
         builder.build()
     }
 
-    fn fold(features: &mut ClientFeatures, target: &str, range: Option<&str>) -> (bool, u64) {
-        features.on_request(&RequestSample::of(&request(target, range)))
-    }
-
     #[test]
     fn sbr_shape_is_tiny_and_busting() {
-        let mut features = ClientFeatures::default();
-        let (flag, pairs) = fold(&mut features, "/t.bin?rnd=1", Some("bytes=0-0"));
-        assert!(flag, "tiny + fresh query");
-        assert_eq!(pairs, 0);
+        let mut queries = QueryMemory::default();
+        let req = request("/t.bin?rnd=1", Some("bytes=0-0"));
+        let sample = RequestSample::of(&req);
+        assert!(sample.is_tiny());
+        assert_eq!(sample.overlap_pairs(), 0);
+        assert_eq!(sample.query, Some("rnd=1"));
+        assert!(queries.is_fresh("rnd=1"), "a new query busts the cache");
         // Same query again: no longer busting.
-        let (flag, _) = fold(&mut features, "/t.bin?rnd=1", Some("bytes=0-0"));
-        assert!(!flag);
-        assert_eq!(features.current().tiny, 2);
-        assert_eq!(features.current().busting, 1);
-        assert_eq!(features.current().tiny_busting, 1);
+        assert!(!queries.is_fresh("rnd=1"));
+        assert!(queries.is_fresh("rnd=2"));
+        assert_eq!(queries.seen.len(), 2);
     }
 
     #[test]
@@ -273,31 +176,22 @@ mod tests {
     #[test]
     fn windows_roll_on_the_virtual_clock() {
         assert_eq!(WINDOW_MS, 5_000);
-        let mut features = ClientFeatures::default();
-        assert!(features.roll_to(100).is_none(), "first window opens");
-        fold(&mut features, "/t.bin?rnd=1", Some("bytes=0-0"));
-        features.on_outcome(1_000_000, 600);
-        assert!(features.roll_to(4_999).is_none(), "same window");
-        let closed = features.roll_to(12_500).expect("window closed");
-        assert_eq!(closed.index, 0);
-        assert_eq!(closed.requests, 1);
-        assert!(closed.amp_ratio() > 1_000.0);
-        assert_eq!(features.current().index, 2, "idle window skipped");
-        assert_eq!(features.current().requests, 0);
+        assert_eq!(window_of(0), 0);
+        assert_eq!(window_of(4_999), 0, "same window");
+        assert_eq!(window_of(5_000), 1);
+        assert_eq!(window_of(12_500), 2, "idle window skipped");
+        assert_eq!(window_of(u64::MAX), u64::MAX / WINDOW_MS);
     }
 
     #[test]
     fn query_memory_is_bounded() {
-        let mut features = ClientFeatures::default();
+        let mut queries = QueryMemory::default();
         for i in 0..(QUERY_MEMORY * 2 + 10) {
-            fold(&mut features, &format!("/t.bin?rnd={i}"), Some("bytes=0-0"));
+            // Every one of these queries is fresh: clearing the memory
+            // must not hide churn.
+            assert!(queries.is_fresh(&format!("rnd={i}")), "query {i}");
+            assert!(queries.seen.len() <= QUERY_MEMORY);
         }
-        assert!(features.seen_queries.len() <= QUERY_MEMORY);
-        // Every one of those queries was fresh — churn kept counting.
-        assert_eq!(
-            features.current().busting,
-            (QUERY_MEMORY * 2 + 10) as u64,
-            "clearing the memory must not hide churn"
-        );
+        assert_eq!(queries.seen.len(), 10, "cleared twice, then 10 more");
     }
 }

@@ -7,9 +7,9 @@
 //! escalates countermeasures only against the clients that look like
 //! attackers:
 //!
-//! * [`features`] — streaming per-client sliding-window features over
-//!   virtual time: tiny-range ratio, overlapping-range multiplicity,
-//!   cache-busting query churn, per-request amplification ratio;
+//! * [`features`] — per-request features over virtual time: tiny
+//!   ranges, overlapping-range multiplicity, cache-busting query churn,
+//!   per-request amplification ratio;
 //! * [`detector`] — deterministic threshold rules plus EWMA/CUSUM
 //!   change-point detectors that score each request as benign,
 //!   SBR-suspect, or OBR-suspect;
@@ -60,9 +60,11 @@
 pub mod detector;
 pub mod enforce;
 pub mod features;
+#[cfg(test)]
+mod model;
 pub mod replay;
 
-pub use detector::{ClientDetector, Cusum, Ewma, TrafficClass, Verdict};
+pub use detector::{ClientDetector, ClosedWindow, Cusum, Ewma, TrafficClass, Verdict};
 pub use enforce::{ClientReport, DefenseLayer, TokenBucket};
-pub use features::{ClientFeatures, RequestSample, WindowFeatures};
+pub use features::{QueryMemory, RequestSample};
 pub use replay::{check_fixture, parse_fixture, replay, ReplayEvent, VERDICT_SEPARATOR};

@@ -215,14 +215,39 @@ pub struct RangeHeader {
 /// Consecutive equal specs merged into `(spec, times)` runs: every
 /// `times` is at least 1 and no two neighbouring runs hold the same spec,
 /// so two `Runs` are equal exactly when their specs are.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 struct Runs {
-    runs: Vec<(ByteRangeSpec, usize)>,
+    runs: RunList,
     /// Number of specs: the sum of every run's `times`.
     len: usize,
 }
 
+/// The runs themselves: one run is kept inline, so parsing a
+/// single-range header (or an OBR header of one repeated spec) allocates
+/// nothing, and a `Vec` holds them from the second run on.
+#[derive(Debug, Clone)]
+enum RunList {
+    /// Exactly one run.
+    One([(ByteRangeSpec, usize); 1]),
+    /// No run (an empty `Vec` does not allocate), or two and more.
+    Many(Vec<(ByteRangeSpec, usize)>),
+}
+
+impl Default for RunList {
+    fn default() -> RunList {
+        RunList::Many(Vec::new())
+    }
+}
+
 impl Runs {
+    /// The runs in header order.
+    fn as_slice(&self) -> &[(ByteRangeSpec, usize)] {
+        match &self.runs {
+            RunList::One(run) => run,
+            RunList::Many(runs) => runs,
+        }
+    }
+
     /// Appends `times` copies of `spec`, extending the last run when it
     /// holds the same spec.
     fn push(&mut self, spec: ByteRangeSpec, times: usize) {
@@ -230,12 +255,29 @@ impl Runs {
             return;
         }
         self.len += times;
-        match self.runs.last_mut() {
-            Some((last, count)) if *last == spec => *count += times,
-            _ => self.runs.push((spec, times)),
+        match &mut self.runs {
+            RunList::One([(last, count)]) if *last == spec => *count += times,
+            RunList::One([first]) => {
+                let mut runs = Vec::with_capacity(4);
+                runs.extend([*first, (spec, times)]);
+                self.runs = RunList::Many(runs);
+            }
+            RunList::Many(runs) => match runs.last_mut() {
+                Some((last, count)) if *last == spec => *count += times,
+                Some(_) => runs.push((spec, times)),
+                None => self.runs = RunList::One([(spec, times)]),
+            },
         }
     }
 }
+
+impl PartialEq for Runs {
+    fn eq(&self, other: &Runs) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Runs {}
 
 impl PartialEq for RangeHeader {
     fn eq(&self, other: &RangeHeader) -> bool {
@@ -248,7 +290,7 @@ impl Eq for RangeHeader {}
 impl fmt::Debug for RangeHeader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RangeHeader")
-            .field("runs", &self.specs.runs)
+            .field("runs", &self.specs.as_slice())
             .finish()
     }
 }
@@ -296,7 +338,7 @@ impl RangeHeader {
     /// A header of `times` (at least one) copies of one valid spec.
     fn repeated(spec: ByteRangeSpec, times: usize) -> RangeHeader {
         RangeHeader::of(Runs {
-            runs: vec![(spec, times)],
+            runs: RunList::One([(spec, times)]),
             len: times,
         })
     }
@@ -389,7 +431,7 @@ impl RangeHeader {
     /// `specs().len()` is the spec count, in O(1).
     pub fn specs(&self) -> Specs<'_> {
         Specs {
-            runs: self.specs.runs.iter(),
+            runs: self.specs.as_slice().iter(),
             spec: None,
             left: 0,
             remaining: self.specs.len,
@@ -398,13 +440,13 @@ impl RangeHeader {
 
     /// The first spec.
     pub fn first_spec(&self) -> ByteRangeSpec {
-        self.specs.runs[0].0
+        self.specs.as_slice()[0].0
     }
 
     /// The specs as `(spec, times)` runs in header order: every `times`
     /// is at least 1 and neighbouring runs hold different specs.
     pub fn runs(&self) -> &[(ByteRangeSpec, usize)] {
-        &self.specs.runs
+        self.specs.as_slice()
     }
 
     /// Whether the header contains more than one spec.
@@ -418,7 +460,7 @@ impl RangeHeader {
     /// equal resolved ranges. Allocation-free, O(runs).
     pub fn resolve_runs(&self, complete_length: u64) -> ResolvedRuns<'_> {
         ResolvedRuns {
-            runs: self.specs.runs.iter(),
+            runs: self.specs.as_slice().iter(),
             complete_length,
         }
     }

@@ -4,12 +4,13 @@
 //! request) each thread makes, so tests running in parallel do not see
 //! each other's, and the tests check the average per call against the
 //! budget: a warm cache hit allocates only for what is unique to its
-//! response (the parsed range runs, the header `Vec`, and the
-//! `Content-Range` value), metering a message allocates only when
+//! response (the header `Vec` and the `Content-Range` value; a `Range`
+//! of one run is parsed without allocating), metering a message allocates only when
 //! a capturing segment's log grows and never on a metered segment, an
 //! OBR request through a warm cascade makes the same allocations, of the
-//! same sizes, at max n and at n = 100,000 as at n = 1,000, and the
-//! defense allocates for a known client only to parse its `Range` header.
+//! same sizes, at max n and at n = 100,000 as at n = 1,000, the defense
+//! allocates nothing for a known client, and a first-sighted client
+//! costs it one small record and its share of the index.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -179,7 +180,8 @@ fn metered_segment_never_allocates() {
 /// OBR requests measured per range count.
 const OBR_CALLS: usize = 50;
 /// Allocations one OBR request through a warm cascade may make: the
-/// parsed range runs on each hop, the forwarded request's header `Vec`,
+/// parsed range runs on each hop (when there are two or more), the
+/// forwarded request's header `Vec`,
 /// and one framing buffer and rope per multipart run.
 const OBR_BUDGET: u64 = 32;
 /// Bytes one OBR request may allocate at max n. What it allocates does
@@ -295,10 +297,58 @@ fn known_client_allocations(range: Option<&str>) -> f64 {
 #[test]
 fn known_clients_cost_the_defense_no_allocation() {
     assert_eq!(known_client_allocations(None), 0.0, "without Range");
-    let average = known_client_allocations(Some("bytes=0-1023"));
+    assert_eq!(
+        known_client_allocations(Some("bytes=0-1023")),
+        0.0,
+        "with Range (a one-run header is parsed inline)"
+    );
+}
+
+/// First-sighted clients in the memory test.
+const NEW_CLIENTS: u64 = 100_000;
+/// Bytes the defense may request from the allocator per first-sighted
+/// client: its slab record and its share of the index, whose doublings
+/// are all counted.
+const NEW_CLIENT_BYTES: u64 = 256;
+
+#[test]
+fn a_first_sighted_client_costs_the_defense_one_small_record() {
+    // Ids like the benchmark's, built before counting. The defense reads
+    // the client from its argument, so one request serves every client;
+    // half carry a `Range` header, none a query (as the benign
+    // archetypes).
+    let ids: Vec<String> = (0..NEW_CLIENTS).map(|n| format!("c{n:05}")).collect();
+    let plain = Request::get(TARGET_PATH)
+        .header("Host", TARGET_HOST)
+        .build();
+    let ranged = Request::get(TARGET_PATH)
+        .header("Host", TARGET_HOST)
+        .header("Range", "bytes=0-1023")
+        .build();
+    let outcome = RequestOutcome {
+        origin_bytes: 0,
+        client_bytes: 1_000,
+        status: 200,
+    };
+    let layer = DefenseLayer::default();
+    let (allocs, bytes) = (allocations(), allocated_bytes());
+    for (n, id) in ids.iter().enumerate() {
+        let req = if n % 2 == 0 { &plain } else { &ranged };
+        let action = layer.decide(id, req, n as u64);
+        layer.observe(id, req, action, &outcome, n as u64);
+    }
+    let (allocs, bytes) = (allocations() - allocs, allocated_bytes() - bytes);
+    assert_eq!(layer.len(), NEW_CLIENTS as usize);
+    let per_client = bytes / NEW_CLIENTS;
     assert!(
-        average <= 1.0,
-        "{average} allocations per decide + observe, budget 1 (the Range parse)"
+        per_client <= NEW_CLIENT_BYTES,
+        "{per_client} B per first-sighted client, budget {NEW_CLIENT_BYTES}"
+    );
+    // No allocation of a client's own: one slab chunk per 64 clients,
+    // and one per doubling of the index and of the chunk list.
+    assert!(
+        allocs <= NEW_CLIENTS / 64 + 64,
+        "{allocs} allocations for {NEW_CLIENTS} first-sighted clients"
     );
 }
 
