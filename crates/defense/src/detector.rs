@@ -112,7 +112,7 @@ impl Ewma {
 
 /// One EWMA step: the smoothed value after `x`, given the one before it
 /// (`None` before the first observation, which is taken as is).
-pub fn ewma_step(prev: Option<f64>, x: f64) -> f64 {
+pub(crate) fn ewma_step(prev: Option<f64>, x: f64) -> f64 {
     match prev {
         None => x,
         Some(prev) => prev + EWMA_ALPHA * (x - prev),
@@ -177,10 +177,10 @@ pub struct Observation {
 /// the enforcement layer keeps one per client ever seen.
 ///
 /// Windows are keyed by [`window_of`] the latest observation's time,
-/// and an idle gap closes at most one window: windows in which the
-/// client sent nothing produce no feature rows. Whether a query is
-/// fresh is for the caller to say (from its [`QueryMemory`]), so a
-/// client that sends none costs the detector no query memory.
+/// and an idle gap closes only the last window the client was active
+/// in: windows in which it sent nothing never count as calm. Whether a
+/// query is fresh is for the caller to say (from its [`QueryMemory`]),
+/// so a client that sends none costs the detector no query memory.
 ///
 /// [`QueryMemory`]: crate::features::QueryMemory
 #[derive(Debug, Clone, Default)]
